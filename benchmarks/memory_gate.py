@@ -3,9 +3,9 @@
 Runs a synthetic trace 10x the paper's full per-benchmark length
 (1.6M branches) through :func:`repro.sim.chunked.sweep_stream_chunks`
 with a *streaming* chunk source — each chunk is generated on demand and
-dropped after it is folded, so the full trace is never materialized —
-and folds every chunk into running confidence-table statistics exactly
-as the figure runners do.
+dropped after it is observed, so the full trace is never materialized —
+and feeds every chunk to a :class:`~repro.sim.batched.GridObserver`,
+the observer behind every statistic the figure runners compute.
 
 The gate measures this process's peak RSS growth over the warmed-up
 baseline (interpreter + numpy + predictor tables + the first chunk,
@@ -34,10 +34,10 @@ import numpy as np
 
 from repro import observability
 from repro.bench import headline_metric, write_bench_report
-from repro.analysis.buckets import BucketStatistics
-from repro.sim.chunked import CIRTableObserver, sweep_stream_chunks
+from repro.core.indexing import make_index
+from repro.sim.batched import GridObserver, SweepSpec
+from repro.sim.chunked import sweep_stream_chunks
 from repro.traces import Trace
-from repro.utils.bits import bit_mask
 from repro.workloads.ibs import DEFAULT_TRACE_LENGTH
 
 #: 10x the full per-benchmark trace length used by the paper experiments.
@@ -80,10 +80,8 @@ def synthetic_chunks(
 
 def run_gate(out_path: str) -> int:
     started = time.perf_counter()
-    observer = CIRTableObserver(
-        cir_bits=16, table_entries=1 << 16, init_patterns=bit_mask(16)
-    )
-    statistics = BucketStatistics.zeros(1 << 16)
+    # The paper's default mechanism: PC-indexed 64K table of 16-bit CIRs.
+    observer = GridObserver([SweepSpec.pattern(make_index("pc", 16), 16)])
     baseline_rss = 0
     chunks_done = 0
 
@@ -93,11 +91,7 @@ def run_gate(out_path: str) -> int:
         history_bits=16,
     )
     for chunk in stream:
-        indices = (chunk.pcs >> 2) & 0xFFFF
-        patterns = observer.observe(indices, chunk.correct)
-        statistics = statistics + BucketStatistics.from_streams(
-            patterns, chunk.correct, num_buckets=1 << 16
-        )
+        observer.observe(chunk)
         chunks_done += 1
         if chunks_done == 1:
             # Baseline: interpreter, numpy, tables, and one full chunk
@@ -106,6 +100,7 @@ def run_gate(out_path: str) -> int:
 
     peak_rss = observability.record_peak_rss()
     growth = max(0, peak_rss - baseline_rss)
+    (statistics,) = observer.statistics()
     passed = growth <= RSS_GROWTH_LIMIT_BYTES
 
     total_branches_folded = int(statistics.counts.sum())

@@ -27,10 +27,10 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
+from repro.sim.chunked import _WEAKLY_TAKEN
 from repro.utils.bits import bit_mask
 from repro.workloads.ibs import load_benchmark
 
-_WEAKLY_TAKEN = 2
 _CHOOSER_NEUTRAL = 2
 
 

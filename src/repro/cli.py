@@ -31,7 +31,7 @@ import sys
 from typing import List, Optional
 
 from repro.experiments import get_experiment, list_experiments
-from repro.experiments.config import DEFAULT_CONFIG, ENGINES
+from repro.experiments.config import DEFAULT_CONFIG
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -80,12 +80,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="seconds to wait per parallel task before retrying it",
     )
     run_parser.add_argument(
-        "--engine", choices=list(ENGINES), default=None,
-        help="sweep engine: batched fuses the experiment's config grid "
-             "into single passes; per-config runs each grid point alone "
-             "(results are bit-identical)",
-    )
-    run_parser.add_argument(
         "--profile", default=None, help="export timers/cache counters to JSON"
     )
 
@@ -111,10 +105,6 @@ def _build_parser() -> argparse.ArgumentParser:
     run_all_parser.add_argument(
         "--task-timeout", type=float, default=None,
         help="seconds to wait per parallel task before retrying it",
-    )
-    run_all_parser.add_argument(
-        "--engine", choices=list(ENGINES), default=None,
-        help="sweep engine for every experiment (see 'run --help')",
     )
     run_all_parser.add_argument(
         "--profile", default=None, help="export timers/cache counters to JSON"
@@ -184,7 +174,6 @@ def _build_parser() -> argparse.ArgumentParser:
         fabric_sub.add_argument("--chunk-size", type=int, default=None)
         fabric_sub.add_argument("--max-retries", type=int, default=None)
         fabric_sub.add_argument("--task-timeout", type=float, default=None)
-        fabric_sub.add_argument("--engine", choices=list(ENGINES), default=None)
         fabric_sub.add_argument(
             "--experiments", nargs="+", default=None, metavar="ID",
             help="subset of experiment ids (default: every registered one)",
@@ -281,8 +270,6 @@ def _config_from_args(args: argparse.Namespace):
         overrides["max_retries"] = args.max_retries
     if getattr(args, "task_timeout", None) is not None:
         overrides["task_timeout"] = args.task_timeout
-    if getattr(args, "engine", None) is not None:
-        overrides["engine"] = args.engine
     if not overrides:
         return config
     try:
@@ -343,6 +330,7 @@ def _command_run(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     from repro import observability
 
+    _check_experiments([experiment.id], config)
     with observability.timed(f"experiment.{experiment.id}.seconds"):
         result = experiment.run(config)
     print(result.format())
@@ -412,11 +400,22 @@ def _fabric_options(args: argparse.Namespace):
         raise SystemExit(str(error)) from None
 
 
+def _check_experiments(ids: List[str], config) -> None:
+    """Exit with the one-line reason when a config cannot run an experiment."""
+    from repro.experiments.registry import check_experiments
+
+    try:
+        check_experiments(ids, config)
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
+
+
 def _command_run_all(args: argparse.Namespace) -> int:
     from repro.experiments import run_all_reports
 
     config = _config_from_args(args)
     ids = _experiment_ids(args)
+    _check_experiments(ids, config)
     if args.shards is not None or args.shard_id is not None:
         # Fabric mode: compute through the shared-cache claim loop; any
         # worker that observes the completed plan prints the merge, so a

@@ -15,9 +15,6 @@ from typing import Optional, Tuple
 
 from repro.workloads.ibs import DEFAULT_TRACE_LENGTH, benchmark_names
 
-#: Valid values of :attr:`ExperimentConfig.engine`.
-ENGINES = ("batched", "per-config")
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -60,12 +57,6 @@ class ExperimentConfig:
     #: Seconds to wait for one parallel worker task before it is counted
     #: as timed out and retried (None = wait indefinitely).
     task_timeout: Optional[float] = None  # reprolint: cache-exempt - fault-handling knob
-    #: Sweep engine: "batched" fuses each experiment's config grid into
-    #: single numpy passes (:mod:`repro.sim.batched`); "per-config" runs
-    #: every grid point through its own sweep.  Bit-identical results
-    #: either way (pinned by the grid-equivalence golden suite), so the
-    #: knob is execution-only and cache-exempt.
-    engine: str = "batched"  # reprolint: cache-exempt - execution knob, results bit-identical
 
     def __post_init__(self) -> None:
         """Fail fast on knobs that would silently mis-shard work.
@@ -81,10 +72,6 @@ class ExperimentConfig:
             raise ValueError("--max-retries must be >= 0")
         if self.task_timeout is not None and self.task_timeout <= 0:
             raise ValueError("--task-timeout must be > 0")
-        if self.engine not in ENGINES:
-            raise ValueError(
-                f"--engine must be one of {', '.join(ENGINES)}"
-            )
 
     def scaled(self, **overrides) -> "ExperimentConfig":
         """A copy with the given fields replaced."""

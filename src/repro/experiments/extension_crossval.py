@@ -96,10 +96,20 @@ def _empirical_order(statistics: BucketStatistics) -> np.ndarray:
     return occupied[np.lexsort((occupied, -rates[occupied]))]
 
 
+def check_config(config: ExperimentConfig) -> None:
+    """Reject suites too small to hold one benchmark out of."""
+    if len(config.benchmarks) < 2:
+        raise ValueError(
+            "extension-crossval: leave-one-out cross-validation needs at "
+            "least two benchmarks"
+        )
+
+
 def run(config: ExperimentConfig = DEFAULT_CONFIG) -> CrossValidationResult:
     """Leave-one-out evaluation of the ideal reduction's pattern order."""
     from repro.core.reduction import ResettingCountReduction
 
+    check_config(config)
     per_benchmark = one_level_pattern_statistics(config, "pc_xor_bhr")
     reduction = ResettingCountReduction(config.cir_bits)
     reduction_lut = reduction.vectorized(

@@ -45,6 +45,9 @@ class Experiment:
     id: str
     description: str
     run: Callable
+    #: Raises ``ValueError`` for a config this experiment cannot run (see
+    #: :func:`check_experiments`).
+    check: Optional[Callable[[ExperimentConfig], None]] = None
 
 
 EXPERIMENTS: Dict[str, Experiment] = {
@@ -144,6 +147,7 @@ EXPERIMENTS: Dict[str, Experiment] = {
             "extension-crossval",
             "leave-one-out generalization of the profile-designed reduction",
             extension_crossval.run,
+            check=extension_crossval.check_config,
         ),
     ]
 }
@@ -163,6 +167,17 @@ def get_experiment(experiment_id: str) -> Experiment:
         raise KeyError(
             f"unknown experiment {experiment_id!r}; known ids: {known}"
         ) from None
+
+
+def check_experiments(
+    experiment_ids: Sequence[str], config: ExperimentConfig
+) -> None:
+    """Fail fast, before any work: unknown ids raise ``KeyError``, and a
+    config an experiment cannot run raises its ``ValueError``."""
+    for experiment_id in experiment_ids:
+        check = get_experiment(experiment_id).check
+        if check is not None:
+            check(config)
 
 
 @dataclass(frozen=True)
@@ -247,8 +262,7 @@ def run_all_reports(
         if experiment_ids is not None
         else [experiment.id for experiment in list_experiments()]
     )
-    for experiment_id in ids:
-        get_experiment(experiment_id)  # unknown ids fail fast, pre-pool
+    check_experiments(ids, config)  # pre-pool
     jobs = config.jobs if jobs is None else jobs
     if jobs <= 1 or len(ids) <= 1:
         return [run_experiment_report(experiment_id, config) for experiment_id in ids]

@@ -1,15 +1,17 @@
 """Shared stream/statistics helpers for the experiment modules.
 
-Everything here runs on the fast path (:mod:`repro.sim.fast`) with the
-predictor sweeps memoized per (benchmark, predictor geometry).  The
-helpers return *per-benchmark* statistics dictionaries; experiments
-combine them with the paper's equal-branch-count weighting.
+Every confidence statistic goes through one path: :func:`sweep_grid`
+runs a :class:`~repro.sim.batched.GridObserver` over each benchmark's
+predictor stream chunks (a ``None`` chunk size is one whole-trace
+chunk), behind the sweep-result disk tier.  A single-mechanism helper is
+just a grid of one.  The helpers return *per-benchmark* statistics
+dictionaries; experiments combine them with the paper's
+equal-branch-count weighting.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -17,14 +19,7 @@ from repro import observability
 from repro.analysis.buckets import BucketStatistics
 from repro.core.indexing import IndexFunction, make_index
 from repro.experiments.config import ExperimentConfig
-from repro.sim.batched import (
-    PATTERN,
-    RESETTING,
-    SATURATING,
-    GridObserver,
-    SweepSpec,
-    grid_digest,
-)
+from repro.sim.batched import GridObserver, SweepSpec, grid_digest
 from repro.sim.cache import (
     cached_predictor_streams,
     has_disk_entry,
@@ -35,20 +30,7 @@ from repro.sim.cache import (
     store_sweep_results,
     sweep_result_key,
 )
-from repro.sim.chunked import (
-    CIRTableObserver,
-    ResettingCounterObserver,
-    SaturatingCounterObserver,
-    StreamChunk,
-    TwoLevelObserver,
-)
-from repro.sim.fast import (
-    PredictorStreams,
-    cir_pattern_stream,
-    resetting_counter_stream,
-    saturating_counter_stream,
-    two_level_pattern_stream,
-)
+from repro.sim.fast import PredictorStreams
 from repro.testing import faults
 from repro.utils.bits import bit_mask
 from repro.utils.resilient import resilient_map, serial_task
@@ -165,45 +147,17 @@ def suite_streams(config: ExperimentConfig) -> Dict[str, PredictorStreams]:
 
 
 def suite_stream_chunks(config: ExperimentConfig, benchmark: str):
-    """Predictor stream chunks of one suite benchmark (chunked pipeline).
+    """Predictor stream chunks of one suite benchmark.
 
-    A generator over :class:`~repro.sim.chunked.StreamChunk`; backed by
-    the per-chunk disk cache, so warm iterations replay from disk without
-    sweeping and without ever materializing the full streams.
+    A generator over :class:`~repro.sim.chunked.StreamChunk`.  A chunk
+    size of ``None`` yields one whole-trace chunk from the whole-trace
+    cache tier; any other size is backed by the per-chunk disk tier, so
+    warm iterations replay from disk without sweeping and without ever
+    materializing the full streams.
     """
     return iter_cached_stream_chunks(
         chunk_size=config.chunk_size, **_stream_request(config, benchmark)
     )
-
-
-def _fold_chunk_statistics(
-    config: ExperimentConfig,
-    num_buckets: int,
-    observe: "Callable[[StreamChunk], np.ndarray]",
-) -> "Callable[[str], BucketStatistics]":
-    """Build a per-benchmark fold: chunks -> summed bucket statistics."""
-
-    def fold(benchmark: str) -> BucketStatistics:
-        total = BucketStatistics.zeros(num_buckets)
-        for chunk in suite_stream_chunks(config, benchmark):
-            buckets = observe(chunk)
-            total = total + BucketStatistics.from_streams(
-                buckets, chunk.correct, num_buckets=num_buckets
-            )
-        return total
-
-    return fold
-
-
-def _chunk_indices(
-    index_function: IndexFunction, chunk: StreamChunk
-) -> np.ndarray:
-    """Confidence-table indices of one chunk's accesses."""
-    if index_function.uses_gcir:
-        gcirs = chunk.gcirs
-    else:
-        gcirs = np.zeros(chunk.num_branches, dtype=np.int64)
-    return index_function.vectorized(chunk.pcs, chunk.bhrs, gcirs)
 
 
 def suite_misprediction_rate(config: ExperimentConfig) -> float:
@@ -229,46 +183,12 @@ def one_level_pattern_statistics(
     ``index_kind`` picks a paper index ("pc", "bhr", "pc_xor_bhr");
     ``index_function`` overrides it with an arbitrary
     :class:`~repro.core.indexing.IndexFunction` (for the ablations).
+    ``init_patterns`` defaults to the paper's all-ones initialization.
     """
-    if init_patterns is None:
-        init_patterns = ones_init(config)
     if index_function is None:
         index_function = make_index(index_kind, config.ct_index_bits)
-    if config.chunk_size is not None:
-        statistics = {}
-        for name in config.benchmarks:
-            observer = CIRTableObserver(
-                config.cir_bits, index_function.table_entries, init_patterns
-            )
-            fold = _fold_chunk_statistics(
-                config,
-                1 << config.cir_bits,
-                lambda chunk: observer.observe(
-                    _chunk_indices(index_function, chunk), chunk.correct
-                ),
-            )
-            statistics[name] = fold(name)
-        return statistics
-    statistics: Dict[str, BucketStatistics] = {}
-    for name, streams in suite_streams(config).items():
-        gcirs = _maybe_gcirs(index_function, streams)
-        indices = index_function.vectorized(streams.pcs, streams.bhrs, gcirs)
-        patterns = cir_pattern_stream(
-            indices, streams.correct, config.cir_bits, init_patterns
-        )
-        statistics[name] = BucketStatistics.from_streams(
-            patterns, streams.correct, num_buckets=1 << config.cir_bits
-        )
-    return statistics
-
-
-def _maybe_gcirs(
-    index_function: IndexFunction, streams: PredictorStreams
-) -> np.ndarray:
-    """Global-CIR stream, computed only when the index actually uses it."""
-    if index_function.uses_gcir:
-        return streams.gcirs
-    return np.zeros(streams.num_branches, dtype=np.int64)
+    spec = SweepSpec.pattern(index_function, config.cir_bits, init=init_patterns)
+    return sweep_grid(config, [spec])[0]
 
 
 def two_level_pattern_statistics(
@@ -280,60 +200,14 @@ def two_level_pattern_statistics(
 ) -> Dict[str, BucketStatistics]:
     """Second-level CIR-pattern statistics of a two-level mechanism."""
     if first_index_function is None:
-        first_index = make_index(first_index_kind, config.ct_index_bits)
-    else:
-        first_index = first_index_function
-    init = ones_init(config)
-    if config.chunk_size is not None:
-        statistics = {}
-        for name in config.benchmarks:
-            observer = TwoLevelObserver(
-                level1_cir_bits=config.cir_bits,
-                level2_cir_bits=config.cir_bits,
-                table_entries=first_index.table_entries,
-                second_use_pc=second_use_pc,
-                second_use_bhr=second_use_bhr,
-                level1_init=init,
-                level2_init=init,
-            )
-            fold = _fold_chunk_statistics(
-                config,
-                1 << config.cir_bits,
-                # The monolithic path always feeds the level-1 index a
-                # zero global-CIR stream; match it exactly.
-                lambda chunk: observer.observe(
-                    first_index.vectorized(
-                        chunk.pcs,
-                        chunk.bhrs,
-                        np.zeros(chunk.num_branches, dtype=np.int64),
-                    ),
-                    chunk.correct,
-                    chunk.pcs,
-                    chunk.bhrs,
-                ),
-            )
-            statistics[name] = fold(name)
-        return statistics
-    statistics: Dict[str, BucketStatistics] = {}
-    for name, streams in suite_streams(config).items():
-        gcirs = np.zeros(streams.num_branches, dtype=np.int64)
-        level1_indices = first_index.vectorized(streams.pcs, streams.bhrs, gcirs)
-        patterns = two_level_pattern_stream(
-            level1_indices,
-            streams.correct,
-            streams.pcs,
-            streams.bhrs,
-            level1_cir_bits=config.cir_bits,
-            level2_cir_bits=config.cir_bits,
-            second_use_pc=second_use_pc,
-            second_use_bhr=second_use_bhr,
-            level1_init=init,
-            level2_init=init,
-        )
-        statistics[name] = BucketStatistics.from_streams(
-            patterns, streams.correct, num_buckets=1 << config.cir_bits
-        )
-    return statistics
+        first_index_function = make_index(first_index_kind, config.ct_index_bits)
+    spec = SweepSpec.two_level(
+        first_index_function,
+        config.cir_bits,
+        second_use_pc=second_use_pc,
+        second_use_bhr=second_use_bhr,
+    )
+    return sweep_grid(config, [spec])[0]
 
 
 def resetting_counter_statistics(
@@ -348,30 +222,7 @@ def resetting_counter_statistics(
         if ct_index_bits is None:
             ct_index_bits = config.ct_index_bits
         index_function = make_index(index_kind, ct_index_bits)
-    if config.chunk_size is not None:
-        statistics = {}
-        for name in config.benchmarks:
-            observer = ResettingCounterObserver(
-                maximum, index_function.table_entries
-            )
-            fold = _fold_chunk_statistics(
-                config,
-                maximum + 1,
-                lambda chunk: observer.observe(
-                    _chunk_indices(index_function, chunk), chunk.correct
-                ),
-            )
-            statistics[name] = fold(name)
-        return statistics
-    statistics: Dict[str, BucketStatistics] = {}
-    for name, streams in suite_streams(config).items():
-        gcirs = _maybe_gcirs(index_function, streams)
-        indices = index_function.vectorized(streams.pcs, streams.bhrs, gcirs)
-        values = resetting_counter_stream(indices, streams.correct, maximum=maximum)
-        statistics[name] = BucketStatistics.from_streams(
-            values, streams.correct, num_buckets=maximum + 1
-        )
-    return statistics
+    return sweep_grid(config, [SweepSpec.resetting(index_function, maximum)])[0]
 
 
 def saturating_counter_statistics(
@@ -383,214 +234,84 @@ def saturating_counter_statistics(
     """Saturating-counter bucket statistics (buckets = counter values)."""
     if index_function is None:
         index_function = make_index(index_kind, config.ct_index_bits)
-    if config.chunk_size is not None:
-        statistics = {}
-        for name in config.benchmarks:
-            observer = SaturatingCounterObserver(
-                maximum, index_function.table_entries
-            )
-            fold = _fold_chunk_statistics(
-                config,
-                maximum + 1,
-                lambda chunk: observer.observe(
-                    _chunk_indices(index_function, chunk), chunk.correct
-                ),
-            )
-            statistics[name] = fold(name)
-        return statistics
-    statistics: Dict[str, BucketStatistics] = {}
-    for name, streams in suite_streams(config).items():
-        gcirs = _maybe_gcirs(index_function, streams)
-        indices = index_function.vectorized(streams.pcs, streams.bhrs, gcirs)
-        values = saturating_counter_stream(
-            indices,
-            streams.correct,
-            maximum=maximum,
-            table_entries=index_function.table_entries,
-        )
-        statistics[name] = BucketStatistics.from_streams(
-            values, streams.correct, num_buckets=maximum + 1
-        )
-    return statistics
+    return sweep_grid(config, [SweepSpec.saturating(index_function, maximum)])[0]
 
 
 def static_branch_statistics(
     config: ExperimentConfig,
 ) -> Dict[str, BucketStatistics]:
-    """Per-static-branch statistics (buckets = dense per-benchmark PC rank)."""
-    if config.chunk_size is not None:
-        statistics = {}
-        for name in config.benchmarks:
-            counts: Dict[int, float] = {}
-            mispredicts: Dict[int, float] = {}
-            for chunk in suite_stream_chunks(config, name):
-                unique_pcs, inverse = np.unique(chunk.pcs, return_inverse=True)
-                chunk_counts = np.bincount(inverse, minlength=unique_pcs.size)
-                chunk_mispredicts = np.bincount(
-                    inverse,
-                    weights=(chunk.correct == 0).astype(np.float64),
-                    minlength=unique_pcs.size,
-                )
-                for pc, count, missed in zip(
-                    unique_pcs.tolist(),
-                    chunk_counts.tolist(),
-                    chunk_mispredicts.tolist(),
-                ):
-                    counts[pc] = counts.get(pc, 0.0) + count
-                    mispredicts[pc] = mispredicts.get(pc, 0.0) + missed
-            ordered = sorted(counts)
-            statistics[name] = BucketStatistics(
-                np.array([counts[pc] for pc in ordered], dtype=np.float64),
-                np.array([mispredicts[pc] for pc in ordered], dtype=np.float64),
-            )
-        return statistics
-    statistics: Dict[str, BucketStatistics] = {}
-    for name, streams in suite_streams(config).items():
-        unique_pcs, inverse = np.unique(streams.pcs, return_inverse=True)
-        statistics[name] = BucketStatistics.from_streams(
-            inverse, streams.correct, num_buckets=unique_pcs.size
-        )
-    return statistics
+    """Per-static-branch statistics (buckets = dense per-benchmark PC rank).
 
-
-def per_benchmark_map(
-    config: ExperimentConfig,
-    build: Callable[[str, PredictorStreams], BucketStatistics],
-) -> Dict[str, BucketStatistics]:
-    """Apply an arbitrary per-benchmark statistics builder over the suite."""
-    return {
-        name: build(name, streams)
-        for name, streams in suite_streams(config).items()
-    }
-
-
-@dataclass(frozen=True)
-class SweepRequest:
-    """A whole experiment grid submitted as one unit.
-
-    ``specs`` lists the grid points in result order; ``config`` supplies
-    the suite, the predictor geometry, and the execution knobs (engine,
-    jobs, chunk size).  :func:`run_sweep` returns one per-benchmark
-    statistics dict per spec, bit-identical for either engine.
+    One fold over each benchmark's chunks: every chunk's PCs merge into
+    the sorted set of static branches seen so far, whose running counts
+    ride along as ``np.bincount`` weights.
     """
-
-    config: ExperimentConfig
-    specs: Tuple[SweepSpec, ...]
+    statistics: Dict[str, BucketStatistics] = {}
+    for name in config.benchmarks:
+        pcs = np.zeros(0, dtype=np.int64)
+        counts = np.zeros(0, dtype=np.float64)
+        mispredicts = np.zeros(0, dtype=np.float64)
+        for chunk in suite_stream_chunks(config, name):
+            pcs, inverse = np.unique(
+                np.concatenate((pcs, chunk.pcs)), return_inverse=True
+            )
+            counts = np.bincount(
+                inverse,
+                weights=np.concatenate(
+                    (counts, np.ones(chunk.num_branches, dtype=np.float64))
+                ),
+                minlength=pcs.size,
+            )
+            mispredicts = np.bincount(
+                inverse,
+                weights=np.concatenate(
+                    (mispredicts, (chunk.correct == 0).astype(np.float64))
+                ),
+                minlength=pcs.size,
+            )
+        statistics[name] = BucketStatistics(counts, mispredicts)
+    return statistics
 
 
 def sweep_grid(
     config: ExperimentConfig, specs: Sequence[SweepSpec]
 ) -> List[Dict[str, BucketStatistics]]:
-    """Evaluate a grid of confidence-table specs over the config's suite."""
-    return run_sweep(SweepRequest(config=config, specs=tuple(specs)))
+    """Evaluate a grid of confidence-table specs over the config's suite.
 
-
-def run_sweep(request: SweepRequest) -> List[Dict[str, BucketStatistics]]:
-    """Dispatch one :class:`SweepRequest` to the configured engine.
-
-    Singleton grids always take the per-config path — there is nothing to
-    fuse, and the per-config helpers already carry their own caching.
+    Returns one per-benchmark statistics dict per spec, in spec order.
+    Each benchmark's results are content-keyed by (stream request, grid
+    digest) in the sweep-result disk tier, so repeat runs skip both the
+    sweep and the fold.  A miss runs one :class:`GridObserver` over the
+    benchmark's stream chunks; with ``jobs > 1`` the missing benchmarks'
+    streams are warmed through the pool (:func:`suite_streams`) first.
     """
-    config = request.config
-    specs = request.specs
+    specs = tuple(specs)
     if not specs:
         return []
-    if config.engine == "per-config" or len(specs) == 1:
-        return [_per_config_spec_statistics(config, spec) for spec in specs]
-    return _batched_grid_statistics(config, specs)
-
-
-def _per_config_spec_statistics(
-    config: ExperimentConfig, spec: SweepSpec
-) -> Dict[str, BucketStatistics]:
-    """One grid point through the per-config statistics helpers.
-
-    ``cir_bits`` is cache-exempt (never part of a stream key), so scaling
-    it to the spec width re-reads exactly the same cached streams.
-    """
-    if spec.kind == PATTERN:
-        return one_level_pattern_statistics(
-            config.scaled(cir_bits=spec.width),
-            init_patterns=spec.init,
-            index_function=spec.index_function,
-        )
-    if spec.kind == RESETTING:
-        return resetting_counter_statistics(
-            config, maximum=spec.width, index_function=spec.index_function
-        )
-    if spec.kind == SATURATING:
-        return saturating_counter_statistics(
-            config, maximum=spec.width, index_function=spec.index_function
-        )
-    return two_level_pattern_statistics(
-        config.scaled(cir_bits=spec.width),
-        second_use_pc=spec.second_use_pc,
-        second_use_bhr=spec.second_use_bhr,
-        first_index_function=spec.index_function,
-    )
-
-
-def _monolithic_chunk(streams: PredictorStreams, needs_gcir: bool) -> StreamChunk:
-    """Wrap full predictor streams as one chunk for the grid observer."""
-    if needs_gcir:
-        gcirs = streams.gcirs
-    else:
-        gcirs = np.zeros(streams.num_branches, dtype=np.int64)
-    return StreamChunk(
-        trace_name=streams.trace_name,
-        start=0,
-        correct=streams.correct,
-        bhrs=streams.bhrs,
-        pcs=streams.pcs,
-        gcirs=gcirs,
-    )
-
-
-def _batched_grid_statistics(
-    config: ExperimentConfig, specs: Tuple[SweepSpec, ...]
-) -> List[Dict[str, BucketStatistics]]:
-    """The batched engine: one fused pass per benchmark for a whole grid.
-
-    Results are content-keyed per (stream request, grid digest) in the
-    sweep tier of the cache, so repeat figure runs skip both the sweep
-    and the fold.  Missing benchmarks warm the stream tiers through
-    :func:`suite_streams` first (pool-accelerated when ``jobs > 1``),
-    then fold serially — the fold is cheap next to the sweep.
-    """
     grid = grid_digest(specs)
-    per_spec: List[Dict[str, BucketStatistics]] = [{} for _ in specs]
-    keys = {}
+    keys = {
+        name: sweep_result_key(grid=grid, **_stream_request(config, name))
+        for name in config.benchmarks
+    }
+    results: Dict[str, List[BucketStatistics]] = {}
     missing: List[str] = []
     for name in config.benchmarks:
-        key = sweep_result_key(grid=grid, **_stream_request(config, name))
-        keys[name] = key
-        cached = load_sweep_results(key)
+        cached = load_sweep_results(keys[name])
         if cached is not None and len(cached) == len(specs):
-            for position, stats in enumerate(cached):
-                per_spec[position][name] = stats
+            results[name] = cached
         else:
             missing.append(name)
-    if missing:
-        if config.jobs > 1 and len(missing) > 1:
-            # Pool-accelerate the stream sweeps (the expensive part);
-            # chunked runs warm the per-chunk disk tier the same way.
-            suite_streams(config.scaled(benchmarks=tuple(missing)))
-        for name in missing:
-            observer = GridObserver(specs)
-            observability.increment("batched.grid_sweeps")
-            with observability.timed("batched.grid_sweep_seconds"):
-                if config.chunk_size is None:
-                    streams = cached_predictor_streams(
-                        chunk_size=None, **_stream_request(config, name)
-                    )
-                    observer.observe(
-                        _monolithic_chunk(streams, observer.needs_gcir)
-                    )
-                else:
-                    for chunk in suite_stream_chunks(config, name):
-                        observer.observe(chunk)
-            statistics = observer.statistics()
-            store_sweep_results(keys[name], statistics)
-            for position, stats in enumerate(statistics):
-                per_spec[position][name] = stats
-    return per_spec
+    if config.jobs > 1 and len(missing) > 1:
+        suite_streams(config.scaled(benchmarks=tuple(missing)))
+    for name in missing:
+        observer = GridObserver(specs)
+        observability.increment("batched.grid_sweeps")
+        with observability.timed("batched.grid_sweep_seconds"):
+            for chunk in suite_stream_chunks(config, name):
+                observer.observe(chunk)
+        results[name] = observer.statistics()
+        store_sweep_results(keys[name], results[name])
+    return [
+        {name: results[name][position] for name in config.benchmarks}
+        for position in range(len(specs))
+    ]

@@ -222,14 +222,14 @@ def plan_digest(
     """Content digest naming the fabric directory of one plan.
 
     Execution-only knobs that cannot change any artifact byte (jobs,
-    retry budget, timeouts, engine) are excluded, so a 3-worker fleet
+    retry budget, timeouts) are excluded, so a 3-worker fleet
     and a later ``--shards 1`` resume land in the same directory; every
     result-relevant field (suite, lengths, seeds, geometry, chunk size)
     is included, so nothing can alias.
     """
     payload = dataclasses.asdict(config)
-    for execution_knob in ("jobs", "max_retries", "task_timeout", "engine"):
-        payload.pop(execution_knob, None)
+    for execution_knob in ("jobs", "max_retries", "task_timeout"):
+        del payload[execution_knob]
     payload["experiment_ids"] = list(experiment_ids)
     payload["format"] = FABRIC_PLAN_FORMAT
     canonical = json.dumps(payload, sort_keys=True, default=str)
@@ -304,19 +304,16 @@ def stream_unit_done(config: ExperimentConfig, unit: WorkUnit) -> bool:
 
 
 def compute_stream_unit(config: ExperimentConfig, unit: WorkUnit) -> None:
-    """Sweep one stream unit into the shared disk cache, O(chunk) memory.
+    """Sweep one stream unit into the shared disk cache.
 
-    With a chunked config the chunks are swept (resuming after any warm
-    prefix) and dropped — nothing is materialized in this process beyond
-    one chunk.  Monolithic configs compute and persist the full-stream
-    entry exactly like a pool worker would.
+    Draining the unit's stream chunks sweeps and stores every missing
+    entry: a chunked config resumes after any warm prefix and holds one
+    chunk at a time, and a ``None`` chunk size is one whole-trace chunk
+    persisted exactly like a pool worker would.
     """
-    from repro.sim.cache import cached_predictor_streams, iter_cached_stream_chunks
+    from repro.sim.cache import iter_cached_stream_chunks
 
-    if config.chunk_size is not None:
-        for _ in iter_cached_stream_chunks(
-            chunk_size=config.chunk_size, **unit.request
-        ):
-            pass
-    else:
-        cached_predictor_streams(chunk_size=None, **unit.request)
+    for _ in iter_cached_stream_chunks(
+        chunk_size=config.chunk_size, **unit.request
+    ):
+        pass

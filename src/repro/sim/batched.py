@@ -2,10 +2,11 @@
 
 Every figure in the paper evaluates a *grid* of confidence-table
 configurations — several index functions, register widths, and reduction
-functions — over the same predictor streams.  The per-config path
-(:mod:`repro.sim.fast` driven one configuration at a time) re-sorts and
-re-reconstructs the stream once per grid point.  This module fuses the
-whole grid into single numpy passes with a leading config axis:
+functions — over the same predictor streams.  Driving them one at a time
+would re-sort and re-reconstruct the stream once per grid point.  This
+module fuses the whole grid into single numpy passes with a leading
+config axis, and it is the only observer the experiments use: a single
+mechanism is a grid of one.
 
 * **One flattened grouping for all configurations.**  Each distinct index
   stream is offset into its own disjoint entry range and the
@@ -29,28 +30,28 @@ whole grid into single numpy passes with a leading config axis:
   scatter back to time order is needed except for the two-level cascade.
 
 :class:`GridObserver` carries all per-entry state across chunk
-boundaries, so the batched engine composes with the chunked streaming
-pipeline exactly like the per-config observers in
-:mod:`repro.sim.chunked`.  Bit-identical equivalence against the
-per-config path is pinned by the grid-equivalence golden suite.
+boundaries, so it composes with the chunked streaming pipeline exactly
+like the single-table observers in :mod:`repro.sim.chunked`.  The golden
+suite pins it bit-identical to those observers and to the reference
+engine (:mod:`repro.sim.engine`).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.analysis.buckets import BucketStatistics
 from repro.core.indexing import IndexFunction, PC_ALIGNMENT_BITS
-from repro.sim.chunked import StreamChunk
+from repro.sim.chunked import StreamChunk, _group_ranks, _stacked_clamped_walk
 from repro.utils.bits import bit_mask
 from repro.utils.validation import check_in_range, check_positive
 
-#: Spec kinds, mirroring the per-config statistics helpers.
+#: Spec kinds, mirroring the experiment runner's statistics helpers.
 PATTERN = "pattern"
 RESETTING = "resetting"
 SATURATING = "saturating"
@@ -61,10 +62,6 @@ SPEC_KINDS = (PATTERN, RESETTING, SATURATING, TWO_LEVEL)
 #: Kinds whose table is a shift register (they share the lagged-shift
 #: history reconstruction; saturating counters do not need one).
 _REGISTER_KINDS = (PATTERN, RESETTING, TWO_LEVEL)
-
-#: Sentinel clamp bounds representing "no clamp yet" (identity function);
-#: matches :mod:`repro.sim.chunked`.
-_NO_CLAMP = 1 << 40
 
 InitPatterns = Union[int, np.ndarray]
 
@@ -77,7 +74,7 @@ class SweepSpec:
     the counter maximum for ``resetting``/``saturating`` specs.  ``init``
     is the initial CIR pattern (scalar or per-entry array) of ``pattern``
     specs; counters always start at 0 and two-level tables at all-ones,
-    matching the per-config helpers.
+    matching the paper's defaults.
     """
 
     kind: str
@@ -104,7 +101,7 @@ class SweepSpec:
                     f"got shape {self.init.shape}"
                 )
 
-    # ----- constructors matching the per-config helpers ---------------------
+    # ----- constructors matching the runner's statistics helpers -----------
 
     @classmethod
     def pattern(
@@ -158,8 +155,8 @@ class SweepSpec:
     def feeds_gcir(self) -> bool:
         """True when the level-1 index actually consumes the GCIR stream.
 
-        The per-config two-level path always feeds the level-1 index a
-        zero global-CIR stream; the batched engine matches it exactly.
+        Two-level specs always feed their level-1 index a zero
+        global-CIR stream; the checked-in report digests depend on it.
         """
         return self.index_function.uses_gcir and self.kind != TWO_LEVEL
 
@@ -196,18 +193,6 @@ def grid_digest(specs: Sequence[SweepSpec]) -> str:
 # --------------------------------------------------------------------------
 # Flattened grouping: one stable sort shared by every grid point
 # --------------------------------------------------------------------------
-
-
-def _group_ranks(sorted_indices: np.ndarray) -> np.ndarray:
-    """Rank of each sorted position within its (contiguous) index group."""
-    n = sorted_indices.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    is_start = np.concatenate(([True], sorted_indices[1:] != sorted_indices[:-1]))
-    group_starts = np.flatnonzero(is_start)
-    group_sizes = np.diff(np.concatenate((group_starts, [n])))
-    start_of_position = np.repeat(group_starts, group_sizes)
-    return np.arange(n, dtype=np.int64) - start_of_position
 
 
 @dataclass
@@ -316,66 +301,6 @@ def _flatten_and_group(
     )
 
 
-def _stacked_clamped_walk(
-    ranks: np.ndarray,
-    deltas: np.ndarray,
-    lo: int,
-    upper_bounds: np.ndarray,
-    init_sorted: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Segmented clamped walk over stacked configurations, sorted domain.
-
-    The 2-D (config, time) generalization of
-    :func:`repro.sim.chunked.segmented_clamped_walk`: inputs are the
-    concatenation of several already-grouped sorted segments, and the
-    clamp upper bound is per-position (each configuration contributes its
-    own counter maximum).  The clamp-affine composition is element-wise,
-    so the identical Hillis-Steele recurrence applies; windows never leak
-    across groups because rank-0 positions seed the identity and the
-    ``ranks >= offset`` guard masks every cross-group gather.
-
-    Returns ``(pre, post)`` in the same stacked sorted order: the value
-    each access read, and the value it wrote.
-    """
-    total = ranks.shape[0]
-    if total == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return empty, empty
-    shift = np.where(
-        ranks > 0,
-        np.concatenate((np.zeros(1, dtype=np.int64), deltas[:-1])),
-        0,
-    )
-    lower = np.where(ranks > 0, np.int64(lo), -_NO_CLAMP)
-    upper = np.where(ranks > 0, upper_bounds, _NO_CLAMP)
-
-    max_rank = int(ranks.max())
-    offset = 1
-    while offset <= max_rank:
-        in_group = ranks >= offset
-        earlier_shift = np.empty_like(shift)
-        earlier_lower = np.empty_like(lower)
-        earlier_upper = np.empty_like(upper)
-        earlier_shift[offset:] = shift[:-offset]
-        earlier_lower[offset:] = lower[:-offset]
-        earlier_upper[offset:] = upper[:-offset]
-        earlier_shift[:offset] = 0
-        earlier_lower[:offset] = -_NO_CLAMP
-        earlier_upper[:offset] = _NO_CLAMP
-        # Compose (this ∘ earlier): the earlier window applies first.
-        composed_shift = earlier_shift + shift
-        composed_lower = np.maximum(lower, earlier_lower + shift)
-        composed_upper = np.minimum(upper, np.maximum(lower, earlier_upper + shift))
-        shift = np.where(in_group, composed_shift, shift)
-        lower = np.where(in_group, composed_lower, lower)
-        upper = np.where(in_group, composed_upper, upper)
-        offset <<= 1
-
-    pre = np.minimum(upper, np.maximum(lower, init_sorted + shift))
-    post = np.minimum(upper_bounds, np.maximum(np.int64(lo), pre + deltas))
-    return pre, post
-
-
 def _resetting_counts(patterns: np.ndarray, maximum: int) -> np.ndarray:
     """Resetting-counter values of CIR patterns (lowest-set-bit index)."""
     lowest = patterns & -patterns
@@ -405,10 +330,9 @@ class GridObserver:
 
     Feed :class:`~repro.sim.chunked.StreamChunk` objects through
     :meth:`observe`; every grid point's table state carries across chunk
-    boundaries, so the accumulated :meth:`statistics` are bit-identical
-    to running each spec through its per-config observer — and, by the
-    existing chunk-equivalence guarantees, to the monolithic per-config
-    path.
+    boundaries, so the accumulated :meth:`statistics` are the same for
+    any chunking of the stream, and bit-identical to running each spec
+    through its single-table observer in :mod:`repro.sim.chunked`.
     """
 
     def __init__(self, specs: Sequence[SweepSpec]) -> None:
@@ -469,19 +393,14 @@ class GridObserver:
             level2_table=level2,
         )
 
-    @property
-    def needs_gcir(self) -> bool:
-        """True when any grid point actually consumes the GCIR stream."""
-        return any(feed for _, feed in self._stream_builders)
-
     def _accumulate(
         self, position: int, values: np.ndarray, incorrect: np.ndarray
     ) -> None:
         """Fold one chunk's sorted-domain bucket stream into spec ``position``.
 
         ``np.bincount`` over 0/1 float64 weights sums exact integers, so
-        accumulating in sorted order is bit-identical to the time-order
-        fold of the per-config path.
+        accumulating in sorted order is bit-identical to a time-order
+        fold.
         """
         buckets = self.specs[position].num_buckets
         counts = np.bincount(values, minlength=buckets).astype(np.float64)

@@ -13,6 +13,10 @@ lookups); tier 2 is the persistent content-keyed ``.npz`` store in
 parallel workers.  Cache traffic is counted through
 :mod:`repro.observability` (``stream_cache.memory_hits`` /
 ``.disk_hits`` / ``.sweeps``), so a warm run can prove it swept nothing.
+
+Grid results (:func:`load_sweep_results` / :func:`store_sweep_results`)
+live on disk only: they are read once per figure run, so a process memo
+would only hold memory.
 """
 
 from __future__ import annotations
@@ -54,14 +58,7 @@ if TYPE_CHECKING:  # analysis imports sim; keep the runtime edge one-way
 #: Upper bound on distinct sweeps kept in process memory.
 MEMORY_TIER_MAXSIZE = 128
 
-#: Upper bound on distinct batched grid results kept in process memory.
-#: Entries are per-spec bucket statistics — a few KiB each, so a larger
-#: budget than the stream tier would buy nothing.
-SWEEP_MEMORY_TIER_MAXSIZE = 128
-
 _memory: "OrderedDict[StreamKey, PredictorStreams]" = OrderedDict()
-
-_sweep_memory: "OrderedDict[SweepKey, List[BucketStatistics]]" = OrderedDict()
 
 
 def _load_any_benchmark(name: str, length: int, seed: int) -> Trace:
@@ -175,15 +172,35 @@ def iter_cached_stream_chunks(
     gcir_bits: int = 16,
     chunk_size: Optional[int] = None,
 ) -> Iterator[StreamChunk]:
-    """Generator of predictor stream chunks backed by the per-chunk disk tier.
+    """Generator of predictor stream chunks, in stream order.
 
-    Each chunk is looked up under its own content key; a hit also restores
+    A ``None`` chunk size yields the whole trace as one chunk, served by
+    :func:`cached_predictor_streams` (memory -> whole-trace disk entry ->
+    sweep).  Any other size goes through the per-chunk disk tier: each
+    chunk is looked up under its own content key, and a hit also restores
     the post-chunk :class:`~repro.sim.chunked.GshareState`, so sweeping
     resumes exactly where the cached prefix left off — the trace is only
-    loaded (lazily, once) when some chunk actually misses.  Chunks are
-    yielded in stream order, so downstream folds see the same stream the
-    monolithic path produces.
+    loaded (lazily, once) when some chunk actually misses.
     """
+    if chunk_size is None:
+        streams = cached_predictor_streams(
+            benchmark,
+            length=length,
+            seed=seed,
+            entries=entries,
+            history_bits=history_bits,
+            bhr_record_bits=bhr_record_bits,
+            gcir_bits=gcir_bits,
+        )
+        yield StreamChunk(
+            trace_name=streams.trace_name,
+            start=0,
+            correct=streams.correct,
+            bhrs=streams.bhrs,
+            pcs=streams.pcs,
+            gcirs=streams.gcirs,
+        )
+        return
     step = resolve_chunk_size(chunk_size, length)
     state: Optional[GshareState] = None
     trace: Optional[Trace] = None
@@ -339,27 +356,14 @@ def sweep_result_key(
 
 
 def load_sweep_results(key: SweepKey) -> "Optional[List[BucketStatistics]]":
-    """Memory-then-disk lookup of one benchmark's batched grid statistics."""
-    cached = _sweep_memory.get(key)
-    if cached is not None:
-        _sweep_memory.move_to_end(key)
-        observability.increment("sweep_cache.memory_hits")
-        return list(cached)
-    loaded = load_cached_sweep(key)
-    if loaded is not None:
-        _sweep_memory[key] = list(loaded)
-        while len(_sweep_memory) > SWEEP_MEMORY_TIER_MAXSIZE:
-            _sweep_memory.popitem(last=False)
-    return loaded
+    """Disk-tier lookup of one benchmark's grid statistics."""
+    return load_cached_sweep(key)
 
 
 def store_sweep_results(
     key: SweepKey, statistics: "Sequence[BucketStatistics]"
 ) -> None:
-    """Publish one benchmark's batched grid statistics to both tiers."""
-    _sweep_memory[key] = list(statistics)
-    while len(_sweep_memory) > SWEEP_MEMORY_TIER_MAXSIZE:
-        _sweep_memory.popitem(last=False)
+    """Publish one benchmark's grid statistics to the disk tier."""
     store_cached_sweep(key, statistics)
 
 
@@ -369,10 +373,9 @@ def memory_tier_info() -> Dict[str, int]:
 
 
 def clear_stream_cache() -> None:
-    """Drop the in-process memos (streams + sweep results; mainly for tests).
+    """Drop the in-process stream memo (mainly for tests).
 
     The persistent tier is cleared separately with
     :func:`repro.sim.diskcache.clear_disk_cache`.
     """
     _memory.clear()
-    _sweep_memory.clear()

@@ -24,7 +24,9 @@ The chunk kernel is also where the last sequential Python loops die:
 * **Saturating counters ride the same kernel** — they are the identical
   clamped-walk recurrence with a wider clamp range.
 
-:func:`segmented_clamped_walk` itself exploits that the per-step update
+The one scan behind both (:func:`_stacked_clamped_walk`, which the
+batched grid observer also stacks over configurations) exploits that
+the per-step update
 ``x -> min(hi, max(lo, x + d))`` is a *clamp-affine* function
 ``x -> min(U, max(L, x + s))``, and that clamp-affine functions are
 closed under composition::
@@ -42,11 +44,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple, Union
 
 import numpy as np
 
 from repro import observability
+from repro.core.indexing import PC_ALIGNMENT_BITS
 from repro.traces.trace import Trace
 from repro.utils.bits import bit_mask
 from repro.utils.validation import check_in_range, check_positive
@@ -58,7 +61,6 @@ DEFAULT_CHUNK_SIZE = 65_536
 
 #: 2-bit counter initial value matching the paper ("weakly taken").
 _WEAKLY_TAKEN = 2
-_PC_ALIGNMENT_BITS = 2
 
 #: Sentinel clamp bounds representing "no clamp yet" (identity function).
 _NO_CLAMP = 1 << 40
@@ -102,6 +104,69 @@ def _group_ranks(sorted_indices: np.ndarray) -> np.ndarray:
     return np.arange(n, dtype=np.int64) - start_of_position
 
 
+def _stacked_clamped_walk(
+    ranks: np.ndarray,
+    deltas: np.ndarray,
+    lo: int,
+    upper_bounds: Union[int, np.ndarray],
+    init_sorted: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Segmented clamped walk over already-grouped sorted segments.
+
+    ``ranks`` is each position's rank within its (contiguous) group, as
+    from :func:`_group_ranks`; the clamp upper bound may vary per
+    position, so several configurations with different counter maxima
+    can be stacked into one scan.  The clamp-affine composition is
+    element-wise, so windows never leak across groups: rank-0 positions
+    seed the identity and the ``ranks >= offset`` guard masks every
+    cross-group gather.
+
+    Returns ``(pre, post)`` in the same sorted order: the value each
+    access read, and the value it wrote.
+    """
+    total = ranks.shape[0]
+    if total == 0:
+        empty = np.zeros(0, dtype=np.int64)
+        return empty, empty
+    # Exclusive prefix composition per group: position of rank r carries
+    # the composition of the steps of ranks 0..r-1.  Seed each position
+    # with its *predecessor's* step (rank 0 gets the identity), then run
+    # an inclusive segmented scan.
+    shift = np.where(
+        ranks > 0,
+        np.concatenate((np.zeros(1, dtype=np.int64), deltas[:-1])),
+        0,
+    )
+    lower = np.where(ranks > 0, np.int64(lo), -_NO_CLAMP)
+    upper = np.where(ranks > 0, upper_bounds, _NO_CLAMP)
+
+    max_rank = int(ranks.max())
+    offset = 1
+    while offset <= max_rank:
+        in_group = ranks >= offset
+        earlier_shift = np.empty_like(shift)
+        earlier_lower = np.empty_like(lower)
+        earlier_upper = np.empty_like(upper)
+        earlier_shift[offset:] = shift[:-offset]
+        earlier_lower[offset:] = lower[:-offset]
+        earlier_upper[offset:] = upper[:-offset]
+        earlier_shift[:offset] = 0
+        earlier_lower[:offset] = -_NO_CLAMP
+        earlier_upper[:offset] = _NO_CLAMP
+        # Compose (this ∘ earlier): the earlier window applies first.
+        composed_shift = earlier_shift + shift
+        composed_lower = np.maximum(lower, earlier_lower + shift)
+        composed_upper = np.minimum(upper, np.maximum(lower, earlier_upper + shift))
+        shift = np.where(in_group, composed_shift, shift)
+        lower = np.where(in_group, composed_lower, lower)
+        upper = np.where(in_group, composed_upper, upper)
+        offset <<= 1
+
+    pre = np.minimum(upper, np.maximum(lower, init_sorted + shift))
+    post = np.minimum(upper_bounds, np.maximum(np.int64(lo), pre + deltas))
+    return pre, post
+
+
 def segmented_clamped_walk(
     indices: np.ndarray,
     deltas: np.ndarray,
@@ -139,45 +204,11 @@ def segmented_clamped_walk(
 
     order = np.argsort(indices, kind="stable")
     sorted_indices = indices[order]
-    sorted_deltas = deltas[order]
-    ranks = _group_ranks(sorted_indices)
-
-    # Exclusive prefix composition per group: position of rank r carries
-    # the composition of the steps of ranks 0..r-1.  Seed each position
-    # with its *predecessor's* step (rank 0 gets the identity), then run
-    # an inclusive segmented scan.
-    shift = np.where(ranks > 0, np.concatenate(([0], sorted_deltas[:-1])), 0)
-    lower = np.where(ranks > 0, lo, -_NO_CLAMP)
-    upper = np.where(ranks > 0, hi, _NO_CLAMP)
-
-    max_rank = int(ranks.max())
-    offset = 1
-    while offset <= max_rank:
-        in_group = ranks >= offset
-        earlier_shift = np.empty_like(shift)
-        earlier_lower = np.empty_like(lower)
-        earlier_upper = np.empty_like(upper)
-        earlier_shift[offset:] = shift[:-offset]
-        earlier_lower[offset:] = lower[:-offset]
-        earlier_upper[offset:] = upper[:-offset]
-        earlier_shift[:offset] = 0
-        earlier_lower[:offset] = -_NO_CLAMP
-        earlier_upper[:offset] = _NO_CLAMP
-        # Compose (this ∘ earlier): the earlier window applies first.
-        composed_shift = earlier_shift + shift
-        composed_lower = np.maximum(lower, earlier_lower + shift)
-        composed_upper = np.minimum(upper, np.maximum(lower, earlier_upper + shift))
-        shift = np.where(in_group, composed_shift, shift)
-        lower = np.where(in_group, composed_lower, lower)
-        upper = np.where(in_group, composed_upper, upper)
-        offset <<= 1
-
-    init_sorted = finals[sorted_indices]
-    pre_sorted = np.minimum(upper, np.maximum(lower, init_sorted + shift))
+    pre_sorted, post_sorted = _stacked_clamped_walk(
+        _group_ranks(sorted_indices), deltas[order], lo, hi, finals[sorted_indices]
+    )
     pre_values = np.empty(n, dtype=np.int64)
     pre_values[order] = pre_sorted
-
-    post_sorted = np.minimum(hi, np.maximum(lo, pre_sorted + sorted_deltas))
     # Later positions overwrite earlier ones, so the last access wins.
     finals[sorted_indices] = post_sorted
     return pre_values, finals
@@ -312,7 +343,7 @@ def sweep_chunk(
 
     bhr_values = lagged_register_stream(outcomes_arr, state.bhr, state_bits)
     indices = (
-        (pcs_arr >> _PC_ALIGNMENT_BITS) ^ (bhr_values & history_mask)
+        (pcs_arr >> PC_ALIGNMENT_BITS) ^ (bhr_values & history_mask)
     ) & index_mask
     deltas = np.where(outcomes_arr == 1, 1, -1)
     counters, state.table = segmented_clamped_walk(
@@ -530,7 +561,7 @@ class TwoLevelObserver:
         cir1 = self.level1.observe(level1_indices, correct)
         level2_indices = cir1.copy()
         if self.second_use_pc:
-            level2_indices ^= np.asarray(pcs, dtype=np.int64) >> _PC_ALIGNMENT_BITS
+            level2_indices ^= np.asarray(pcs, dtype=np.int64) >> PC_ALIGNMENT_BITS
         if self.second_use_bhr:
             level2_indices ^= np.asarray(bhrs, dtype=np.int64)
         level2_indices &= self._level1_mask

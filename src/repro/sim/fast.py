@@ -35,13 +35,11 @@ from typing import Optional, Union
 
 import numpy as np
 
+from repro.core.indexing import PC_ALIGNMENT_BITS
+from repro.sim.chunked import _group_ranks, segmented_clamped_walk, sweep_streams
 from repro.traces.trace import Trace
 from repro.utils.bits import bit_mask
 from repro.utils.validation import check_in_range, check_positive
-
-#: 2-bit counter initial value matching the paper ("weakly taken").
-_WEAKLY_TAKEN = 2
-_PC_ALIGNMENT_BITS = 2
 
 
 @dataclass(frozen=True)
@@ -117,8 +115,6 @@ def predictor_streams(
     index_mask = entries - 1
     if entries & index_mask:
         raise ValueError(f"entries must be a power of two, got {entries}")
-    from repro.sim.chunked import sweep_streams
-
     return sweep_streams(
         trace,
         entries=entries,
@@ -130,18 +126,6 @@ def predictor_streams(
 
 
 InitPatterns = Union[int, np.ndarray]
-
-
-def _group_ranks(sorted_indices: np.ndarray) -> np.ndarray:
-    """Rank of each sorted position within its (contiguous) index group."""
-    n = sorted_indices.shape[0]
-    if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    is_start = np.concatenate(([True], sorted_indices[1:] != sorted_indices[:-1]))
-    group_starts = np.flatnonzero(is_start)
-    group_sizes = np.diff(np.concatenate((group_starts, [n])))
-    start_of_position = np.repeat(group_starts, group_sizes)
-    return np.arange(n, dtype=np.int64) - start_of_position
 
 
 def cir_pattern_stream(
@@ -223,7 +207,7 @@ def two_level_pattern_stream(
     cir1 = cir_pattern_stream(level1_indices, correct, level1_cir_bits, level1_init)
     level2_indices = cir1.copy()
     if second_use_pc:
-        level2_indices ^= np.asarray(pcs, dtype=np.int64) >> _PC_ALIGNMENT_BITS
+        level2_indices ^= np.asarray(pcs, dtype=np.int64) >> PC_ALIGNMENT_BITS
     if second_use_bhr:
         level2_indices ^= np.asarray(bhrs, dtype=np.int64)
     level2_indices &= bit_mask(level1_cir_bits)
@@ -367,8 +351,6 @@ def saturating_counter_stream(
     """
     check_positive(maximum, "maximum")
     check_in_range(initial, 0, maximum, "initial")
-    from repro.sim.chunked import segmented_clamped_walk
-
     indices = np.asarray(indices, dtype=np.int64)
     correct_arr = np.asarray(correct)
     n = indices.shape[0]

@@ -1,14 +1,19 @@
-"""Grid-equivalence golden suite for the batched sweep engine.
+"""Golden suite for the one statistics path (``sweep_grid`` -> ``GridObserver``).
 
-The batched engine (:mod:`repro.sim.batched`) is an execution strategy,
-not a model change: everywhere it is reachable it must produce results
-bit-identical to the per-config path.  This suite pins that contract at
-three levels — the full experiment registry, the :func:`sweep_grid`
-statistics across chunk sizes and job counts, and the raw kernel on
-hypothesis-generated ragged grids — plus the parity bugfixes that rode
-along (serial-report metrics lifecycle, config range validation, fig10
-stream dedupe).
+Every confidence statistic runs through :func:`sweep_grid`, which feeds a
+:class:`~repro.sim.batched.GridObserver` from the stream chunks of each
+benchmark.  This suite pins that path at four levels: every registered
+experiment's report against checked-in SHA-256 digests (recorded before
+the per-config and monolithic paths were folded into it), ``sweep_grid``
+statistics across chunk sizes against the per-spec chunk observers, the
+raw kernel on hypothesis-generated ragged grids, and one-spec grids of
+every kind against the reference engine (:func:`repro.sim.engine.simulate`)
+— plus the serial-report and config-validation regressions.
 """
+
+import hashlib
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,6 +23,12 @@ from hypothesis import strategies as st
 from repro import observability
 from repro.analysis.buckets import BucketStatistics
 from repro.cli import main
+from repro.core import (
+    OneLevelConfidence,
+    ResettingCounterConfidence,
+    SaturatingCounterConfidence,
+    TwoLevelConfidence,
+)
 from repro.core.indexing import XorIndex, make_index
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import (
@@ -26,9 +37,11 @@ from repro.experiments.registry import (
     run_all_reports,
     run_experiment_report,
 )
-from repro.experiments.runner import sweep_grid
+from repro.experiments.runner import _stream_request, sweep_grid
+from repro.predictors import GsharePredictor
+from repro.sim import simulate
 from repro.sim.batched import GridObserver, SweepSpec
-from repro.sim.cache import clear_stream_cache
+from repro.sim.cache import clear_stream_cache, iter_cached_stream_chunks
 from repro.sim.chunked import (
     CIRTableObserver,
     ResettingCounterObserver,
@@ -36,11 +49,22 @@ from repro.sim.chunked import (
     StreamChunk,
     TwoLevelObserver,
 )
+from repro.sim.fast import predictor_streams
 from repro.testing import faults
+from repro.traces import Trace
 from repro.utils.bits import bit_mask
 from repro.utils.resilient import serial_task
 
 CONFIG = ExperimentConfig(benchmarks=("jpeg_play", "gcc"), trace_length=3000)
+
+#: Report digests of every registered experiment under ``CONFIG``.
+DIGESTS = json.loads(
+    (Path(__file__).resolve().parent / "report_digests.json").read_text()
+)["sha256"]
+
+
+def _digest(text):
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 @pytest.fixture
@@ -76,9 +100,9 @@ def _mixed_grid(config):
     ]
 
 
-def _assert_grid_results_equal(batched, per_config):
-    assert len(batched) == len(per_config)
-    for left, right in zip(batched, per_config):
+def _assert_grid_results_equal(left_grid, right_grid):
+    assert len(left_grid) == len(right_grid)
+    for left, right in zip(left_grid, right_grid):
         assert list(left) == list(right)
         for name in left:
             assert np.array_equal(left[name].counts, right[name].counts)
@@ -86,31 +110,33 @@ def _assert_grid_results_equal(batched, per_config):
 
 
 class TestRegistryGolden:
-    """Every registered experiment, byte-identical under both engines."""
+    """Every registered experiment reproduces its checked-in report digest."""
 
-    def test_full_registry_bit_identical(self, cache_dir):
-        for experiment in list_experiments():
-            clear_stream_cache()
-            batched = experiment.run(CONFIG.scaled(engine="batched")).format()
-            clear_stream_cache()
-            per_config = experiment.run(CONFIG.scaled(engine="per-config")).format()
-            assert batched == per_config, experiment.id
+    @pytest.mark.parametrize("chunk_size", [None, 64])
+    def test_registry_matches_digests(self, cache_dir, monkeypatch, chunk_size):
+        # Every statistic is computed, none replayed from disk.  This also
+        # keeps the chunk-64 case fast: the trace-length ablation's fixed
+        # 20k-160k traces are ~9k chunks whose disk round trips would take
+        # minutes (the chunk tier has its own tests).
+        monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
+        config = CONFIG.scaled(chunk_size=chunk_size)
+        digests = {
+            experiment.id: _digest(experiment.run(config).format())
+            for experiment in list_experiments()
+        }
+        assert digests == DIGESTS
 
     def test_jobs_interplay_bit_identical(self, cache_dir):
-        """jobs=2 warms the pool under the batched engine; output unchanged."""
+        """jobs=2 fans the reports over the pool; digests unchanged."""
         ids = ["fig8", "fig10"]
-        serial = run_all_reports(
-            CONFIG.scaled(engine="per-config"), experiment_ids=ids, jobs=1
-        )
-        clear_stream_cache()
-        parallel = run_all_reports(
-            CONFIG.scaled(engine="batched", jobs=2), experiment_ids=ids
-        )
-        assert [r.text for r in serial] == [r.text for r in parallel]
+        reports = run_all_reports(CONFIG.scaled(jobs=2), experiment_ids=ids)
+        assert {r.experiment_id: _digest(r.text) for r in reports} == {
+            experiment_id: DIGESTS[experiment_id] for experiment_id in ids
+        }
 
 
 class TestSweepGridGolden:
-    """sweep_grid parity across chunk sizes, plus engine-path routing."""
+    """sweep_grid parity across chunk sizes, plus the sweep-result tier."""
 
     @pytest.mark.parametrize(
         ("chunk_size", "length"),
@@ -119,21 +145,24 @@ class TestSweepGridGolden:
     def test_chunk_sizes_bit_identical(self, cache_dir, chunk_size, length):
         config = CONFIG.scaled(trace_length=length, chunk_size=chunk_size)
         specs = _mixed_grid(config)
-        batched = sweep_grid(config.scaled(engine="batched"), specs)
-        clear_stream_cache()
-        per_config = sweep_grid(config.scaled(engine="per-config"), specs)
-        _assert_grid_results_equal(batched, per_config)
+        grid = sweep_grid(config, specs)
+        reference = [{} for _ in specs]
+        for name in config.benchmarks:
+            chunks = iter_cached_stream_chunks(**_stream_request(config, name))
+            for position, stats in enumerate(_reference_statistics(specs, chunks)):
+                reference[position][name] = stats
+        _assert_grid_results_equal(grid, reference)
 
-    def test_singleton_grid_routes_per_config(self, cache_dir):
+    def test_singleton_grid_runs_grid_observer(self, cache_dir):
         config = CONFIG.scaled(trace_length=1200)
         specs = [SweepSpec.pattern(make_index("pc_xor_bhr", config.ct_index_bits), 4)]
         sweep_grid(config, specs)
-        assert observability.counter_value("batched.grid_sweeps") == 0
-
-    def test_per_config_engine_never_runs_kernel(self, cache_dir):
-        config = CONFIG.scaled(trace_length=1200, engine="per-config")
-        sweep_grid(config, _mixed_grid(config))
-        assert observability.counter_value("batched.grid_sweeps") == 0
+        assert observability.counter_value("batched.grid_sweeps") == len(
+            config.benchmarks
+        )
+        assert observability.counter_value("sweep_cache.stores") == len(
+            config.benchmarks
+        )
 
     def test_sweep_cache_tiers(self, cache_dir):
         config = CONFIG.scaled(trace_length=1200)
@@ -147,31 +176,25 @@ class TestSweepGridGolden:
         )
         assert observability.timer_seconds("batched.grid_sweep_seconds") > 0.0
 
-        # Same process: the in-memory sweep tier answers without a kernel run.
-        observability.reset_metrics()
-        warm = sweep_grid(config, specs)
-        assert observability.counter_value("batched.grid_sweeps") == 0
-        assert observability.counter_value("sweep_cache.memory_hits") == len(
-            config.benchmarks
-        )
-        _assert_grid_results_equal(cold, warm)
-
-        # Cold process memory, warm disk: the sweep tier loads, never sweeps.
-        clear_stream_cache()
-        observability.reset_metrics()
-        disk = sweep_grid(config, specs)
-        assert observability.counter_value("batched.grid_sweeps") == 0
-        assert observability.counter_value("sweep_cache.disk_hits") == len(
-            config.benchmarks
-        )
-        _assert_grid_results_equal(cold, disk)
+        # The tier is disk-only: a same-process rerun loads from disk too.
+        for drop_stream_memo in (False, True):
+            if drop_stream_memo:
+                clear_stream_cache()
+            observability.reset_metrics()
+            warm = sweep_grid(config, specs)
+            assert observability.counter_value("batched.grid_sweeps") == 0
+            assert observability.counter_value("sweep_cache.memory_hits") == 0
+            assert observability.counter_value("sweep_cache.disk_hits") == len(
+                config.benchmarks
+            )
+            _assert_grid_results_equal(cold, warm)
 
     def test_fig10_sweeps_each_benchmark_once(self, cache_dir):
         """Regression: fig10 used to recompute streams for headline sizes.
 
-        The deduped grid submits every table size in one SweepRequest, so
-        a cold run does exactly one batched sweep per benchmark — not one
-        per (benchmark, size) — and a warm rerun does none.
+        The deduped grid submits every table size in one ``sweep_grid``
+        call, so a cold run does exactly one grid sweep per benchmark —
+        not one per (benchmark, size) — and a warm rerun does none.
         """
         from repro.experiments import fig10_small_tables
 
@@ -327,6 +350,101 @@ class TestRaggedGridProperty:
             assert np.array_equal(expected.mispredicts, split.mispredicts)
 
 
+def _random_trace(seed, n):
+    """A small random trace over a few aligned branch sites."""
+    rng = np.random.RandomState(seed)
+    pcs = (rng.randint(0, 24, size=n) << 2).astype(np.uint64)
+    return Trace(pcs, rng.randint(0, 2, size=n).astype(np.uint8), name="oracle")
+
+
+class TestReferenceEngineOracle:
+    """Hypothesis: one-spec grids through GridObserver == the reference engine.
+
+    Every spec kind runs on a small random trace, fed to the observer as
+    one chunk and as chunks of 1 and 7, and must reproduce the bucket
+    statistics of :func:`repro.sim.engine.simulate` driving the matching
+    :mod:`repro.core` estimator.  Both sides see 16-bit BHR/GCIR
+    registers, so every index bit the specs consume agrees.
+    """
+
+    ENTRIES, HISTORY_BITS = 64, 6
+
+    @staticmethod
+    def _cases(rng, index_bits, width):
+        pc = make_index("pc", index_bits)
+        pc_xor_bhr = make_index("pc_xor_bhr", index_bits)
+        gcir_index = XorIndex(index_bits, use_pc=True, use_bhr=True, use_gcir=True)
+        scalar = int(rng.randint(0, 1 << width))
+        patterns = rng.randint(0, 1 << width, size=pc_xor_bhr.table_entries)
+        patterns = patterns.astype(np.int64)
+        return [
+            (
+                SweepSpec.pattern(pc_xor_bhr, width, init=scalar),
+                OneLevelConfidence(
+                    pc_xor_bhr, width, lambda entries, bits: np.full(entries, scalar)
+                ),
+            ),
+            (
+                SweepSpec.pattern(pc_xor_bhr, width, init=patterns),
+                OneLevelConfidence(pc_xor_bhr, width, lambda entries, bits: patterns),
+            ),
+            (SweepSpec.pattern(gcir_index, width), OneLevelConfidence(gcir_index, width)),
+            (
+                SweepSpec.resetting(pc_xor_bhr, width),
+                ResettingCounterConfidence(pc_xor_bhr, maximum=width),
+            ),
+            (
+                SweepSpec.saturating(pc, width),
+                SaturatingCounterConfidence(pc, maximum=width),
+            ),
+            (
+                SweepSpec.two_level(pc, width, second_use_pc=True),
+                TwoLevelConfidence(pc, width, width, second_use_pc=True),
+            ),
+            (
+                SweepSpec.two_level(pc_xor_bhr, width, second_use_bhr=True),
+                TwoLevelConfidence(pc_xor_bhr, width, width, second_use_bhr=True),
+            ),
+        ]
+
+    @given(
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        n=st.integers(min_value=1, max_value=120),
+        index_bits=st.integers(min_value=2, max_value=5),
+        width=st.integers(min_value=1, max_value=6),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_one_spec_grid_matches_reference_engine(self, seed, n, index_bits, width):
+        trace = _random_trace(seed, n)
+        streams = predictor_streams(
+            trace, entries=self.ENTRIES, history_bits=self.HISTORY_BITS,
+            bhr_record_bits=16, gcir_bits=16,
+        )
+        whole = StreamChunk(
+            trace_name=trace.name,
+            start=0,
+            correct=streams.correct,
+            bhrs=streams.bhrs,
+            pcs=streams.pcs,
+            gcirs=streams.gcirs,
+        )
+        rng = np.random.RandomState(seed)
+        for spec, estimator in self._cases(rng, index_bits, width):
+            predictor = GsharePredictor(
+                entries=self.ENTRIES, history_bits=self.HISTORY_BITS
+            )
+            run = simulate(trace, predictor, [estimator]).estimator_runs[
+                estimator.name
+            ]
+            for chunks in ([whole], _split_chunks(whole, 1), _split_chunks(whole, 7)):
+                observer = GridObserver([spec])
+                for chunk in chunks:
+                    observer.observe(chunk)
+                (statistics,) = observer.statistics()
+                assert statistics.counts.tolist() == run.counts.tolist(), spec.kind
+                assert statistics.mispredicts.tolist() == run.mispredicts.tolist()
+
+
 class TestSerialReportParity:
     """Satellite bugfix: the degraded serial path mirrors a pool worker."""
 
@@ -397,7 +515,6 @@ class TestConfigValidation:
             ({"chunk_size": 0}, "--chunk-size must be >= 1"),
             ({"max_retries": -1}, "--max-retries must be >= 0"),
             ({"task_timeout": 0.0}, "--task-timeout must be > 0"),
-            ({"engine": "turbo"}, "--engine must be one of batched, per-config"),
         ],
     )
     def test_programmatic_construction_fails_fast(self, overrides, message):
@@ -414,9 +531,11 @@ class TestConfigValidation:
         assert str(excinfo.value) == "--jobs must be >= 1"
 
     def test_cli_engine_flag(self, cache_dir, capsys):
-        argv = ["run", "fig5", "--length", "1200", "--benchmarks", "jpeg_play"]
-        assert main(argv + ["--engine", "per-config"]) == 0
-        assert main(argv + ["--engine", "batched"]) == 0
-        capsys.readouterr()
-        with pytest.raises(SystemExit):
-            main(argv + ["--engine", "turbo"])
+        """There is one statistics path, so ``--engine`` is gone everywhere."""
+        for command in (["run", "fig5"], ["run-all"], ["fabric", "status"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main(command + ["--engine", "batched"])
+            assert excinfo.value.code == 2
+        assert "unrecognized arguments: --engine" in capsys.readouterr().err
+        with pytest.raises(TypeError):
+            ExperimentConfig(engine="batched")

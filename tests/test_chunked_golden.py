@@ -7,6 +7,8 @@ for the reference engine, the fast sweep, the per-chunk disk cache, and
 the figure-level bucket statistics (Fig. 5 / Fig. 6 / Fig. 8 inputs).
 """
 
+import shutil
+
 import numpy as np
 import pytest
 
@@ -21,7 +23,7 @@ from repro.sim.cache import (
     clear_stream_cache,
     iter_cached_stream_chunks,
 )
-from repro.sim.diskcache import chunk_entry_path, load_cached_chunk
+from repro.sim.diskcache import chunk_entry_path, load_cached_chunk, sweep_cache_dir
 from repro.sim.engine import simulate
 from repro.sim.fast import predictor_streams
 
@@ -46,6 +48,17 @@ def fresh_cache(tmp_path, monkeypatch):
     yield tmp_path
     clear_stream_cache()
     observability.reset_metrics()
+
+
+def _cold_caches():
+    """Drop the memory memo and the sweep-result tier.
+
+    Sweep results are keyed independently of the chunk size, so a warm
+    entry from the reference run would answer the chunked rerun without
+    running it.
+    """
+    clear_stream_cache()
+    shutil.rmtree(sweep_cache_dir(), ignore_errors=True)
 
 
 def _assert_statistics_identical(reference, candidate):
@@ -112,20 +125,20 @@ class TestFigureStatisticsGolden:
     """Fig. 5 / Fig. 6 / Fig. 8 bucket statistics, chunked vs monolithic."""
 
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_fig5_one_level(self, chunk_size):
+    def test_fig5_one_level(self, fresh_cache, chunk_size):
         reference = runner.one_level_pattern_statistics(SMALL)
-        clear_stream_cache()
+        _cold_caches()
         candidate = runner.one_level_pattern_statistics(
             SMALL.scaled(chunk_size=chunk_size)
         )
         _assert_statistics_identical(reference, candidate)
 
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_fig6_two_level(self, chunk_size):
+    def test_fig6_two_level(self, fresh_cache, chunk_size):
         reference = runner.two_level_pattern_statistics(
             SMALL, "pc", second_use_pc=True, second_use_bhr=True
         )
-        clear_stream_cache()
+        _cold_caches()
         candidate = runner.two_level_pattern_statistics(
             SMALL.scaled(chunk_size=chunk_size),
             "pc", second_use_pc=True, second_use_bhr=True,
@@ -133,20 +146,20 @@ class TestFigureStatisticsGolden:
         _assert_statistics_identical(reference, candidate)
 
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_fig8_counters(self, chunk_size):
+    def test_fig8_counters(self, fresh_cache, chunk_size):
         for build, kwargs in (
             (runner.resetting_counter_statistics, {"maximum": 8}),
             (runner.saturating_counter_statistics, {"maximum": 8}),
         ):
             reference = build(SMALL, **kwargs)
-            clear_stream_cache()
+            _cold_caches()
             candidate = build(SMALL.scaled(chunk_size=chunk_size), **kwargs)
             _assert_statistics_identical(reference, candidate)
 
     @pytest.mark.parametrize("chunk_size", [1, 1024])
-    def test_static_branch_statistics(self, chunk_size):
+    def test_static_branch_statistics(self, fresh_cache, chunk_size):
         reference = runner.static_branch_statistics(SMALL)
-        clear_stream_cache()
+        _cold_caches()
         candidate = runner.static_branch_statistics(
             SMALL.scaled(chunk_size=chunk_size)
         )
@@ -154,12 +167,12 @@ class TestFigureStatisticsGolden:
 
 
 class TestExperimentGolden:
-    def test_fig5_experiment_identical_curves(self):
+    def test_fig5_experiment_identical_curves(self, fresh_cache):
         from repro.experiments import get_experiment
 
         experiment = get_experiment("fig5")
         reference = experiment.run(SMALL)
-        clear_stream_cache()
+        _cold_caches()
         candidate = experiment.run(SMALL.scaled(chunk_size=512))
         assert reference.format() == candidate.format()
 

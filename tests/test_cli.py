@@ -113,3 +113,27 @@ class TestRunAll:
 
         for experiment_id in EXPERIMENTS:
             assert f"=== {experiment_id}:" in output
+
+
+class TestLeaveOneOutNeedsTwoBenchmarks:
+    """A single-benchmark suite gets a one-line error, not a traceback."""
+
+    MESSAGE = (
+        "extension-crossval: leave-one-out cross-validation needs at least "
+        "two benchmarks"
+    )
+
+    def test_run_crossval_single_benchmark(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main([
+                "run", "extension-crossval",
+                "--benchmarks", "gcc", "--length", "2000",
+            ])
+        assert excinfo.value.code == self.MESSAGE
+
+    def test_run_all_single_benchmark_fails_fast(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run-all", "--benchmarks", "gcc", "--length", "2000"])
+        assert excinfo.value.code == self.MESSAGE
+        # Rejected before any experiment ran or printed.
+        assert capsys.readouterr().out == ""

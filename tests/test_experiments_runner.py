@@ -5,14 +5,12 @@ import pytest
 
 from repro.analysis.buckets import BucketStatistics
 from repro.core import OneLevelConfidence
-from repro.core.indexing import ConcatIndex, GlobalCIRIndex, PCIndex, XorIndex
+from repro.core.indexing import ConcatIndex, GlobalCIRIndex, XorIndex
 from repro.core.init_policies import init_ones
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import (
-    _maybe_gcirs,
     one_level_pattern_statistics,
     ones_init,
-    per_benchmark_map,
     resetting_counter_statistics,
     saturating_counter_statistics,
     static_branch_statistics,
@@ -111,18 +109,6 @@ class TestStatisticsHelpers:
                 streams[name].pcs
             ).size
 
-    def test_per_benchmark_map(self):
-        def build(name, streams):
-            return BucketStatistics.from_streams(
-                np.zeros(streams.num_branches, dtype=np.int64),
-                streams.correct,
-                num_buckets=1,
-            )
-
-        stats = per_benchmark_map(CONFIG, build)
-        assert set(stats) == {"jpeg_play", "gcc"}
-        assert stats["gcc"].total == 6_000
-
     def test_ones_init_width(self):
         assert ones_init(CONFIG) == (1 << CONFIG.cir_bits) - 1
 
@@ -130,7 +116,7 @@ class TestStatisticsHelpers:
 class TestGcirIndexedStatistics:
     """Regression coverage for the concat-GCIR indexing bug.
 
-    ``_maybe_gcirs`` used to sniff ``"GCIR" in index_function.name``,
+    The GCIR feed used to sniff ``"GCIR" in index_function.name``,
     which misses :class:`ConcatIndex`'s lowercase field names
     (``cat(gcir:8,...)``) — concat-indexed GCIR configurations silently
     ran on an all-zeros GCIR stream.  These tests pin the fast-path
@@ -198,10 +184,3 @@ class TestGcirIndexedStatistics:
             buggy_patterns, streams.correct, num_buckets=1 << self.CONFIG.cir_bits
         )
         assert not np.array_equal(fast.counts, buggy.counts)
-
-    def test_maybe_gcirs_dispatch(self):
-        streams = suite_streams(self.CONFIG)["jpeg_play"]
-        concat = ConcatIndex(8, fields=[("gcir", 4), ("pc", 4)])
-        assert _maybe_gcirs(concat, streams) is streams.gcirs
-        assert _maybe_gcirs(concat, streams).any()
-        assert not _maybe_gcirs(PCIndex(8), streams).any()
