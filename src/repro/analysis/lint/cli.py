@@ -19,13 +19,9 @@ from pathlib import Path
 from typing import FrozenSet, List, Optional, Sequence, Set
 
 from repro.analysis.lint.autofix import apply_fixes
-from repro.analysis.lint.changed import ChangedError, changed_targets
 from repro.analysis.lint.engine import DEFAULT_FAIL_ON, run_lint
 from repro.analysis.lint.model import SEVERITIES
 from repro.analysis.lint.rules import all_rules
-
-#: Default location of the incremental result cache.
-DEFAULT_CACHE_DIR = Path(".reprolint-cache")
 
 
 def default_target() -> Path:
@@ -40,7 +36,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro lint",
         description="AST-based invariant checker for the reproduction "
-        "(determinism, cache-key completeness, numeric-width safety, ...)",
+        "(determinism, worker purity, numeric-width safety, ...)",
     )
     parser.add_argument(
         "paths",
@@ -81,26 +77,6 @@ def build_parser() -> argparse.ArgumentParser:
         "missing __all__ entries) before linting",
     )
     parser.add_argument(
-        "--changed",
-        nargs="?",
-        const="HEAD",
-        default=None,
-        metavar="REF",
-        help="lint only files changed vs REF (default HEAD) plus their "
-        "dependency closure; requires a git worktree",
-    )
-    parser.add_argument(
-        "--incremental",
-        nargs="?",
-        const=DEFAULT_CACHE_DIR,
-        default=None,
-        type=Path,
-        metavar="DIR",
-        help="cache per-file results by content hash in DIR (default "
-        f"{DEFAULT_CACHE_DIR}); warm runs re-analyze only changed files "
-        "plus their dependency closure",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the rule registry and exit",
@@ -132,22 +108,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             print(f"reprolint: path does not exist: {path}", file=sys.stderr)
             return 2
 
-    if options.changed is not None and options.incremental is not None:
-        # A --changed run lints a subset; caching its per-file records
-        # under the full-tree cache key would poison warm full runs.
-        print(
-            "reprolint: --changed and --incremental are mutually exclusive",
-            file=sys.stderr,
-        )
-        return 2
-
-    if options.changed is not None:
-        try:
-            paths = list(changed_targets(paths, options.changed))
-        except ChangedError as error:
-            print(f"reprolint: {error}", file=sys.stderr)
-            return 2
-
     if options.fix:
         for edit in apply_fixes(paths):
             print(f"fixed {edit.path}:{edit.line}: {edit.description}")
@@ -158,7 +118,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             select=_parse_rule_set(options.select),
             ignore=_parse_rule_set(options.ignore),
             fail_on=options.fail_on,
-            cache_dir=options.incremental,
         )
     except ValueError as error:
         print(f"reprolint: {error}", file=sys.stderr)

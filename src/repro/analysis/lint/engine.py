@@ -4,28 +4,15 @@
 and the CI gate; it returns a :class:`LintResult` that knows how to
 render itself as human-readable lines or as the stable
 ``reprolint/1`` JSON schema.
-
-Passing ``cache_dir`` switches on the incremental mode: per-file
-results are cached by content hash (see
-:mod:`repro.analysis.flow.incremental`) and a warm run re-analyzes
-only changed files plus their dependency closure, replaying cached
-findings for everything else.  Warm results are byte-identical to a
-cold run of the same tree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
-from repro.analysis.lint.model import (
-    Finding,
-    Project,
-    discover_sources,
-    display_for,
-    severity_rank,
-)
+from repro.analysis.lint.model import Finding, Project, severity_rank
 from repro.analysis.lint.rules import Rule, select_rules
 
 #: Schema tag of the JSON report.
@@ -37,19 +24,13 @@ DEFAULT_FAIL_ON = "warning"
 
 @dataclass
 class LintResult:
-    """Outcome of one lint run.
-
-    ``analyzed`` is ``None`` for a full (non-incremental) run; in
-    incremental mode it lists the display paths actually re-analyzed —
-    empty on an exact cache replay.
-    """
+    """Outcome of one lint run."""
 
     findings: List[Finding]
     suppressed: int
     files_checked: int
     rules_run: Tuple[str, ...]
     fail_on: str = DEFAULT_FAIL_ON
-    analyzed: Optional[Tuple[str, ...]] = None
 
     @property
     def counts(self) -> Dict[str, int]:
@@ -73,7 +54,7 @@ class LintResult:
 
     def to_dict(self) -> Dict[str, object]:
         """The ``reprolint/1`` JSON report."""
-        record: Dict[str, object] = {
+        return {
             "schema": REPORT_SCHEMA,
             "files_checked": self.files_checked,
             "rules_run": list(self.rules_run),
@@ -81,9 +62,6 @@ class LintResult:
             "findings": [finding.to_dict() for finding in self.findings],
             "summary": dict(self.counts, suppressed=self.suppressed),
         }
-        if self.analyzed is not None:
-            record["analyzed"] = list(self.analyzed)
-        return record
 
     def render_lines(self) -> List[str]:
         """Human-readable report, one finding per line plus a summary."""
@@ -94,21 +72,17 @@ class LintResult:
             f"{counts['error']} error(s), {counts['warning']} warning(s), "
             f"{counts['info']} info, {self.suppressed} suppressed"
         )
-        if self.analyzed is not None:
-            summary += f" ({len(self.analyzed)} re-analyzed)"
         lines.append(summary)
         return lines
 
 
 def _check_project(
     project: Project, rules: Tuple[Rule, ...]
-) -> Tuple[List[Finding], Dict[str, int]]:
+) -> Tuple[List[Finding], int]:
     """Run ``rules`` on a parsed project and apply suppressions.
 
     Returns the sorted kept findings (parse errors included) and the
-    per-display suppressed counts.  A finding is suppressed by a
-    matching ``disable`` comment on either its anchor line or — for
-    cross-file findings — its origin (definition-site) line.
+    number of findings a ``disable`` comment on their line suppressed.
     """
     parsed_by_display = {parsed.display: parsed for parsed in project.files}
 
@@ -117,19 +91,12 @@ def _check_project(
         raw.extend(rule.check(project))
 
     kept: List[Finding] = list(project.errors)
-    suppressed: Dict[str, int] = {}
+    suppressed = 0
     for finding in raw:
         parsed = parsed_by_display.get(finding.path)
         if parsed is not None and parsed.is_suppressed(finding.rule, finding.line):
-            suppressed[finding.path] = suppressed.get(finding.path, 0) + 1
+            suppressed += 1
             continue
-        if finding.origin_path is not None and finding.origin_line is not None:
-            origin = parsed_by_display.get(finding.origin_path)
-            if origin is not None and origin.is_suppressed(
-                finding.rule, finding.origin_line
-            ):
-                suppressed[finding.path] = suppressed.get(finding.path, 0) + 1
-                continue
         kept.append(finding)
     kept.sort()
     return kept, suppressed
@@ -141,158 +108,21 @@ def run_lint(
     select: Optional[FrozenSet[str]] = None,
     ignore: Optional[FrozenSet[str]] = None,
     fail_on: str = DEFAULT_FAIL_ON,
-    cache_dir: Optional[Path] = None,
 ) -> LintResult:
     """Lint ``paths`` with the selected rules and return the result.
 
     Parse errors surface as ``R000`` error findings (never suppressible
     from inside the broken file); rule findings are dropped when a
     matching ``# reprolint: disable[-file]=`` comment covers them.
-    With ``cache_dir`` set, results replay from the incremental cache
-    for files whose content and dependency closure are unchanged.
     """
     severity_rank(fail_on)  # validate early
     rules: Tuple[Rule, ...] = select_rules(select, ignore)
-    if cache_dir is not None:
-        return _incremental_lint(paths, rules, fail_on, cache_dir)
-
     project = Project.load(paths)
     kept, suppressed = _check_project(project, rules)
     return LintResult(
         findings=kept,
-        suppressed=sum(suppressed.values()),
+        suppressed=suppressed,
         files_checked=len(project.files),
         rules_run=tuple(rule.id for rule in rules),
         fail_on=fail_on,
-    )
-
-
-def _incremental_lint(
-    paths: Sequence[Path],
-    rules: Tuple[Rule, ...],
-    fail_on: str,
-    cache_dir: Path,
-) -> LintResult:
-    """Cache-aware lint: replay unchanged files, re-analyze the rest."""
-    from repro.analysis.flow import incremental as inc
-
-    rule_ids = tuple(rule.id for rule in rules)
-    path_by_display: Dict[str, Path] = {
-        display_for(source): source for source in discover_sources(paths)
-    }
-    sha_by_display = {
-        display: inc.content_sha(source)
-        for display, source in path_by_display.items()
-    }
-    digest = inc.project_digest(rule_ids, sorted(sha_by_display.items()))
-    state = inc.load_state(cache_dir)
-
-    if (
-        state is not None
-        and state.digest == digest
-        and set(state.files) == set(path_by_display)
-    ):
-        # Exact replay: nothing changed since the cached run.
-        findings: List[Finding] = []
-        suppressed_total = 0
-        for display in path_by_display:
-            record = state.files[display]
-            findings.extend(inc.replay_findings(record))
-            suppressed_total += record.suppressed
-        findings.sort()
-        return LintResult(
-            findings=findings,
-            suppressed=suppressed_total,
-            files_checked=len(path_by_display),
-            rules_run=rule_ids,
-            fail_on=fail_on,
-            analyzed=(),
-        )
-
-    # A state built by a different rule selection cannot be reused: its
-    # per-file findings reflect other rules.
-    removed: Set[str] = set()
-    reusable: Dict[str, inc.FileRecord] = {}
-    if state is not None and list(state.rules) == list(rule_ids):
-        reusable = {
-            display: record
-            for display, record in state.files.items()
-            if sha_by_display.get(display) == record.sha
-        }
-        removed = set(state.files) - set(path_by_display)
-    else:
-        state = None
-
-    changed = set(path_by_display) - set(reusable)
-
-    # Dependency facts: stored ones for reusable files, fresh parses
-    # for changed files and (best effort) removed files.
-    modules: Dict[str, str] = {}
-    imports: Dict[str, Set[str]] = {}
-    fresh_facts: Dict[str, Tuple[str, List[str]]] = {}
-    for display, source in path_by_display.items():
-        if display in reusable:
-            modules[display] = reusable[display].module
-            imports[display] = set(reusable[display].imports)
-        else:
-            module, imported = inc.file_facts_for(source)
-            fresh_facts[display] = (module, imported)
-            modules[display] = module
-            imports[display] = set(imported)
-    if state is not None:
-        for display in removed:
-            modules[display] = state.files[display].module
-            imports[display] = set(state.files[display].imports)
-
-    if reusable:
-        closure = inc.invalidation_closure(changed | removed, modules, imports)
-        analyze = sorted(d for d in closure if d in path_by_display)
-    else:
-        analyze = sorted(path_by_display)
-    analyze_set = set(analyze)
-
-    project = Project.load([path_by_display[display] for display in analyze])
-    kept, suppressed_by_file = _check_project(project, rules)
-
-    findings_by_file: Dict[str, List[Finding]] = {d: [] for d in analyze_set}
-    for finding in kept:
-        findings_by_file.setdefault(finding.path, []).append(finding)
-
-    files_state: Dict[str, inc.FileRecord] = {}
-    for display in path_by_display:
-        if display in analyze_set:
-            if display in fresh_facts:
-                module, imported = fresh_facts[display]
-            else:
-                module, imported = modules[display], sorted(imports[display])
-            files_state[display] = inc.FileRecord(
-                sha=sha_by_display[display],
-                module=module,
-                imports=list(imported),
-                findings=[
-                    f.to_dict() for f in findings_by_file.get(display, [])
-                ],
-                suppressed=suppressed_by_file.get(display, 0),
-            )
-        else:
-            files_state[display] = reusable[display]
-    inc.save_state(
-        cache_dir,
-        inc.CacheState(digest=digest, rules=list(rule_ids), files=files_state),
-    )
-
-    result_findings = list(kept)
-    suppressed_total = sum(suppressed_by_file.values())
-    for display in path_by_display:
-        if display not in analyze_set:
-            result_findings.extend(inc.replay_findings(files_state[display]))
-            suppressed_total += files_state[display].suppressed
-    result_findings.sort()
-    return LintResult(
-        findings=result_findings,
-        suppressed=suppressed_total,
-        files_checked=len(path_by_display),
-        rules_run=rule_ids,
-        fail_on=fail_on,
-        analyzed=tuple(analyze),
     )

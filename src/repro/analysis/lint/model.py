@@ -9,7 +9,7 @@ shared value types:
 * :class:`ParsedFile` — a source file plus its AST and the suppression
   comments parsed out of it;
 * :class:`Project` — the set of parsed files one lint run operates on
-  (rules that check cross-file invariants, like cache-key completeness,
+  (rules that check cross-file invariants, like the public-API surface,
   see the whole project at once).
 
 Suppression syntax (checked by :func:`ParsedFile.is_suppressed`):
@@ -46,16 +46,6 @@ _SUPPRESS_RE = re.compile(
     r"([A-Za-z0-9_*]+(?:\s*,\s*[A-Za-z0-9_*]+)*)"
 )
 
-#: Marker excusing a config dataclass field from cache-key hashing (R002).
-CACHE_EXEMPT_RE = re.compile(r"#\s*reprolint:\s*cache-exempt\b")
-
-
-def _coerce_int(value: object) -> int:
-    """Narrow a JSON-decoded value to int (bool is not a line number)."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise TypeError(f"expected an integer, got {value!r}")
-    return value
-
 
 def severity_rank(severity: str) -> int:
     """Numeric rank of a severity name (higher = more severe)."""
@@ -74,13 +64,6 @@ class Finding:
     Order is (path, line, col, rule), which is also the report order.
     ``line`` is 1-based and ``col`` 0-based, matching ``ast`` node
     positions; renderers add 1 to the column for editor conventions.
-
-    Cross-file findings (a flow rule anchoring at a call site whose
-    root cause is a definition elsewhere) carry an ``origin``: the
-    definition-site position.  A ``# reprolint: disable=`` comment on
-    *either* the anchor line or the origin line suppresses the finding,
-    so one justified comment at a definition silences every finding it
-    induces across the tree.
     """
 
     path: str
@@ -89,12 +72,10 @@ class Finding:
     rule: str
     severity: str
     message: str
-    origin_path: Optional[str] = None
-    origin_line: Optional[int] = None
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-serializable record of this finding."""
-        record: Dict[str, object] = {
+        return {
             "path": self.path,
             "line": self.line,
             "col": self.col,
@@ -102,32 +83,6 @@ class Finding:
             "severity": self.severity,
             "message": self.message,
         }
-        if self.origin_path is not None:
-            record["origin"] = {
-                "path": self.origin_path,
-                "line": self.origin_line,
-            }
-        return record
-
-    @classmethod
-    def from_dict(cls, record: Dict[str, object]) -> "Finding":
-        """Inverse of :meth:`to_dict` (used by the incremental cache)."""
-        origin = record.get("origin")
-        origin_path: Optional[str] = None
-        origin_line: Optional[int] = None
-        if isinstance(origin, dict):
-            origin_path = str(origin["path"])
-            origin_line = _coerce_int(origin["line"])
-        return cls(
-            path=str(record["path"]),
-            line=_coerce_int(record["line"]),
-            col=_coerce_int(record["col"]),
-            rule=str(record["rule"]),
-            severity=str(record["severity"]),
-            message=str(record["message"]),
-            origin_path=origin_path,
-            origin_line=origin_line,
-        )
 
     def render(self) -> str:
         """One-line human rendering (1-based column)."""
@@ -158,10 +113,6 @@ class ParsedFile:
         """Path components, used by rules that scope to subtrees."""
         return self.path.parts
 
-    @property
-    def lines(self) -> List[str]:
-        return self.source.splitlines()
-
     def in_subtree(self, *names: str) -> bool:
         """True when any of ``names`` appears as a path component."""
         return any(name in self.parts for name in names)
@@ -176,36 +127,16 @@ class ParsedFile:
         return "all" in on_line or rule in on_line
 
     def finding(
-        self,
-        rule: str,
-        severity: str,
-        node: ast.AST,
-        message: str,
-        origin: Optional[Tuple["ParsedFile", ast.AST]] = None,
+        self, rule: str, severity: str, node: ast.AST, message: str
     ) -> Finding:
-        """Build a finding anchored at ``node``'s position.
-
-        ``origin`` optionally names the definition site (file, node) a
-        cross-file finding traces back to; suppressions on that line
-        also silence the finding.
-        """
-        line = int(getattr(node, "lineno", 1))
-        col = int(getattr(node, "col_offset", 0))
-        origin_path: Optional[str] = None
-        origin_line: Optional[int] = None
-        if origin is not None:
-            origin_file, origin_node = origin
-            origin_path = origin_file.display
-            origin_line = int(getattr(origin_node, "lineno", 1))
+        """Build a finding anchored at ``node``'s position."""
         return Finding(
             path=self.display,
-            line=line,
-            col=col,
+            line=int(getattr(node, "lineno", 1)),
+            col=int(getattr(node, "col_offset", 0)),
             rule=rule,
             severity=severity,
             message=message,
-            origin_path=origin_path,
-            origin_line=origin_line,
         )
 
 
@@ -270,12 +201,7 @@ _SKIP_DIRS = frozenset({"__pycache__", ".git", ".hypothesis", ".pytest_cache"})
 
 
 def display_for(path: Path) -> str:
-    """The cwd-relative display string a path gets in reports.
-
-    Shared by :meth:`Project.load`, the incremental cache (which keys
-    per-file records by display), and ``--changed`` target narrowing,
-    so all three agree on file identity.
-    """
+    """The cwd-relative display string a path gets in reports."""
     try:
         return path.resolve().relative_to(Path.cwd()).as_posix()
     except ValueError:
@@ -321,12 +247,6 @@ class Project:
             if error is not None:
                 errors.append(error)
         return cls(files=files, errors=errors)
-
-    def by_display(self, display: str) -> Optional[ParsedFile]:
-        for parsed in self.files:
-            if parsed.display == display:
-                return parsed
-        return None
 
     def iter_files(self) -> Iterator[ParsedFile]:
         return iter(self.files)

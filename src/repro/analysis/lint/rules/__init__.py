@@ -15,11 +15,7 @@ from repro.analysis.lint.model import Finding, Project, severity_rank
 from repro.analysis.lint.rules import (
     api_stability,
     atomic_claim,
-    cache_flow,
-    cache_key,
     determinism,
-    lease_flow,
-    numeric_flow,
     numeric_width,
     observability,
     worker_purity,
@@ -40,15 +36,11 @@ class Rule:
 
 _RULE_MODULES = (
     determinism,
-    cache_key,
     worker_purity,
     numeric_width,
     observability,
     api_stability,
     atomic_claim,
-    cache_flow,
-    numeric_flow,
-    lease_flow,
 )
 
 

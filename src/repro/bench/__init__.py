@@ -11,7 +11,6 @@ failing CI when a shared headline metric regresses beyond the band.
 from __future__ import annotations
 
 from repro.bench.compare import (
-    CROSS_KIND_METRICS,
     DEFAULT_BAND,
     BenchReport,
     CompareResult,
@@ -28,7 +27,6 @@ from repro.bench.writer import (
 
 __all__ = [
     "BENCH_SCHEMA",
-    "CROSS_KIND_METRICS",
     "DEFAULT_BAND",
     "DIRECTIONS",
     "BenchReport",

@@ -9,11 +9,9 @@ only here.
 :func:`compare_reports` is the regression gate: NEW must pass its own
 gate, and every headline metric the two reports share must stay inside
 the band (``higher``-is-better metrics may drop at most ``band``
-fractionally; ``lower``-is-better may rise at most ``band``).  When the
-two reports come from *different* gates, only the metrics in
-:data:`CROSS_KIND_METRICS` are compared — dimensionless ratios like
-``speedup`` track the perf trajectory across gate generations, while
-raw walls and byte counts of unrelated workloads do not.
+fractionally; ``lower``-is-better may rise at most ``band``).  Only
+reports of the same kind compare: numbers from different gates measure
+unrelated workloads, so a kind mismatch is an error, not a verdict.
 """
 
 from __future__ import annotations
@@ -24,9 +22,6 @@ from pathlib import Path
 from typing import Dict, List, Sequence, Tuple, Union
 
 from repro.bench.writer import BENCH_SCHEMA
-
-#: Headline metrics comparable between reports of *different* kinds.
-CROSS_KIND_METRICS = frozenset({"speedup"})
 
 #: Default fractional regression band (20%).
 DEFAULT_BAND = 0.2
@@ -112,24 +107,23 @@ class CompareResult:
 def compare_reports(
     old: BenchReport, new: BenchReport, *, band: float = DEFAULT_BAND
 ) -> CompareResult:
-    """Gate NEW against OLD: own gate passed, shared headline in band."""
+    """Gate NEW against OLD: own gate passed, shared headline in band.
+
+    Raises ``ValueError`` when the reports are of different kinds.
+    """
+    if old.kind != new.kind:
+        raise ValueError(
+            f"cannot compare a {old.kind!r} report ({old.path}) with a "
+            f"{new.kind!r} report ({new.path}); compare same-kind reports only"
+        )
     lines: List[str] = [
-        f"bench compare: {old.path} ({old.kind}) -> {new.path} ({new.kind}), "
-        f"band {band:.0%}"
+        f"bench compare: {old.path} -> {new.path} ({new.kind}), band {band:.0%}"
     ]
     ok = True
     if not new.passed:
         ok = False
         lines.append(f"  FAIL {new.path}: its own gate did not pass")
     common = sorted(set(old.headline) & set(new.headline))
-    if old.kind != new.kind:
-        skipped = [name for name in common if name not in CROSS_KIND_METRICS]
-        common = [name for name in common if name in CROSS_KIND_METRICS]
-        for name in skipped:
-            lines.append(
-                f"  skip {name}: not comparable across kinds "
-                f"({old.kind} vs {new.kind})"
-            )
     if not common:
         lines.append(
             "  no comparable headline metrics; NEW accepted on its own gate"

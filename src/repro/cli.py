@@ -504,7 +504,11 @@ def _command_bench(args: argparse.Namespace) -> int:
         except (OSError, ValueError) as error:
             raise SystemExit(str(error)) from None
         band = DEFAULT_BAND if args.band is None else args.band
-        result = compare_reports(old, new, band=band)
+        try:
+            result = compare_reports(old, new, band=band)
+        except ValueError as error:
+            print(f"repro bench compare: {error}", file=sys.stderr)
+            return 2
         print(result.render())
         return 0 if result.ok else 1
     if args.bench_action == "table":
@@ -591,7 +595,11 @@ def _command_trace(args: argparse.Namespace) -> int:
     from repro.traces import save_trace
     from repro.workloads import load_benchmark
 
-    trace = load_benchmark(args.benchmark, args.length, args.seed)
+    config = _config_from_args(args)  # the same --length check as `run`
+    try:
+        trace = load_benchmark(args.benchmark, config.trace_length, config.seed)
+    except ValueError as error:
+        raise SystemExit(str(error)) from None
     save_trace(trace, args.out)
     print(f"wrote {len(trace)} branches to {args.out}")
     return 0

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from repro.workloads.ibs import DEFAULT_TRACE_LENGTH, benchmark_names
+from repro.workloads.spec_like import spec_benchmark_names
 
 
 @dataclass(frozen=True)
@@ -22,7 +23,7 @@ class ExperimentConfig:
 
     #: Benchmarks included in the composite (paper: the full IBS suite).
     #: Keyed per sweep: each benchmark name goes into its own StreamKey.
-    benchmarks: Tuple[str, ...] = tuple(benchmark_names())  # reprolint: cache-exempt
+    benchmarks: Tuple[str, ...] = tuple(benchmark_names())
     #: Dynamic conditional branches simulated per benchmark.
     trace_length: int = DEFAULT_TRACE_LENGTH
     #: Workload generation seed.
@@ -35,28 +36,31 @@ class ExperimentConfig:
     ct_index_bits: int = 16
     #: CIR width n.  Consumed by the confidence tables built *from* the
     #: cached predictor streams, never by the cached sweep itself.
-    cir_bits: int = 16  # reprolint: cache-exempt
+    cir_bits: int = 16
     #: Reference x position for headline numbers (the paper quotes 20 %).
     #: Report formatting only; does not affect any simulated stream.
-    headline_percent: float = 20.0  # reprolint: cache-exempt
+    headline_percent: float = 20.0
     #: Worker processes for sweep/experiment fan-out (1 = fully serial).
     #: Results are merged deterministically, so reports are identical
     #: regardless of the value; workers share the persistent stream cache.
-    jobs: int = 1  # reprolint: cache-exempt - execution knob, results merge deterministically
+    #: An execution knob, so it stays out of every cache key.
+    jobs: int = 1
     #: Branches per streaming chunk (None = monolithic).  All table state
     #: carries across chunk boundaries, so every statistic is identical
     #: for any chunk size; the value only bounds peak working-set memory.
     #: Composes with ``jobs``: parallel workers sweep through the
     #: per-chunk cache tier too.  Keys the chunk *tier* (ChunkStreamKey),
     #: not the sweep: outputs are identical for any value.
-    chunk_size: Optional[int] = None  # reprolint: cache-exempt
+    chunk_size: Optional[int] = None
     #: Retries granted to a failing/timed-out parallel worker task before
     #: the runner aborts (deterministic errors) or degrades to the serial
-    #: path (timeouts).  Ignored when ``jobs == 1``.
-    max_retries: int = 2  # reprolint: cache-exempt - fault-handling knob, results identical
+    #: path (timeouts).  Ignored when ``jobs == 1``.  A fault-handling
+    #: knob: results are identical, so it stays out of every cache key.
+    max_retries: int = 2
     #: Seconds to wait for one parallel worker task before it is counted
-    #: as timed out and retried (None = wait indefinitely).
-    task_timeout: Optional[float] = None  # reprolint: cache-exempt - fault-handling knob
+    #: as timed out and retried (None = wait indefinitely).  A
+    #: fault-handling knob, kept out of every cache key.
+    task_timeout: Optional[float] = None
 
     def __post_init__(self) -> None:
         """Fail fast on knobs that would silently mis-shard work.
@@ -64,6 +68,14 @@ class ExperimentConfig:
         Programmatic construction gets exactly the messages the CLI
         prints, so a bad ``jobs=0`` fails identically from both entries.
         """
+        if self.trace_length < 1:
+            raise ValueError("--length must be >= 1")
+        known = benchmark_names() + spec_benchmark_names()
+        for name in self.benchmarks:
+            if name not in known:
+                raise ValueError(
+                    f"unknown benchmark {name!r}; expected one of {known}"
+                )
         if self.jobs < 1:
             raise ValueError("--jobs must be >= 1")
         if self.chunk_size is not None and self.chunk_size < 1:

@@ -28,6 +28,16 @@ from repro.experiments.runner import (
 from repro.utils.bits import log2_exact
 
 
+_CIR_TABLE = "one-level CIR table"
+_COUNTER_TABLE = "resetting counters"
+
+
+def _full_table_label(kind: str, entries: int, bits: int) -> str:
+    """``"<kind> (64K x 16b)"`` for a full ``ct_index_bits``-sized table."""
+    size = f"{entries >> 10}K" if entries % 1024 == 0 else str(entries)
+    return f"{kind} ({size} x {bits}b)"
+
+
 @dataclass(frozen=True)
 class CostPoint:
     """One mechanism's cost/performance sample."""
@@ -48,6 +58,10 @@ class CostResult:
     points: List[CostPoint]
     headline_percent: float
     predictor_storage_bits: int
+    #: Geometry of the full-size tables, which names their points.
+    table_entries: int
+    cir_bits: int
+    counter_bits: int
 
     def point(self, label: str) -> CostPoint:
         for point in self.points:
@@ -58,8 +72,12 @@ class CostResult:
     @property
     def counter_saving_factor(self) -> float:
         """Storage ratio of the full-CIR table to the counter table."""
-        cir = self.point("one-level CIR table (64K x 16b)")
-        counter = self.point("resetting counters (64K x 5b)")
+        cir = self.point(
+            _full_table_label(_CIR_TABLE, self.table_entries, self.cir_bits)
+        )
+        counter = self.point(
+            _full_table_label(_COUNTER_TABLE, self.table_entries, self.counter_bits)
+        )
         return cir.storage_bits / counter.storage_bits
 
     def format(self) -> str:
@@ -99,7 +117,7 @@ def run(config: ExperimentConfig = DEFAULT_CONFIG) -> CostResult:
 
     points.append(
         CostPoint(
-            label=f"one-level CIR table (64K x {cir_bits}b)",
+            label=_full_table_label(_CIR_TABLE, entries, cir_bits),
             storage_bits=entries * cir_bits,
             captured_at_headline=capture(
                 one_level_pattern_statistics(config, "pc_xor_bhr"), None
@@ -108,7 +126,7 @@ def run(config: ExperimentConfig = DEFAULT_CONFIG) -> CostResult:
     )
     points.append(
         CostPoint(
-            label=f"resetting counters (64K x {counter_bits}b)",
+            label=_full_table_label(_COUNTER_TABLE, entries, counter_bits),
             storage_bits=entries * counter_bits,
             captured_at_headline=capture(
                 resetting_counter_statistics(config, maximum=cir_bits),
@@ -119,7 +137,7 @@ def run(config: ExperimentConfig = DEFAULT_CONFIG) -> CostResult:
     for size in (4096, 1024, 256):
         points.append(
             CostPoint(
-                label=f"resetting counters ({size} x {counter_bits}b)",
+                label=f"{_COUNTER_TABLE} ({size} x {counter_bits}b)",
                 storage_bits=size * counter_bits,
                 captured_at_headline=capture(
                     resetting_counter_statistics(
@@ -134,4 +152,7 @@ def run(config: ExperimentConfig = DEFAULT_CONFIG) -> CostResult:
         points=points,
         headline_percent=headline,
         predictor_storage_bits=2 * config.predictor_entries,
+        table_entries=entries,
+        cir_bits=cir_bits,
+        counter_bits=counter_bits,
     )

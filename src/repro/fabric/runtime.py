@@ -310,7 +310,7 @@ def run_worker(
     # The metrics file is named after this worker's unique owner id, so
     # no two workers can ever contend on it — it is per-worker state,
     # not a shared artifact, and needs no lease.
-    _write_json_atomic(  # reprolint: disable=R010 - owner-unique file, never contended
+    _write_json_atomic(
         _metrics_dir(fabric_dir) / metrics_name,
         {
             "format": FABRIC_FORMAT,

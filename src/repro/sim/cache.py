@@ -51,6 +51,7 @@ from repro.sim.diskcache import (
 from repro.sim.fast import PredictorStreams, predictor_streams
 from repro.traces.trace import Trace
 from repro.workloads.ibs import DEFAULT_TRACE_LENGTH, load_benchmark
+from repro.workloads.spec_like import load_spec_benchmark, spec_benchmark_names
 
 if TYPE_CHECKING:  # analysis imports sim; keep the runtime edge one-way
     from repro.analysis.buckets import BucketStatistics
@@ -62,13 +63,14 @@ _memory: "OrderedDict[StreamKey, PredictorStreams]" = OrderedDict()
 
 
 def _load_any_benchmark(name: str, length: int, seed: int) -> Trace:
-    """Resolve a benchmark from the IBS suite or the SPEC-like suite."""
-    try:
-        return load_benchmark(name, length, seed)
-    except ValueError:
-        from repro.workloads.spec_like import load_spec_benchmark
+    """Resolve a benchmark from the IBS suite or the SPEC-like suite.
 
+    The suite is chosen by name, so an invalid length or an unknown name
+    surfaces the IBS loader's own error instead of a SPEC-like miss.
+    """
+    if name in spec_benchmark_names():
         return load_spec_benchmark(name, length, seed)
+    return load_benchmark(name, length, seed)
 
 
 def stream_key(

@@ -1,4 +1,5 @@
-"""R004 positive fixture: hard-coded mask and dtype-less allocation."""
+"""R004 positive fixture: hard-coded masks, dtype-less allocations and
+aranges, and an out-of-range fixed-width literal."""
 
 import numpy as np
 
@@ -16,3 +17,8 @@ def batched_patterns(entries, ranks, width):
     history = np.zeros(ranks.shape[0])  # dtype-less history lanes
     masked = (entries << ranks) & 65535  # literal vs per-config width
     return masked, table, history
+
+
+def pattern_table(cir_bits):
+    patterns = np.arange(1 << cir_bits)  # platform-default np.int_
+    return patterns, np.uint8(511)  # wraps: uint8 tops out at 255

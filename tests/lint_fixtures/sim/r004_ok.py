@@ -1,4 +1,4 @@
-"""R004 negative fixture: derived masks and explicit dtypes."""
+"""R004 negative fixture: derived masks, explicit dtypes, in-range literals."""
 
 import numpy as np
 
@@ -17,3 +17,8 @@ def batched_patterns(entries, ranks, width):
     history = np.zeros(ranks.shape[0], dtype=np.int64)
     masked = (entries << ranks) & mask
     return masked, table, history
+
+
+def pattern_table(cir_bits):
+    patterns = np.arange(1 << cir_bits, dtype=np.int64)
+    return patterns, np.uint8(255)

@@ -14,6 +14,7 @@ from repro.bench import (
     trajectory_table,
     write_bench_report,
 )
+from repro.cli import main as cli_main
 
 
 def write(path, **kwargs):
@@ -135,24 +136,20 @@ class TestCompare:
         assert not result.ok
         assert "its own gate did not pass" in result.render()
 
-    def test_cross_kind_compares_only_dimensionless_metrics(self, tmp_path):
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        write(old, kind="sweep", headline={
-            "speedup": headline_metric(2.4, "higher"),
-            "wall_seconds": headline_metric(30.0, "lower"),
-        })
-        write(new, kind="fabric", headline={
-            "speedup": headline_metric(2.0, "higher"),
-            "wall_seconds": headline_metric(500.0, "lower"),
-        })
-        result = compare_reports(load_report(old), load_report(new), band=0.25)
-        rendered = result.render()
-        # The wall of a different workload is skipped, not failed; the
-        # dimensionless speedup is still banded.
-        assert result.ok
-        assert "skip wall_seconds" in rendered
-        assert "speedup: 2.4 -> 2" in rendered
+    def test_cross_kind_compare_is_rejected(self, tmp_path):
+        # Reports of different gates measure unrelated workloads, even
+        # when both carry a "speedup": no verdict, a usage error.
+        old, new = self.pair(tmp_path, 2.4, 2.0, new_kind="fabric")
+        with pytest.raises(ValueError, match="compare same-kind reports only"):
+            compare_reports(old, new)
+
+    def test_cli_cross_kind_exits_2_with_one_line(self, tmp_path, capsys):
+        old, new = self.pair(tmp_path, 2.4, 2.0, new_kind="fabric")
+        assert cli_main(["bench", "compare", old.path, new.path]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert len(captured.err.strip().splitlines()) == 1
+        assert "'sweep'" in captured.err and "'fabric'" in captured.err
 
     def test_default_band_is_twenty_percent(self):
         assert DEFAULT_BAND == 0.2

@@ -137,3 +137,39 @@ class TestLeaveOneOutNeedsTwoBenchmarks:
         assert excinfo.value.code == self.MESSAGE
         # Rejected before any experiment ran or printed.
         assert capsys.readouterr().out == ""
+
+
+class TestBadLengthAndBenchmarks:
+    """Bad --length / --benchmarks values exit 1 with one line, up front."""
+
+    UNKNOWN = "unknown benchmark 'nosuch'; expected one of"
+
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "fig5", "--benchmarks", "gcc", "--length", "0"],
+         "--length must be >= 1"),
+        (["run", "fig5", "--benchmarks", "nosuch", "--length", "100"], UNKNOWN),
+        (["run-all", "--benchmarks", "gcc", "jpeg_play", "--length", "0"],
+         "--length must be >= 1"),
+        (["run-all", "--benchmarks", "gcc", "nosuch", "--length", "100"],
+         UNKNOWN),
+    ])
+    def test_run_and_run_all(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        error = str(excinfo.value.code)
+        assert error.startswith(message)
+        assert "\n" not in error
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("argv, message", [
+        (["trace", "gcc", "--length", "0"], "--length must be >= 1"),
+        (["trace", "nosuch", "--length", "100"], UNKNOWN),
+    ])
+    def test_trace(self, argv, message, tmp_path):
+        out = tmp_path / "trace.npz"
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--out", str(out)])
+        error = str(excinfo.value.code)
+        assert error.startswith(message)
+        assert "\n" not in error
+        assert not out.exists()

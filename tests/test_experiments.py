@@ -38,6 +38,20 @@ class TestConfig:
         assert config.trace_length == 10
         assert DEFAULT_CONFIG.trace_length != 10
 
+    @pytest.mark.parametrize("length", [0, -5])
+    def test_rejects_non_positive_trace_length(self, length):
+        with pytest.raises(ValueError, match="--length must be >= 1"):
+            ExperimentConfig(trace_length=length)
+
+    @pytest.mark.parametrize("names", [("nosuch",), ("gcc", "nosuch")])
+    def test_rejects_unknown_benchmarks(self, names):
+        with pytest.raises(ValueError, match="unknown benchmark 'nosuch'"):
+            ExperimentConfig(benchmarks=names)
+
+    def test_accepts_both_suites(self):
+        config = ExperimentConfig(benchmarks=("gcc", "compress"))
+        assert config.benchmarks == ("gcc", "compress")
+
     def test_small_predictor_geometry(self):
         small = DEFAULT_CONFIG.small_predictor
         assert small.predictor_entries == 1 << 12
@@ -152,6 +166,23 @@ class TestExtensionExperiments:
         assert cir.storage_bits == (1 << 16) * 16
         with pytest.raises(KeyError):
             result.point("nonexistent")
+
+    def test_cost_labels_follow_geometry(self):
+        # Non-default widths once crashed: the saving factor looked its
+        # points up by the default-geometry labels.
+        config = ExperimentConfig(
+            benchmarks=("jpeg_play", "gcc"),
+            trace_length=3_000,
+            cir_bits=12,
+            ct_index_bits=14,
+        )
+        result = get_experiment("extension-cost").run(config)
+        cir = result.point("one-level CIR table (16K x 12b)")
+        counter = result.point("resetting counters (16K x 4b)")
+        assert cir.storage_bits == (1 << 14) * 12
+        assert counter.storage_bits == (1 << 14) * 4
+        assert result.counter_saving_factor == pytest.approx(3.0)
+        assert "64K" not in result.format()
 
     def test_trace_length_sweep(self):
         result = get_experiment("ablation-trace-length").run(

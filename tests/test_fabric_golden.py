@@ -7,6 +7,8 @@ regime (per-branch chunks, the default 1024, and monolithic full-stream
 entries) — and that a cold fleet computes every work unit exactly once.
 """
 
+import multiprocessing
+
 import pytest
 
 from repro import observability
@@ -134,6 +136,47 @@ def test_stealing_fleet_run_sequentially_is_exactly_once(fresh_cache):
     assert sorted(computed) == sorted(u.name for u in plan.units)
     assert len(computed) == len(set(computed))
     assert len(warm) == 2 * len(plan.units)
+
+
+def _worker_process(config, fabric_dir, shard_id, results):
+    result = run_worker(
+        config,
+        IDS,
+        FabricOptions(shards=2, shard_id=shard_id, fabric_dir=fabric_dir),
+    )
+    results.put((shard_id, result.computed))
+
+
+def test_two_concurrent_stealing_workers_compute_each_unit_once(fresh_cache):
+    # Two live processes race for the same leases: the claim protocol,
+    # not test sequencing, must keep every unit computed exactly once
+    # and every shared artifact written by its lease holder only.
+    config = make_config(1024, 2000)
+    fresh_cache("serial")
+    golden = serial_text(config)
+
+    cache = fresh_cache("fabric")
+    fabric_dir = cache / "fabric"
+    context = multiprocessing.get_context("spawn")
+    results = context.Queue()
+    workers = [
+        context.Process(
+            target=_worker_process, args=(config, fabric_dir, shard_id, results)
+        )
+        for shard_id in range(2)
+    ]
+    for worker in workers:
+        worker.start()
+    computed = dict(results.get(timeout=300) for _ in workers)
+    for worker in workers:
+        worker.join(timeout=60)
+        assert worker.exitcode == 0
+
+    plan = build_plan(config, IDS)
+    fleet = computed[0] + computed[1]
+    assert len(fleet) == len(set(fleet)), "a unit was computed twice"
+    assert sorted(fleet) == sorted(u.name for u in plan.units)
+    assert merge_reports_text(IDS, fabric_dir) == golden
 
 
 def test_warm_fabric_pass_is_pool_free_and_computes_nothing(fresh_cache):

@@ -123,9 +123,9 @@ def test_fail_on_warning_fails_warnings():
 
 
 def test_registry_has_six_distinct_rules():
-    rules = all_rules()
-    assert len(rules) >= 6
-    assert len({rule.id for rule in rules}) == len(rules)
+    assert tuple(rule.id for rule in all_rules()) == (
+        "R001", "R003", "R004", "R005", "R006", "R007",
+    )
 
 
 # ----- JSON schema ----------------------------------------------------------
@@ -149,6 +149,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert lint_main([str(tmp_path / "does-not-exist")]) == 2
     assert lint_main(["--select", "R999", str(FIXTURES / "r001_ok.py")]) == 2
     capsys.readouterr()  # drain
+
+
+@pytest.mark.parametrize("flag", ["--incremental", "--changed"])
+def test_cli_rejects_removed_result_cache_flags(flag, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        lint_main([flag])
+    assert excinfo.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_list_rules(capsys):

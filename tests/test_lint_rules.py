@@ -23,15 +23,11 @@ def rules_hit(result):
 CASES = [
     ("R001", "r001_bad.py", "r001_ok.py"),
     ("R001", "sim/r001_time_bad.py", "sim/r001_time_ok.py"),
-    ("R002", "r002_bad", "r002_ok"),
     ("R003", "r003_bad.py", "r003_ok.py"),
     ("R004", "sim/r004_bad.py", "sim/r004_ok.py"),
     ("R005", "r005_bad.py", "r005_ok.py"),
     ("R006", "r006_bad", "r006_ok"),
     ("R007", "fabric/r007_bad.py", "fabric/r007_ok.py"),
-    ("R008", "r008_bad", "r008_ok"),
-    ("R009", "sim/r009_bad.py", "sim/r009_ok.py"),
-    ("R010", "fabric/r010_bad.py", "fabric/r010_ok.py"),
 ]
 
 
@@ -93,61 +89,6 @@ def test_r001_flags_explicit_none_seed(tmp_path):
     assert {finding.line for finding in result.findings} == {5, 6}
 
 
-def test_r002_r008_bind_anchors_to_their_own_tree():
-    # One run over both fixture trees: each config/key/request triple
-    # must bind within its own directory, not cross-wire to the first
-    # _stream_request found project-wide.  (The unhashed-field direction
-    # is R008's now; the detached SweepKey stays R002.)
-    result = run_lint(
-        [FIXTURES / "r002_bad", FIXTURES / "r002_ok"],
-        select=frozenset({"R002", "R008"}),
-    )
-    assert len(result.findings) == 2
-    assert all("r002_bad" in finding.path for finding in result.findings)
-    messages = " ".join(finding.message for finding in result.findings)
-    assert "speculative_depth" in messages
-    assert "SweepKey" in messages
-
-
-def test_r008_names_the_unhashed_field():
-    result = lint("r002_bad", "R008")
-    by_file = {Path(finding.path).name: finding for finding in result.findings}
-    assert "speculative_depth" in by_file["config.py"].message
-
-
-def test_r002_flags_detached_sweep_key():
-    result = lint("r002_bad", "R002")
-    by_file = {Path(finding.path).name: finding for finding in result.findings}
-    finding = by_file["runner.py"]
-    assert "SweepKey must subclass StreamKey" in finding.message
-
-
-def test_r002_flags_unpopulated_key_field(tmp_path):
-    # A StreamKey field _stream_request never sets is the other direction.
-    for name in ("config.py", "runner.py"):
-        (tmp_path / name).write_text((FIXTURES / "r002_ok" / name).read_text())
-    runner = tmp_path / "runner.py"
-    runner.write_text(
-        runner.read_text().replace('        "seed": config.seed,\n', "")
-    )
-    result = run_lint([tmp_path], select=frozenset({"R002"}))
-    messages = " ".join(finding.message for finding in result.findings)
-    assert "StreamKey.seed" in messages
-
-
-def test_r002_flags_chunk_key_missing_base(tmp_path):
-    for name in ("config.py", "runner.py"):
-        (tmp_path / name).write_text((FIXTURES / "r002_ok" / name).read_text())
-    runner = tmp_path / "runner.py"
-    runner.write_text(
-        runner.read_text().replace(
-            "class ChunkStreamKey(StreamKey):", "class ChunkStreamKey:"
-        )
-    )
-    result = run_lint([tmp_path], select=frozenset({"R002"}))
-    assert any("must subclass" in finding.message for finding in result.findings)
-
-
 def test_r003_reports_lambda_and_global_mutation():
     result = lint("r003_bad.py", "R003")
     messages = " ".join(finding.message for finding in result.findings)
@@ -162,6 +103,27 @@ def test_r004_reports_mask_and_dtype():
     assert "history_bits" in messages
     assert "dtype" in messages
     assert all(finding.severity == "warning" for finding in result.findings)
+
+
+def test_r004_absorbs_platform_int_and_overflow_hazards():
+    # The two dtype hazards the retired flow rule covered that a syntax
+    # check can see: a dtype-less arange, and a literal out of range.
+    result = lint("sim/r004_bad.py", "R004")
+    messages = " ".join(finding.message for finding in result.findings)
+    assert "`numpy.arange` without an explicit dtype" in messages
+    assert "`numpy.uint8(511)` is outside its range [0, 255]" in messages
+
+
+def test_r004_overflow_check_is_unscoped_but_arange_is_not(tmp_path):
+    # The same file outside the numeric layers is tooling: a platform
+    # int is fine there, an out-of-range literal never is.
+    source = (FIXTURES / "sim" / "r004_bad.py").read_text()
+    unscoped = tmp_path / "tooling.py"
+    unscoped.write_text(source)
+    result = run_lint([unscoped], select=frozenset({"R004"}))
+    messages = " ".join(finding.message for finding in result.findings)
+    assert "numpy.arange" not in messages
+    assert "numpy.uint8(511)" in messages
 
 
 def test_r005_names_the_dead_counter():
@@ -186,76 +148,3 @@ def test_r006_reports_both_directions():
     messages = " ".join(finding.message for finding in result.findings)
     assert "missing_export" in messages  # declared but undefined
     assert "_internal" in messages  # imported but private
-
-
-def test_r008_reports_both_directions():
-    result = lint("r008_bad", "R008")
-    messages = " ".join(finding.message for finding in result.findings)
-    assert "speculative_depth" in messages  # read, never keyed
-    assert "no code reads it at all" in messages  # trace_label
-    assert "fragmentation" in messages  # 'notes' is hashed, never computed
-    by_severity = {finding.severity for finding in result.findings}
-    assert by_severity == {"error", "warning"}
-
-
-def test_r008_flows_through_kwargs_unpacking():
-    # The ok fixture routes every field through **request into the key
-    # constructor two functions away; the rule must see that flow.
-    result = lint("r008_ok", "R008")
-    assert result.findings == []
-
-
-def test_r009_reports_each_hazard_kind():
-    result = lint("sim/r009_bad.py", "R009")
-    messages = " ".join(finding.message for finding in result.findings)
-    assert len(result.findings) == 5
-    assert "arange()" in messages
-    assert "cumsum()" in messages
-    assert "bit arithmetic on a float64" in messages
-    assert "int32 -> float64" in messages
-    assert "overflows the uint8 range" in messages
-    assert all(finding.severity == "warning" for finding in result.findings)
-
-
-def test_r009_scope_is_path_based(tmp_path):
-    # The same platform-default arange outside sim//core//experiments/
-    # is tooling, not kernel code.
-    source = (FIXTURES / "sim" / "r009_bad.py").read_text()
-    unscoped = tmp_path / "tooling.py"
-    unscoped.write_text(source)
-    result = run_lint([unscoped], select=frozenset({"R009"}))
-    messages = " ".join(finding.message for finding in result.findings)
-    assert "arange()" not in messages
-    assert "overflows the uint8 range" in messages  # flagged everywhere
-
-
-def test_r010_anchors_at_worker_with_write_site_origin():
-    result = lint("fabric/r010_bad.py", "R010")
-    assert len(result.findings) == 1
-    finding = result.findings[0]
-    assert "run_worker" in finding.message
-    assert "held-lease" in finding.message
-    assert finding.origin_path == finding.path
-    assert finding.origin_line is not None
-    assert finding.origin_line != finding.line  # points at the open(), not the call
-
-
-def test_r010_release_ends_the_held_region(tmp_path):
-    fabric = tmp_path / "fabric"
-    fabric.mkdir()
-    source = (FIXTURES / "fabric" / "r010_ok.py").read_text()
-    poisoned = source.replace(
-        "    with lease:\n"
-        "        for unit in units:\n"
-        "            results.append(unit * 2)\n"
-        "        _write_result(os.path.join(cache_dir, \"results.json\"), results)\n",
-        "    claimed = lease.acquire()\n"
-        "    for unit in units:\n"
-        "        results.append(unit * 2)\n"
-        "    claimed.release()\n"
-        "    _write_result(os.path.join(cache_dir, \"results.json\"), results)\n",
-    )
-    assert poisoned != source
-    (fabric / "runtime.py").write_text(poisoned)
-    result = run_lint([fabric], select=frozenset({"R010"}))
-    assert result.exit_code == 1

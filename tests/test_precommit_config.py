@@ -47,15 +47,13 @@ def test_reprolint_hook_matches_ci_entrypoint():
     assert entrypoint in ci
 
 
-def test_reprolint_hook_narrows_to_changed_files():
-    """The hook runs in --changed mode (paths-before-flag shape)."""
-    match = re.search(r"^\s*entry:\s*(.*repro\.analysis.*)$", _precommit_text(), re.M)
-    assert match is not None
-    command = match.group(1)
-    assert "--changed" in command
-    # The optional REF would consume a trailing positional: nothing may
-    # follow `--changed REF` in the hook command.
-    assert re.search(r"--changed(\s+\S+)?\s*$", command)
+def test_reprolint_hook_runs_the_ci_command():
+    """The hook lints the full tree with exactly the CI command."""
+    hook = re.search(r"^\s*entry:\s*env (.*repro\.analysis.*)$", _precommit_text(), re.M)
+    ci = re.search(r"^\s*run:\s*(.*python -m repro\.analysis.*)$", _ci_text(), re.M)
+    assert hook is not None, "pre-commit has no reprolint hook"
+    assert ci is not None, "CI has no reprolint step"
+    assert hook.group(1).strip() == ci.group(1).strip()
 
 
 def test_ruff_command_matches_ci():
@@ -68,7 +66,7 @@ def test_ruff_command_matches_ci():
 
 
 def test_hooks_do_not_take_filenames():
-    """Both hooks compute their own targets; pre-commit's staged-file
-    list must not be appended (it would trail --changed's REF slot)."""
+    """Both hooks lint whole trees, like CI; pre-commit's staged-file
+    list must not be appended."""
     text = _precommit_text()
     assert len(re.findall(r"^\s*pass_filenames:\s*false", text, re.M)) == 2
