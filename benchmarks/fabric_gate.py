@@ -136,7 +136,7 @@ def run_gate(args: argparse.Namespace) -> int:
                 shard_walls[phase][f"shard{shard_id}"] = worker["seconds"]
 
         merge_started = time.perf_counter()
-        merged = merge_reports_text(ids, fabric_dir)
+        merged = merge_reports_text(config, ids, fabric_dir)
         merge_seconds = time.perf_counter() - merge_started
 
         computed: "Counter[str]" = Counter()

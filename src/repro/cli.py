@@ -430,7 +430,7 @@ def _command_run_all(args: argparse.Namespace) -> int:
             raise SystemExit(str(error)) from None
         fabric_dir = options.fabric_dir or default_fabric_dir(config, ids)
         if fabric_complete(config, ids, fabric_dir):
-            print(merge_reports_text(ids, fabric_dir), end="")
+            print(merge_reports_text(config, ids, fabric_dir), end="")
         _maybe_write_profile(args, config)
         return 0
     for report in run_all_reports(config, experiment_ids=ids):
@@ -452,7 +452,10 @@ def _command_fabric(args: argparse.Namespace) -> int:
     )
 
     if getattr(args, "plan", None):
-        config, ids = load_plan_manifest(Path(args.plan))
+        try:
+            config, ids = load_plan_manifest(Path(args.plan))
+        except ValueError as error:
+            raise SystemExit(str(error)) from None
     else:
         config = _config_from_args(args)
         ids = _experiment_ids(args)
@@ -479,7 +482,7 @@ def _command_fabric(args: argparse.Namespace) -> int:
         return 0
     if args.fabric_action == "merge":
         try:
-            print(merge_reports_text(ids, fabric_dir), end="")
+            print(merge_reports_text(config, ids, fabric_dir), end="")
         except FileNotFoundError as error:
             raise SystemExit(str(error)) from None
         return 0

@@ -7,8 +7,8 @@ they already share:
 
 * the **content-keyed disk cache** (:mod:`repro.sim.diskcache`) is the
   artifact store: a work unit is *done* exactly when its cache entries
-  (or its report artifact) exist, so warm units are skipped fleet-wide
-  with the same cheap peek the parallel runner uses;
+  exist (the same cheap peek the parallel runner uses) or its report
+  artifact loads and verifies, so warm units are skipped fleet-wide;
 * **atomic lease files** (:mod:`repro.fabric.leases`) make cold units
   exclusive: a worker claims a unit by ``O_EXCL``-creating its lease, and
   a straggler's abandoned lease is taken over by any peer once its

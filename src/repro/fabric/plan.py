@@ -12,7 +12,8 @@ A ``repro run-all`` decomposes into two layers of cacheable work:
   ``has_disk_entry`` peek that keeps warm in-process runs pool-free.
 * **Report units** — one per registered experiment.  Computing a report
   replays the (now warm) stream tiers and folds statistics; its artifact
-  is a JSON report file in the fabric directory, written atomically.
+  is a verified entry of the :mod:`repro.sim.diskcache` store in the
+  fabric directory, keyed by the plan digest and the experiment id.
 
 Report units depend on the stream units of the geometry they read, so
 the claim scheduler never starts an experiment whose streams another
@@ -38,7 +39,7 @@ from repro.sim.cache import has_disk_entry
 
 #: Bump when the plan layout (unit naming, artifact layout) changes; the
 #: digest then changes, so mixed-version fleets never share a directory.
-FABRIC_PLAN_FORMAT = 1
+FABRIC_PLAN_FORMAT = 2
 
 #: Experiments that read the Section 5.3 small-predictor geometry in
 #: addition to / instead of the default one.  Kept as data here (rather

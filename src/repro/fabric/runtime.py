@@ -4,9 +4,10 @@ A worker is one process running :func:`run_worker` over the shared plan.
 It repeatedly walks the unit list (rotated by shard id so shards start
 their scans at different units), and for each unit either
 
-* observes it **done** — its cache entries / report artifact already
-  exist, published by this fleet or any earlier run (``fabric.warm_skips``
-  when someone else did the work);
+* observes it **done** — its cache entries exist, or its report
+  artifact loads and verifies, published by this fleet or any earlier
+  run (``fabric.warm_skips`` when someone else did the work; a corrupt
+  report is dropped and the unit is claimed again);
 * observes its **deps unmet** and moves on;
 * **claims** it through :func:`repro.fabric.leases.try_acquire_lease`
   and computes it under a heartbeat, with
@@ -16,7 +17,8 @@ When a pass over the list neither completes nor claims anything, the
 worker sleeps ``poll_seconds`` and rescans — that is how it waits for a
 peer to finish a dependency, and how it eventually takes over a stale
 lease.  Workers produce *only* filesystem artifacts (cache entries,
-report JSONs, a metrics snapshot); stdout is reserved for the merge.
+report entries in the :mod:`repro.sim.diskcache` store, a metrics
+snapshot); stdout is reserved for the merge.
 
 The merge (:func:`merge_reports_text`) folds the per-experiment report
 artifacts in registry order into exactly the byte stream the serial
@@ -27,13 +29,14 @@ from __future__ import annotations
 
 import dataclasses
 import json
-import os
 import subprocess
 import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+
+import numpy as np
 
 from repro import observability
 from repro.experiments.config import ExperimentConfig
@@ -52,10 +55,15 @@ from repro.fabric.plan import (
     static_partition,
     stream_unit_done,
 )
+from repro.sim.diskcache import EntryFamily, cache_root, get, publish, put
 from repro.utils.resilient import retry_call
 
 #: Version stamp of the on-disk fabric directory layout.
-FABRIC_FORMAT = "repro-fabric/1"
+FABRIC_FORMAT = "repro-fabric/2"
+
+#: Counter names and crash-site label of report artifacts in the store.
+REPORTS = EntryFamily("store_report", "fabric.report_hits", "fabric.report_misses",
+                      "fabric.report_corrupt", "fabric.report_stores", "fabric.report_store_errors")
 
 #: Default seconds between rescans while waiting on peers.
 DEFAULT_POLL_SECONDS = 0.2
@@ -99,12 +107,8 @@ class WorkerResult:
     seconds: float = 0.0
 
 
-def default_fabric_dir(
-    config: ExperimentConfig, experiment_ids: Sequence[str]
-) -> Path:
+def default_fabric_dir(config: ExperimentConfig, experiment_ids: Sequence[str]) -> Path:
     """Per-plan fabric directory under the shared cache root."""
-    from repro.sim.diskcache import cache_root
-
     return cache_root() / "fabric" / plan_digest(config, experiment_ids)
 
 
@@ -112,61 +116,45 @@ def _leases_dir(fabric_dir: Path) -> Path:
     return fabric_dir / "leases"
 
 
-def _reports_dir(fabric_dir: Path) -> Path:
-    return fabric_dir / "reports"
+def _report_entry(
+    fabric_dir: Path, digest: str, experiment_id: str
+) -> Tuple[Path, Dict[str, str]]:
+    """Store path and key of one report artifact."""
+    path = fabric_dir / "reports" / f"{experiment_id}.npz"
+    return path, {"plan": digest, "experiment_id": experiment_id}
 
 
-def _metrics_dir(fabric_dir: Path) -> Path:
-    return fabric_dir / "metrics"
+def _load_report(
+    fabric_dir: Path, digest: str, experiment_id: str
+) -> Optional[Dict[str, Any]]:
+    """The verified report artifact, or None when missing or corrupt."""
+    path, key = _report_entry(fabric_dir, digest, experiment_id)
+    return get(REPORTS, path, key, lambda arrays, fields: dict(fields, text=str(arrays["text"])))
 
 
-def _report_path(fabric_dir: Path, experiment_id: str) -> Path:
-    return _reports_dir(fabric_dir) / f"{experiment_id}.json"
+def _publish_json(path: Path, payload: Dict[str, object]) -> None:
+    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    publish(path, lambda handle: handle.write(text.encode("utf-8")))
 
 
-def _unit_done(
-    config: ExperimentConfig, fabric_dir: Path, unit: WorkUnit
-) -> bool:
+def _unit_done(config: ExperimentConfig, digest: str, fabric_dir: Path, unit: WorkUnit) -> bool:
     if unit.kind == "stream":
         return stream_unit_done(config, unit)
-    return _report_path(fabric_dir, unit.experiment_id).is_file()
+    return _load_report(fabric_dir, digest, unit.experiment_id) is not None
 
 
-def _write_json_atomic(path: Path, payload: Dict[str, object]) -> None:
-    """Publish ``payload`` at ``path`` via tmp + rename (idempotent)."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_text(
-        json.dumps(payload, sort_keys=True, indent=2) + "\n",
-        encoding="utf-8",
-    )
-    os.replace(tmp, path)
-
-
-def _compute_report_unit(
-    config: ExperimentConfig, fabric_dir: Path, unit: WorkUnit
-) -> None:
+def _compute_unit(config: ExperimentConfig, digest: str, fabric_dir: Path, unit: WorkUnit) -> None:
+    if unit.kind == "stream":
+        compute_stream_unit(config, unit)
+        return
     from repro.experiments.registry import run_experiment_report
 
     report = run_experiment_report(unit.experiment_id, config)
-    _write_json_atomic(
-        _report_path(fabric_dir, unit.experiment_id),
-        {
-            "experiment_id": report.experiment_id,
-            "description": report.description,
-            "text": report.text,
-            "seconds": report.seconds,
-        },
-    )
-
-
-def _compute_unit(
-    config: ExperimentConfig, fabric_dir: Path, unit: WorkUnit
-) -> None:
-    if unit.kind == "stream":
-        compute_stream_unit(config, unit)
-    else:
-        _compute_report_unit(config, fabric_dir, unit)
+    path, key = _report_entry(fabric_dir, digest, unit.experiment_id)
+    fields = {"experiment_id": report.experiment_id,
+              "description": report.description, "seconds": report.seconds}
+    if put(REPORTS, path, key, {"text": np.array(report.text)}, fields) is None:
+        raise OSError(f"could not publish report artifact {path}")
 
 
 def _rotated(units: Sequence[WorkUnit], shard_id: int) -> List[WorkUnit]:
@@ -203,6 +191,7 @@ def run_worker(
     if not (0 <= options.shard_id < options.shards):
         raise ValueError("--shard-id must be in [0, --shards)")
     plan = build_plan(config, experiment_ids)
+    digest = plan_digest(config, experiment_ids)
     fabric_dir = options.fabric_dir or default_fabric_dir(config, experiment_ids)
     fabric_dir.mkdir(parents=True, exist_ok=True)
     owner = options.resolved_owner()
@@ -221,7 +210,7 @@ def run_worker(
         for dep in unit.deps:
             if dep in done:
                 continue
-            if _unit_done(config, fabric_dir, plan.unit(dep)):
+            if _unit_done(config, digest, fabric_dir, plan.unit(dep)):
                 done.add(dep)
                 continue
             return False
@@ -238,7 +227,7 @@ def run_worker(
         progressed = False
         remaining: List[WorkUnit] = []
         for unit in pending:
-            if _unit_done(config, fabric_dir, unit):
+            if _unit_done(config, digest, fabric_dir, unit):
                 done.add(unit.name)
                 if unit.name not in result.computed:
                     observability.increment("fabric.warm_skips")
@@ -265,13 +254,13 @@ def run_worker(
             with lease:
                 # The previous owner may have published and released
                 # between our done-check and the claim.
-                if _unit_done(config, fabric_dir, unit):
+                if _unit_done(config, digest, fabric_dir, unit):
                     done.add(unit.name)
                     observability.increment("fabric.warm_skips")
                     result.skipped_warm.append(unit.name)
                 else:
                     retry_call(
-                        lambda: _compute_unit(config, fabric_dir, unit),
+                        lambda: _compute_unit(config, digest, fabric_dir, unit),
                         max_retries=config.max_retries,
                     )
                     done.add(unit.name)
@@ -310,8 +299,8 @@ def run_worker(
     # The metrics file is named after this worker's unique owner id, so
     # no two workers can ever contend on it — it is per-worker state,
     # not a shared artifact, and needs no lease.
-    _write_json_atomic(
-        _metrics_dir(fabric_dir) / metrics_name,
+    _publish_json(
+        fabric_dir / "metrics" / metrics_name,
         {
             "format": FABRIC_FORMAT,
             "owner": owner,
@@ -332,34 +321,39 @@ def fabric_complete(
     experiment_ids: Sequence[str],
     fabric_dir: Path,
 ) -> bool:
-    """True when every report artifact of the plan has been published."""
+    """True when every report artifact of the plan is published and verifies.
+
+    A corrupt artifact is dropped on the way, so the plan reads as
+    incomplete until a worker recomputes it.
+    """
+    digest = plan_digest(config, experiment_ids)
     return all(
-        _report_path(fabric_dir, experiment_id).is_file()
+        _load_report(fabric_dir, digest, experiment_id) is not None
         for experiment_id in experiment_ids
     )
 
 
 def merge_reports_text(
-    experiment_ids: Sequence[str], fabric_dir: Path
+    config: ExperimentConfig, experiment_ids: Sequence[str], fabric_dir: Path
 ) -> str:
     """Fold report artifacts in registry order, byte-identical to serial.
 
     The serial ``repro run-all`` prints, per report, a header line, the
     report text, and a blank line; this reproduces that stream exactly,
     so ``diff`` against a serial golden is the fabric's equivalence
-    oracle.
+    oracle.  Every artifact is verified first; a missing or corrupt one
+    (corrupt ones are dropped) raises ``FileNotFoundError``.
     """
+    digest = plan_digest(config, experiment_ids)
     pieces: List[str] = []
     for experiment_id in experiment_ids:
-        path = _report_path(fabric_dir, experiment_id)
-        try:
-            payload = json.loads(path.read_text(encoding="utf-8"))
-        except FileNotFoundError:
+        payload = _load_report(fabric_dir, digest, experiment_id)
+        if payload is None:
             raise FileNotFoundError(
-                f"fabric merge: report artifact missing for "
-                f"'{experiment_id}' ({path}); run more workers or "
-                f"`repro fabric status` to see what is pending"
-            ) from None
+                f"fabric merge: report artifact missing or corrupt for "
+                f"'{experiment_id}' ({_report_entry(fabric_dir, digest, experiment_id)[0]}); "
+                f"run more workers or `repro fabric status` to see what is pending"
+            )
         pieces.append(
             f"=== {payload['experiment_id']}: {payload['description']}\n"
             f"{payload['text']}\n\n"
@@ -374,11 +368,12 @@ def fabric_status(
 ) -> str:
     """Human-readable per-unit state: done / leased(owner, age) / pending."""
     plan = build_plan(config, experiment_ids)
+    digest = plan_digest(config, experiment_ids)
     directory = fabric_dir or default_fabric_dir(config, experiment_ids)
-    lines = [f"fabric {plan_digest(config, experiment_ids)} at {directory}"]
+    lines = [f"fabric {digest} at {directory}"]
     done = 0
     for unit in plan.units:
-        if _unit_done(config, directory, unit):
+        if _unit_done(config, digest, directory, unit):
             state = "done"
             done += 1
         else:
@@ -408,17 +403,29 @@ def write_plan_manifest(
         "experiment_ids": list(experiment_ids),
     }
     path = fabric_dir / "plan.json"
-    _write_json_atomic(path, payload)
+    _publish_json(path, payload)
     return path
 
 
 def load_plan_manifest(path: Path) -> "Tuple[ExperimentConfig, List[str]]":
-    """Reconstruct ``(config, experiment_ids)`` from a plan manifest."""
-    payload = json.loads(path.read_text(encoding="utf-8"))
-    raw = dict(payload["config"])
-    raw["benchmarks"] = tuple(raw["benchmarks"])
-    config = ExperimentConfig(**raw)
-    ids = [str(item) for item in payload["experiment_ids"]]
+    """Reconstruct ``(config, experiment_ids)`` from a plan manifest.
+
+    Every way the file can be bad (unreadable, not JSON, missing or
+    unknown config fields, a digest that does not match) raises
+    ``ValueError`` with a one-line message.
+    """
+    try:
+        payload = json.loads(path.read_text(encoding="utf-8"))
+        raw = dict(payload["config"])
+        raw["benchmarks"] = tuple(raw["benchmarks"])
+        config = ExperimentConfig(**raw)
+        ids = [str(item) for item in payload["experiment_ids"]]
+    except OSError as error:
+        raise ValueError(f"cannot read plan manifest {path}: {error.strerror}") from None
+    except (ValueError, KeyError, TypeError) as error:
+        raise ValueError(
+            f"malformed plan manifest {path}: {type(error).__name__}: {error}"
+        ) from None
     digest = plan_digest(config, ids)
     if digest != payload.get("digest"):
         raise ValueError(
@@ -452,36 +459,21 @@ def launch_fabric(
     manifest = write_plan_manifest(config, experiment_ids, directory)
     commands = [
         [
-            sys.executable,
-            "-m",
-            "repro.cli",
-            "fabric",
-            "worker",
-            "--plan",
-            str(manifest),
-            "--shards",
-            str(workers),
-            "--shard-id",
-            str(shard_id),
-            "--ttl-seconds",
-            str(base.ttl_seconds),
-            "--heartbeat-seconds",
-            str(base.heartbeat_seconds),
-            "--poll-seconds",
-            str(base.poll_seconds),
-            "--fabric-dir",
-            str(directory),
+            sys.executable, "-m", "repro.cli", "fabric", "worker",
+            "--plan", str(manifest),
+            "--shards", str(workers),
+            "--shard-id", str(shard_id),
+            "--ttl-seconds", str(base.ttl_seconds),
+            "--heartbeat-seconds", str(base.heartbeat_seconds),
+            "--poll-seconds", str(base.poll_seconds),
+            "--fabric-dir", str(directory),
         ]
         + (["--no-steal"] if base.no_steal else [])
         + (["--phase", base.phase] if base.phase else [])
         for shard_id in range(workers)
     ]
     procs = [
-        subprocess.Popen(
-            command,
-            stdout=subprocess.DEVNULL,
-            stderr=subprocess.PIPE,
-        )
+        subprocess.Popen(command, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE)
         for command in commands
     ]
     failures: List[str] = []
@@ -498,4 +490,4 @@ def launch_fabric(
             "fabric launch failed and the plan is incomplete:\n"
             + "\n".join(failures)
         )
-    return merge_reports_text(experiment_ids, directory)
+    return merge_reports_text(config, experiment_ids, directory)

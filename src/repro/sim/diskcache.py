@@ -1,33 +1,30 @@
-"""Persistent on-disk predictor-stream cache.
+"""Persistent content-addressed artifact store.
 
 The predictor sweep is the only sequential-in-Python stage of the fast
-path; :mod:`repro.sim.cache` memoizes it per process, but every CLI
-invocation, pytest session, and benchmark run used to pay it again.  This
-module makes the sweep a one-time cost per (benchmark, predictor
-geometry) by persisting :class:`~repro.sim.fast.PredictorStreams` as
-content-keyed ``.npz`` entries.
+path; :mod:`repro.sim.cache` memoizes it per process, and this module
+persists whole-trace streams, stream chunks and grid results across
+processes as content-keyed ``.npz`` entries.  The fabric's report
+artifacts use the same store.
 
-Design points:
-
+* **One put, one get.**  :func:`put` writes every entry: named arrays
+  plus a ``meta`` record holding the key, scalar fields, and one SHA-256
+  checksum over both.  :func:`get` reads it back and drops it (deleted,
+  counted corrupt, read as a miss) if it fails to load, carries another
+  key, fails the checksum, or fails to decode.  Families differ only in
+  data (:class:`EntryFamily`: counter names, crash-site label).
 * **Content keys.**  :class:`StreamKey` captures everything the sweep
-  depends on (benchmark, trace length, seed, predictor geometry, record
-  widths) plus :data:`STREAM_CACHE_FORMAT`; the key digest names the
+  depends on plus :data:`STREAM_CACHE_FORMAT`; its digest names the
   file, so format bumps and config changes can never alias.
-* **Atomic writes.**  Entries are written to a temporary file in the
-  cache directory and published with ``os.replace``, so a crashed or
-  concurrent writer can never leave a half-written entry under the final
-  name (parallel workers race benignly: last rename wins with identical
-  content).
-* **Corruption tolerance.**  Entries embed a SHA-256 payload checksum
-  and their own key; a damaged, truncated, or stale entry is dropped and
-  recomputed instead of crashing the run.
-* **Observability.**  Hits, misses, corrupt drops, and stores are
-  counted through :mod:`repro.observability`.
+* **Atomic writes.**  :func:`publish` writes a temporary file next to
+  the target and renames it into place, so a crashed or concurrent
+  writer never leaves a half-written entry (last rename wins with
+  identical content).
 
 The cache directory defaults to ``~/.cache/repro-branch-confidence``
 (respecting ``XDG_CACHE_HOME``) and is overridden with the
 ``REPRO_CACHE_DIR`` environment variable; setting ``REPRO_CACHE_DISABLE``
-to a non-empty value other than ``0`` turns the disk tier off entirely.
+to a non-empty value other than ``0`` turns the three cache families
+off.  Fabric reports are outputs, not cache, so it does not touch them.
 """
 
 from __future__ import annotations
@@ -40,7 +37,7 @@ import tempfile
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import IO, TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -52,9 +49,11 @@ from repro.testing import faults
 if TYPE_CHECKING:  # analysis imports sim; keep the runtime edge one-way
     from repro.analysis.buckets import BucketStatistics
 
+T = TypeVar("T")
+
 #: Bump when the on-disk layout or the sweep semantics change; old
 #: entries then simply miss (different digest) instead of being misread.
-STREAM_CACHE_FORMAT = 1
+STREAM_CACHE_FORMAT = 2
 
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -65,14 +64,34 @@ CACHE_DISABLE_ENV = "REPRO_CACHE_DISABLE"
 _STREAMS_SUBDIR = "predictor_streams"
 _CHUNKS_SUBDIR = "stream_chunks"
 _SWEEPS_SUBDIR = "sweep_results"
-_PAYLOAD_ARRAYS = ("correct", "bhrs", "pcs")
-_CHUNK_PAYLOAD_ARRAYS = ("correct", "bhrs", "pcs", "gcirs")
 
 #: Store attempts retried on OSError before the write is given up.
 STORE_RETRIES = 2
 
 #: Base of the exponential backoff between store attempts (seconds).
 STORE_RETRY_BACKOFF_SECONDS = 0.05
+
+
+@dataclass(frozen=True)
+class EntryFamily:
+    """Crash-site label and counter names of one kind of store entry."""
+
+    crash_site: str
+    hits: str
+    misses: str
+    corrupt: str
+    stores: str
+    store_errors: str
+
+
+STREAMS = EntryFamily("store_streams", "stream_cache.disk_hits", "stream_cache.disk_misses",
+                      "stream_cache.disk_corrupt", "stream_cache.stores",
+                      "stream_cache.store_errors")
+CHUNKS = EntryFamily("store_chunk", "stream_cache.chunk_hits", "stream_cache.chunk_misses",
+                     "stream_cache.chunk_corrupt", "stream_cache.chunk_stores",
+                     "stream_cache.chunk_store_errors")
+SWEEPS = EntryFamily("store_sweep", "sweep_cache.disk_hits", "sweep_cache.disk_misses",
+                     "sweep_cache.disk_corrupt", "sweep_cache.stores", "sweep_cache.store_errors")
 
 
 @dataclass(frozen=True)
@@ -141,6 +160,117 @@ def cache_root() -> Path:
     return base / "repro-branch-confidence"
 
 
+def publish(
+    path: Path, write: Callable[[IO[bytes]], object], crash_site: Optional[str] = None
+) -> Path:
+    """Atomically publish the bytes ``write`` produces at ``path``.
+
+    The bytes go to a temporary file in ``path``'s directory, which is
+    renamed over ``path`` only once complete.  ``crash_site`` names the
+    ``store_crash`` fault point between the two steps; a crash there
+    leaves a stray ``.tmp`` file and never a half-written ``path``.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    descriptor, tmp_name = tempfile.mkstemp(
+        prefix=path.stem + ".", suffix=".tmp", dir=str(path.parent)
+    )
+    try:
+        with os.fdopen(descriptor, "wb") as handle:
+            write(handle)
+        if crash_site is not None:
+            faults.crash_point(crash_site, path.name)
+        os.replace(tmp_name, path)
+    except BaseException:
+        try:
+            os.unlink(tmp_name)
+        except OSError:
+            pass
+        raise
+    return path
+
+
+def _checksum(arrays: Dict[str, np.ndarray], fields: Dict[str, Any]) -> str:
+    """SHA-256 over the canonical JSON of ``fields`` and every named array."""
+    digest = hashlib.sha256(json.dumps(fields, sort_keys=True).encode("utf-8"))
+    for name in sorted(arrays):
+        array = np.ascontiguousarray(arrays[name])
+        digest.update(f"|{name}|{array.dtype}|{array.shape}|".encode("utf-8"))
+        digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def put(
+    family: EntryFamily, path: Path, key: Dict[str, Any],
+    arrays: Dict[str, np.ndarray], fields: Dict[str, Any],
+) -> Optional[Path]:
+    """Publish one entry at ``path``; returns the path, or None on failure.
+
+    ``key`` and ``fields`` must be JSON-serializable.  Each attempt runs
+    the ``store_oserror`` fault hook and one :func:`publish`; an
+    ``OSError`` is retried :data:`STORE_RETRIES` times with exponential
+    backoff, then counted as a store error and given up.
+    """
+    meta = json.dumps(
+        {"key": key, "fields": fields, "checksum": _checksum(arrays, fields)},
+        sort_keys=True,
+    )
+
+    def write(handle: IO[bytes]) -> None:
+        np.savez_compressed(handle, meta=np.array(meta), **arrays)
+
+    for attempt in range(STORE_RETRIES + 1):
+        if attempt:
+            observability.increment("retries.attempted")
+            # Retry pacing only; stored bytes are identical either way.
+            delay = STORE_RETRY_BACKOFF_SECONDS * (2 ** (attempt - 1))
+            time.sleep(delay)  # reprolint: disable=R001
+        try:
+            faults.inject_store_oserror(path.name)
+            publish(path, write, family.crash_site)
+        except OSError:
+            continue
+        observability.increment(family.stores)
+        return path
+    observability.increment(family.store_errors)
+    return None
+
+
+def get(
+    family: EntryFamily, path: Path, key: Dict[str, Any],
+    decode: Callable[[Dict[str, np.ndarray], Dict[str, Any]], T],
+) -> Optional[T]:
+    """Load, verify and decode the entry at ``path``; None on miss or damage.
+
+    The entry must carry ``key`` and a checksum matching its fields and
+    arrays, and ``decode(arrays, fields)`` must succeed.  Any failure
+    (unreadable file, key or checksum mismatch, decode error) deletes
+    the entry best-effort and counts a corrupt drop.
+    """
+    if not path.exists():
+        observability.increment(family.misses)
+        return None
+    try:
+        faults.inject_load_oserror(path.name)
+        faults.corrupt_entry(path)
+        with np.load(path, allow_pickle=False) as archive:
+            meta = json.loads(str(archive["meta"]))
+            arrays = {name: archive[name] for name in archive.files if name != "meta"}
+        if meta["key"] != key:
+            raise ValueError("store entry key mismatch")
+        if meta["checksum"] != _checksum(arrays, meta["fields"]):
+            raise ValueError("store entry checksum mismatch")
+        value = decode(arrays, meta["fields"])
+    except Exception:
+        observability.increment(family.corrupt)
+        try:
+            path.unlink()
+        except OSError:
+            pass
+        return None
+    observability.increment(family.hits)
+    return value
+
+
 def stream_cache_dir() -> Path:
     """Directory holding the predictor-stream entries."""
     return cache_root() / _STREAMS_SUBDIR
@@ -152,85 +282,18 @@ def entry_path(key: StreamKey) -> Path:
     return stream_cache_dir() / name
 
 
-def _payload_checksum(streams: PredictorStreams) -> str:
-    """SHA-256 over the stream arrays (dtype and shape included)."""
-    digest = hashlib.sha256()
-    for attribute in _PAYLOAD_ARRAYS:
-        array = getattr(streams, attribute)
-        digest.update(attribute.encode("utf-8"))
-        digest.update(str(array.dtype).encode("utf-8"))
-        digest.update(str(array.shape).encode("utf-8"))
-        digest.update(np.ascontiguousarray(array).tobytes())
-    return digest.hexdigest()
-
-
-def _store_with_retry(write: Callable[[], None]) -> bool:
-    """Run ``write`` with bounded retries + exponential backoff on OSError.
-
-    Cache IO faults are frequently transient (full fd table, NFS hiccup,
-    injected test faults), so each store gets :data:`STORE_RETRIES`
-    additional attempts before the write is abandoned; abandonment is
-    safe because the cache is an optimization, never a correctness
-    requirement.
-    """
-    for attempt in range(STORE_RETRIES + 1):
-        try:
-            write()
-            return True
-        except OSError:
-            if attempt >= STORE_RETRIES:
-                return False
-            observability.increment("retries.attempted")
-            # Retry pacing only; cached bytes are identical either way.
-            time.sleep(STORE_RETRY_BACKOFF_SECONDS * (2 ** attempt))  # reprolint: disable=R001
-    return False
-
-
 def store_cached_streams(key: StreamKey, streams: PredictorStreams) -> Optional[Path]:
     """Persist ``streams`` under ``key``; returns the path, or None when disabled.
 
-    The write is atomic (temporary file + ``os.replace``) and retried on
-    ``OSError``; persistent failures are swallowed after counting, since
-    the cache is an optimization and never a correctness requirement.
+    The write is atomic and retried on ``OSError``; persistent failures
+    are swallowed after counting, since the cache is an optimization and
+    never a correctness requirement.
     """
     if not cache_enabled():
         return None
-    path = entry_path(key)
-    meta = {
-        "key": key.describe(),
-        "trace_name": streams.trace_name,
-        "checksum": _payload_checksum(streams),
-    }
-
-    def _write() -> None:
-        faults.inject_store_oserror(path.name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, tmp_name = tempfile.mkstemp(
-            prefix=path.stem + ".", suffix=".tmp", dir=str(path.parent)
-        )
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                np.savez_compressed(
-                    handle,
-                    correct=streams.correct,
-                    bhrs=streams.bhrs,
-                    pcs=streams.pcs,
-                    meta=np.array(json.dumps(meta, sort_keys=True)),
-                )
-            faults.crash_point("store_streams", path.name)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
-    if not _store_with_retry(_write):
-        observability.increment("stream_cache.store_errors")
-        return None
-    observability.increment("stream_cache.stores")
-    return path
+    arrays = {"correct": streams.correct, "bhrs": streams.bhrs, "pcs": streams.pcs}
+    fields = {"trace_name": streams.trace_name}
+    return put(STREAMS, entry_path(key), key.describe(), arrays, fields)
 
 
 def load_cached_streams(key: StreamKey) -> Optional[PredictorStreams]:
@@ -241,35 +304,10 @@ def load_cached_streams(key: StreamKey) -> Optional[PredictorStreams]:
     """
     if not cache_enabled():
         return None
-    path = entry_path(key)
-    if not path.exists():
-        observability.increment("stream_cache.disk_misses")
-        return None
-    try:
-        faults.inject_load_oserror(path.name)
-        faults.corrupt_entry(path)
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            streams = PredictorStreams(
-                trace_name=str(meta["trace_name"]),
-                correct=archive["correct"],
-                bhrs=archive["bhrs"],
-                pcs=archive["pcs"],
-                gcir_bits=key.gcir_bits,
-            )
-        if meta["key"] != key.describe():
-            raise ValueError("cache entry key mismatch")
-        if meta["checksum"] != _payload_checksum(streams):
-            raise ValueError("cache entry checksum mismatch")
-    except Exception:
-        observability.increment("stream_cache.disk_corrupt")
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return None
-    observability.increment("stream_cache.disk_hits")
-    return streams
+    return get(
+        STREAMS, entry_path(key), key.describe(),
+        lambda arrays, fields: PredictorStreams(gcir_bits=key.gcir_bits, **fields, **arrays),
+    )
 
 
 def chunk_cache_dir() -> Path:
@@ -286,21 +324,6 @@ def chunk_entry_path(key: ChunkStreamKey) -> Path:
     return chunk_cache_dir() / name
 
 
-def _chunk_checksum(chunk: StreamChunk, state: GshareState) -> str:
-    """SHA-256 over the chunk streams and the post-chunk predictor state."""
-    digest = hashlib.sha256()
-    for attribute in _CHUNK_PAYLOAD_ARRAYS:
-        array = getattr(chunk, attribute)
-        digest.update(attribute.encode("utf-8"))
-        digest.update(str(array.dtype).encode("utf-8"))
-        digest.update(str(array.shape).encode("utf-8"))
-        digest.update(np.ascontiguousarray(array).tobytes())
-    digest.update(b"table")
-    digest.update(np.ascontiguousarray(state.table).tobytes())
-    digest.update(f"{state.bhr}/{state.gcir}/{state.position}".encode("utf-8"))
-    return digest.hexdigest()
-
-
 def store_cached_chunk(
     key: ChunkStreamKey, chunk: StreamChunk, state_after: GshareState
 ) -> Optional[Path]:
@@ -313,48 +336,12 @@ def store_cached_chunk(
     """
     if not cache_enabled():
         return None
-    path = chunk_entry_path(key)
-    meta = {
-        "key": key.describe(),
-        "trace_name": chunk.trace_name,
-        "start": int(chunk.start),
-        "bhr": int(state_after.bhr),
-        "gcir": int(state_after.gcir),
-        "position": int(state_after.position),
-        "checksum": _chunk_checksum(chunk, state_after),
-    }
-
-    def _write() -> None:
-        faults.inject_store_oserror(path.name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, tmp_name = tempfile.mkstemp(
-            prefix=path.stem + ".", suffix=".tmp", dir=str(path.parent)
-        )
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                np.savez_compressed(
-                    handle,
-                    correct=chunk.correct,
-                    bhrs=chunk.bhrs,
-                    pcs=chunk.pcs,
-                    gcirs=chunk.gcirs,
-                    table=state_after.table,
-                    meta=np.array(json.dumps(meta, sort_keys=True)),
-                )
-            faults.crash_point("store_chunk", path.name)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
-    if not _store_with_retry(_write):
-        observability.increment("stream_cache.chunk_store_errors")
-        return None
-    observability.increment("stream_cache.chunk_stores")
-    return path
+    arrays = {"correct": chunk.correct, "bhrs": chunk.bhrs, "pcs": chunk.pcs,
+              "gcirs": chunk.gcirs, "table": state_after.table}
+    fields = {"trace_name": chunk.trace_name, "start": int(chunk.start),
+              "bhr": int(state_after.bhr), "gcir": int(state_after.gcir),
+              "position": int(state_after.position)}
+    return put(CHUNKS, chunk_entry_path(key), key.describe(), arrays, fields)
 
 
 def load_cached_chunk(
@@ -367,42 +354,15 @@ def load_cached_chunk(
     """
     if not cache_enabled():
         return None
-    path = chunk_entry_path(key)
-    if not path.exists():
-        observability.increment("stream_cache.chunk_misses")
-        return None
-    try:
-        faults.inject_load_oserror(path.name)
-        faults.corrupt_entry(path)
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            chunk = StreamChunk(
-                trace_name=str(meta["trace_name"]),
-                start=int(meta["start"]),
-                correct=archive["correct"],
-                bhrs=archive["bhrs"],
-                pcs=archive["pcs"],
-                gcirs=archive["gcirs"],
-            )
-            state = GshareState(
-                table=archive["table"],
-                bhr=int(meta["bhr"]),
-                gcir=int(meta["gcir"]),
-                position=int(meta["position"]),
-            )
-        if meta["key"] != key.describe():
-            raise ValueError("chunk cache entry key mismatch")
-        if meta["checksum"] != _chunk_checksum(chunk, state):
-            raise ValueError("chunk cache entry checksum mismatch")
-    except Exception:
-        observability.increment("stream_cache.chunk_corrupt")
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return None
-    observability.increment("stream_cache.chunk_hits")
-    return chunk, state
+
+    def decode(
+        arrays: Dict[str, np.ndarray], fields: Dict[str, Any]
+    ) -> "tuple[StreamChunk, GshareState]":
+        state = {name: fields.pop(name) for name in ("bhr", "gcir", "position")}
+        table = arrays.pop("table")
+        return StreamChunk(**fields, **arrays), GshareState(table=table, **state)
+
+    return get(CHUNKS, chunk_entry_path(key), key.describe(), decode)
 
 
 def sweep_cache_dir() -> Path:
@@ -419,23 +379,6 @@ def sweep_entry_path(key: SweepKey) -> Path:
     return sweep_cache_dir() / name
 
 
-def _sweep_checksum(
-    counts: np.ndarray, mispredicts: np.ndarray, buckets: np.ndarray
-) -> str:
-    """SHA-256 over the packed per-spec bucket statistics."""
-    digest = hashlib.sha256()
-    for label, array in (
-        ("counts", counts),
-        ("mispredicts", mispredicts),
-        ("buckets", buckets),
-    ):
-        digest.update(label.encode("utf-8"))
-        digest.update(str(array.dtype).encode("utf-8"))
-        digest.update(str(array.shape).encode("utf-8"))
-        digest.update(np.ascontiguousarray(array).tobytes())
-    return digest.hexdigest()
-
-
 def store_cached_sweep(
     key: SweepKey, statistics: "Sequence[BucketStatistics]"
 ) -> Optional[Path]:
@@ -448,101 +391,43 @@ def store_cached_sweep(
     """
     if not cache_enabled():
         return None
-    path = sweep_entry_path(key)
-    buckets = np.array(
-        [stats.num_buckets for stats in statistics], dtype=np.int64
-    )
-    counts = (
-        np.concatenate([stats.counts for stats in statistics])
-        if statistics
-        else np.zeros(0, dtype=np.float64)
-    )
-    mispredicts = (
-        np.concatenate([stats.mispredicts for stats in statistics])
-        if statistics
-        else np.zeros(0, dtype=np.float64)
-    )
-    meta = {
-        "key": key.describe(),
-        "checksum": _sweep_checksum(counts, mispredicts, buckets),
+    empty = np.zeros(0, dtype=np.float64)
+    arrays = {
+        "counts": np.concatenate([s.counts for s in statistics]) if statistics else empty,
+        "mispredicts": (
+            np.concatenate([s.mispredicts for s in statistics]) if statistics else empty
+        ),
+        "buckets": np.array([s.num_buckets for s in statistics], dtype=np.int64),
     }
-
-    def _write() -> None:
-        faults.inject_store_oserror(path.name)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        descriptor, tmp_name = tempfile.mkstemp(
-            prefix=path.stem + ".", suffix=".tmp", dir=str(path.parent)
-        )
-        try:
-            with os.fdopen(descriptor, "wb") as handle:
-                np.savez_compressed(
-                    handle,
-                    counts=counts,
-                    mispredicts=mispredicts,
-                    buckets=buckets,
-                    meta=np.array(json.dumps(meta, sort_keys=True)),
-                )
-            faults.crash_point("store_sweep", path.name)
-            os.replace(tmp_name, path)
-        except BaseException:
-            try:
-                os.unlink(tmp_name)
-            except OSError:
-                pass
-            raise
-
-    if not _store_with_retry(_write):
-        observability.increment("sweep_cache.store_errors")
-        return None
-    observability.increment("sweep_cache.stores")
-    return path
+    return put(SWEEPS, sweep_entry_path(key), key.describe(), arrays, {})
 
 
 def load_cached_sweep(key: SweepKey) -> "Optional[List[BucketStatistics]]":
     """Load the grid statistics for sweep ``key``, or None on miss.
 
-    Mirrors :func:`load_cached_streams`: corrupt entries are dropped
-    best-effort and reported as misses.
+    Mirrors :func:`load_cached_streams`: corrupt entries — including a
+    bucket-count vector that does not match the packed arrays — are
+    dropped best-effort and reported as misses.
     """
     from repro.analysis.buckets import BucketStatistics
 
     if not cache_enabled():
         return None
-    path = sweep_entry_path(key)
-    if not path.exists():
-        observability.increment("sweep_cache.disk_misses")
-        return None
-    try:
-        faults.inject_load_oserror(path.name)
-        faults.corrupt_entry(path)
-        with np.load(path, allow_pickle=False) as archive:
-            meta = json.loads(str(archive["meta"]))
-            counts = archive["counts"]
-            mispredicts = archive["mispredicts"]
-            buckets = archive["buckets"]
-        if meta["key"] != key.describe():
-            raise ValueError("sweep cache entry key mismatch")
-        if meta["checksum"] != _sweep_checksum(counts, mispredicts, buckets):
-            raise ValueError("sweep cache entry checksum mismatch")
-        if int(buckets.sum()) != counts.shape[0]:
+
+    def decode(
+        arrays: Dict[str, np.ndarray], fields: Dict[str, Any]
+    ) -> "List[BucketStatistics]":
+        counts, mispredicts = arrays["counts"], arrays["mispredicts"]
+        bounds = np.cumsum(arrays["buckets"]).tolist()
+        if (bounds[-1] if bounds else 0) != counts.shape[0]:
             raise ValueError("sweep cache entry shape mismatch")
-        statistics = []
-        start = 0
-        for width in buckets.tolist():
-            stop = start + int(width)
-            statistics.append(
-                BucketStatistics(counts[start:stop], mispredicts[start:stop])
-            )
-            start = stop
-    except Exception:
-        observability.increment("sweep_cache.disk_corrupt")
-        try:
-            path.unlink()
-        except OSError:
-            pass
-        return None
-    observability.increment("sweep_cache.disk_hits")
-    return statistics
+        starts = [0] + bounds[:-1]
+        return [
+            BucketStatistics(counts[start:stop], mispredicts[start:stop])
+            for start, stop in zip(starts, bounds)
+        ]
+
+    return get(SWEEPS, sweep_entry_path(key), key.describe(), decode)
 
 
 def _tier_directories() -> "Tuple[Tuple[str, Path], ...]":
@@ -599,25 +484,23 @@ class DiskCacheStats:
         return "\n".join(lines)
 
 
+def _tier_files(directory: Path) -> List[Path]:
+    """The published entries and stray temp files of one tier."""
+    if not directory.is_dir():
+        return []
+    return [item for item in directory.iterdir() if item.suffix in (".npz", ".tmp")]
+
+
 def _scan_tier(name: str, directory: Path) -> TierStats:
-    entries = 0
-    total_bytes = 0
-    stale_tmp = 0
-    if directory.is_dir():
-        for item in directory.iterdir():
-            if item.suffix not in (".npz", ".tmp"):
-                continue
-            try:
-                total_bytes += item.stat().st_size
-            except OSError:
-                continue
-            if item.suffix == ".npz":
-                entries += 1
-            else:
-                stale_tmp += 1
-    return TierStats(
-        name=name, entries=entries, total_bytes=total_bytes, stale_tmp=stale_tmp
-    )
+    entries = total_bytes = stale_tmp = 0
+    for item in _tier_files(directory):
+        try:
+            total_bytes += item.stat().st_size
+        except OSError:
+            continue
+        entries += item.suffix == ".npz"
+        stale_tmp += item.suffix == ".tmp"
+    return TierStats(name, entries, total_bytes, stale_tmp)
 
 
 def disk_cache_stats() -> DiskCacheStats:
@@ -650,17 +533,12 @@ def clear_disk_cache_by_tier() -> "Dict[str, int]":
     removed: "Dict[str, int]" = {}
     for name, directory in _tier_directories():
         removed[name] = 0
-        if not directory.is_dir():
-            continue
-        for item in directory.iterdir():
-            if item.suffix not in (".npz", ".tmp"):
-                continue
+        for item in _tier_files(directory):
             try:
                 item.unlink()
             except OSError:
                 continue
-            if item.suffix == ".npz":
-                removed[name] += 1
+            removed[name] += item.suffix == ".npz"
     return removed
 
 

@@ -147,7 +147,15 @@ def resilient_map(
         observability.increment("pool.started")
         pool = ProcessPoolExecutor(max_workers=max(1, min(jobs, len(pending))))
         try:
-            futures = [(index, pool.submit(worker, payloads[index])) for index in pending]
+            futures = []
+            try:
+                for index in pending:
+                    futures.append((index, pool.submit(worker, payloads[index])))
+            except BrokenProcessPool:
+                # A worker died before the last submit; drain what was
+                # submitted and leave the rest pending for the rebuild.
+                observability.increment("pool.broken")
+                broken = True
             for index, future in futures:
                 try:
                     result, metrics = future.result(timeout=task_timeout)

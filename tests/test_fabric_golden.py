@@ -7,6 +7,7 @@ regime (per-branch chunks, the default 1024, and monolithic full-stream
 entries) — and that a cold fleet computes every work unit exactly once.
 """
 
+import json
 import multiprocessing
 
 import pytest
@@ -22,6 +23,7 @@ from repro.fabric.runtime import (
     fabric_status,
     merge_reports_text,
     run_worker,
+    write_plan_manifest,
 )
 from repro.sim.cache import clear_stream_cache
 
@@ -78,7 +80,7 @@ def test_single_shard_matches_serial(chunk_size, length, fresh_cache):
         config, IDS, FabricOptions(shards=1, fabric_dir=fabric_dir)
     )
     assert fabric_complete(config, IDS, fabric_dir)
-    assert merge_reports_text(IDS, fabric_dir) == golden
+    assert merge_reports_text(config, IDS, fabric_dir) == golden
     # A cold single shard computes everything and warm-skips nothing.
     plan = build_plan(config, IDS)
     assert sorted(result.computed) == sorted(u.name for u in plan.units)
@@ -111,7 +113,7 @@ def test_three_worker_fleet_matches_serial(chunk_size, length, fresh_cache):
                 ),
             )
             computed.extend(result.computed)
-    assert merge_reports_text(IDS, fabric_dir) == golden
+    assert merge_reports_text(config, IDS, fabric_dir) == golden
     # Exactly once fleet-wide: no unit computed twice, none missed.
     assert sorted(computed) == sorted(u.name for u in plan.units)
 
@@ -176,7 +178,7 @@ def test_two_concurrent_stealing_workers_compute_each_unit_once(fresh_cache):
     fleet = computed[0] + computed[1]
     assert len(fleet) == len(set(fleet)), "a unit was computed twice"
     assert sorted(fleet) == sorted(u.name for u in plan.units)
-    assert merge_reports_text(IDS, fabric_dir) == golden
+    assert merge_reports_text(config, IDS, fabric_dir) == golden
 
 
 def test_warm_fabric_pass_is_pool_free_and_computes_nothing(fresh_cache):
@@ -213,12 +215,83 @@ def test_run_all_shards_cli_matches_serial(fresh_cache, capsys):
     assert capsys.readouterr().out == golden
 
 
+def test_corrupt_report_is_recomputed_by_cli_and_refused_by_merge(fresh_cache, capsys):
+    config_flags = [
+        "--benchmarks", "jpeg_play", "gcc",
+        "--length", "2000",
+        "--experiments", *IDS,
+    ]
+    fresh_cache("serial")
+    assert main(["run-all", *config_flags]) == 0
+    golden = capsys.readouterr().out
+
+    cache = fresh_cache("sharded")
+    fabric_flags = ["--fabric-dir", str(cache / "fabric")]
+    shard = ["run-all", "--shards", "1", "--shard-id", "0", *config_flags, *fabric_flags]
+    assert main(shard) == 0
+    assert capsys.readouterr().out == golden
+    report = cache / "fabric" / "reports" / "fig5.npz"
+
+    report.write_bytes(report.read_bytes()[:100])  # truncated on disk
+    assert main(shard) == 0
+    assert capsys.readouterr().out == golden
+    assert observability.counter_value("fabric.report_corrupt") == 1
+
+    report.write_bytes(b"not a report")
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fabric", "merge", *config_flags, *fabric_flags])
+    message = str(exit_info.value.code)
+    assert "'fig5'" in message and "\n" not in message
+    assert capsys.readouterr().out == ""
+
+
 def test_worker_rejects_bad_shard_geometry(fresh_cache):
     config = make_config(1024, 2000)
     with pytest.raises(ValueError):
         run_worker(config, IDS, FabricOptions(shards=0))
     with pytest.raises(ValueError):
         run_worker(config, IDS, FabricOptions(shards=2, shard_id=2))
+
+
+def _manifest_with(tmp_path, edit):
+    """A valid plan manifest, passed through ``edit`` (dict -> dict)."""
+    path = write_plan_manifest(make_config(1024, 2000), IDS, tmp_path)
+    path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+    return path
+
+
+def _with_unknown_field(payload):
+    payload["config"]["nosuch"] = 1
+    return payload
+
+
+def _with_wrong_digest(payload):
+    payload["digest"] = "0" * 16
+    return payload
+
+
+@pytest.mark.parametrize(
+    "make_plan,message",
+    [
+        (lambda tmp: tmp / "missing.json", "cannot read plan manifest"),
+        (lambda tmp: _write(tmp / "plan.json", "{not json"), "JSONDecodeError"),
+        (lambda tmp: _manifest_with(tmp, _with_unknown_field), "nosuch"),
+        (lambda tmp: _manifest_with(tmp, _with_wrong_digest), "digest mismatch"),
+    ],
+    ids=["missing", "malformed-json", "unknown-field", "digest-mismatch"],
+)
+def test_worker_rejects_bad_plan_manifest(make_plan, message, fresh_cache, tmp_path):
+    plan = make_plan(tmp_path)
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fabric", "worker", "--plan", str(plan)])
+    text = str(exit_info.value.code)
+    assert message in text
+    assert "\n" not in text
+
+
+def _write(path, text):
+    path.write_text(text)
+    return path
 
 
 def test_fabric_status_reports_progress(fresh_cache):

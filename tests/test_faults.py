@@ -189,6 +189,31 @@ class TestWorkerFaults:
             CONFIG.benchmarks
         )
 
+    def test_pool_break_during_submission_rebuilds(self, cache_dir, monkeypatch):
+        # A worker dying before the last submit surfaces from submit()
+        # itself, not from a future; the pool must be rebuilt all the same.
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
+        baseline = _suite_arrays(CONFIG)
+        _wipe_disk_tier()
+        clear_stream_cache()
+        observability.reset_metrics()
+        submit = ProcessPoolExecutor.submit
+        calls = []
+
+        def breaking_submit(pool, *args, **kwargs):
+            calls.append(None)
+            if len(calls) == 2:
+                raise BrokenProcessPool("worker died during submission")
+            return submit(pool, *args, **kwargs)
+
+        monkeypatch.setattr(ProcessPoolExecutor, "submit", breaking_submit)
+        faulted = _suite_arrays(CONFIG.scaled(jobs=2))
+        _assert_identical(baseline, faulted)
+        assert len(calls) == 3  # two in the first pool, one after the rebuild
+        assert observability.counter_value("pool.broken") >= 1
+
     def test_worker_crash_composes_with_chunk_tier(self, cache_dir, monkeypatch):
         baseline = _suite_arrays(CONFIG)
         _wipe_disk_tier()
