@@ -11,27 +11,14 @@ the shared sweep.
 
 Benchmarks run with ``rounds=1`` via ``benchmark.pedantic`` — these are
 end-to-end experiment regenerations, not microbenchmarks.
-
-Every session also emits a per-test timing JSON (wall time of each test's
-call phase plus the stream-cache counters and the session's peak RSS) to
-``bench_timings.json`` next to this file — override the path with
-``REPRO_BENCH_TIMINGS`` — in a shape suitable for BENCH_*.json
-trajectory tracking.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import time
-
 import pytest
 
-from repro import observability
 from repro.experiments.config import DEFAULT_CONFIG
 from repro.experiments.runner import suite_streams
-
-_TIMINGS = []
 
 
 @pytest.fixture(scope="session", autouse=True)
@@ -39,39 +26,6 @@ def warm_predictor_streams():
     """Run the shared predictor sweeps once per session."""
     suite_streams(DEFAULT_CONFIG)
     suite_streams(DEFAULT_CONFIG.small_predictor)
-
-
-def pytest_runtest_logreport(report):
-    """Collect per-test call-phase wall times."""
-    if report.when == "call":
-        _TIMINGS.append(
-            {
-                "id": report.nodeid,
-                "outcome": report.outcome,
-                "seconds": float(report.duration),
-            }
-        )
-
-
-def pytest_sessionfinish(session, exitstatus):
-    """Write the collected timings (plus cache/sweep counters) as JSON."""
-    default_path = os.path.join(os.path.dirname(__file__), "bench_timings.json")
-    path = os.environ.get("REPRO_BENCH_TIMINGS", default_path)
-    observability.record_peak_rss()
-    payload = {
-        "schema": "repro-bench-timings/1",
-        "created_unix": time.time(),
-        "exit_status": int(exitstatus),
-        "peak_rss_bytes": observability.peak_rss_bytes(),
-        "metrics": observability.snapshot(),
-        "tests": sorted(_TIMINGS, key=lambda entry: entry["id"]),
-    }
-    try:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(payload, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-    except OSError:
-        pass  # timing export must never fail the benchmark session
 
 
 @pytest.fixture

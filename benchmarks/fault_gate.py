@@ -8,49 +8,43 @@ against a cold cache.  The faulted run must complete and every report
 must be byte-identical to its golden counterpart; any divergence fails
 the gate.
 
-Usage (CI)::
+Usage (exits non-zero on gate failure)::
 
-    PYTHONPATH=src python benchmarks/fault_gate.py --out BENCH_faults.json
+    PYTHONPATH=src python benchmarks/fault_gate.py
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import tempfile
 
-DEFAULT_SPEC = (
+#: Reduced configuration both runs use.
+BENCHMARKS = ("jpeg_play", "gcc")
+LENGTH = 4000
+
+#: Runtime settings of the faulted run.
+JOBS = 4
+CHUNK_SIZE = 1024
+MAX_RETRIES = 2
+TASK_TIMEOUT = 120.0
+
+#: ``REPRO_FAULT_SPEC`` of the faulted run.
+FAULT_SPEC = (
     "seed=1306,worker_crash=0.35,corrupt_entry=0.5,"
     "store_oserror=0.5,slow_task=0.25,slow_seconds=0.2"
 )
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--length", type=int, default=4000)
-    parser.add_argument("--benchmarks", nargs="+", default=["jpeg_play", "gcc"])
-    parser.add_argument("--experiments", nargs="+", default=None,
-                        help="experiment ids (default: every registered one)")
-    parser.add_argument("--jobs", type=int, default=4)
-    parser.add_argument("--chunk-size", type=int, default=1024)
-    parser.add_argument("--max-retries", type=int, default=2)
-    parser.add_argument("--task-timeout", type=float, default=120.0)
-    parser.add_argument("--spec", default=DEFAULT_SPEC,
-                        help="REPRO_FAULT_SPEC for the faulted run")
-    parser.add_argument("--out", default=None, help="write a JSON report here")
-    args = parser.parse_args(argv)
-
+def main() -> int:
     from repro import observability
     from repro.experiments.config import DEFAULT_CONFIG
     from repro.experiments.registry import list_experiments, run_all_reports
     from repro.sim.cache import clear_stream_cache
     from repro.testing import faults
 
-    ids = args.experiments or [experiment.id for experiment in list_experiments()]
-    config = DEFAULT_CONFIG.scaled(
-        benchmarks=tuple(args.benchmarks), trace_length=args.length
-    )
+    ids = [experiment.id for experiment in list_experiments()]
+    config = DEFAULT_CONFIG.scaled(benchmarks=BENCHMARKS, trace_length=LENGTH)
 
     os.environ.pop(faults.FAULT_SPEC_ENV, None)
     faults.reset_fault_state()
@@ -60,7 +54,7 @@ def main(argv=None) -> int:
         observability.reset_metrics()
         golden = run_all_reports(config, experiment_ids=ids, jobs=1)
 
-    os.environ[faults.FAULT_SPEC_ENV] = args.spec
+    os.environ[faults.FAULT_SPEC_ENV] = FAULT_SPEC
     faults.reset_fault_state()
     with tempfile.TemporaryDirectory() as faulted_cache:
         os.environ["REPRO_CACHE_DIR"] = faulted_cache
@@ -68,13 +62,13 @@ def main(argv=None) -> int:
         observability.reset_metrics()
         faulted = run_all_reports(
             config.scaled(
-                jobs=args.jobs,
-                chunk_size=args.chunk_size,
-                max_retries=args.max_retries,
-                task_timeout=args.task_timeout,
+                jobs=JOBS,
+                chunk_size=CHUNK_SIZE,
+                max_retries=MAX_RETRIES,
+                task_timeout=TASK_TIMEOUT,
             ),
             experiment_ids=ids,
-            jobs=args.jobs,
+            jobs=JOBS,
         )
         counters = observability.snapshot()["counters"]
     os.environ.pop(faults.FAULT_SPEC_ENV, None)
@@ -87,26 +81,6 @@ def main(argv=None) -> int:
     taxonomy = {
         name: counters.get(name, 0) for name in observability.ERROR_TAXONOMY
     }
-    if args.out:
-        from repro.bench import write_bench_report
-
-        # The fault gate is binary (reports diverged or they did not),
-        # so it publishes no banded headline metric.
-        write_bench_report(
-            args.out,
-            kind="fault",
-            passed=not divergent,
-            headline={},
-            metrics={
-                "spec": args.spec,
-                "experiments": ids,
-                "jobs": args.jobs,
-                "chunk_size": args.chunk_size,
-                "divergent": divergent,
-                "taxonomy": taxonomy,
-            },
-            generated_by="benchmarks/fault_gate.py",
-        )
     for name, value in taxonomy.items():
         print(f"{name} = {value}")
     if divergent:

@@ -13,8 +13,6 @@ Usage examples::
     repro run-all --shards 3 --shard-id 0   # join a 3-process run fabric
     repro fabric launch --workers 3  # single-host fabric: spawn, wait, merge
     repro fabric status              # per-unit fabric state
-    repro bench compare BENCH_8.json BENCH_9.json  # perf regression gate
-    repro bench table BENCH_*.json   # markdown perf-trajectory table
     repro suite                      # suite statistics (rates, sites)
     repro cache stats                # persistent stream-cache footprint (per tier)
     repro apps dual-path             # run an application model
@@ -184,26 +182,6 @@ def _build_parser() -> argparse.ArgumentParser:
                  "digest under the cache root)",
         )
 
-    bench_parser = subparsers.add_parser(
-        "bench", help="perf-trajectory tools over BENCH_*.json reports"
-    )
-    bench_subparsers = bench_parser.add_subparsers(
-        dest="bench_action", required=True
-    )
-    compare_parser = bench_subparsers.add_parser(
-        "compare", help="gate NEW against OLD within a regression band"
-    )
-    compare_parser.add_argument("old", help="older BENCH_*.json")
-    compare_parser.add_argument("new", help="newer BENCH_*.json")
-    compare_parser.add_argument(
-        "--band", type=float, default=None,
-        help="fractional regression band (default 0.2 = 20%%)",
-    )
-    table_parser = bench_subparsers.add_parser(
-        "table", help="render the trajectory as a markdown table"
-    )
-    table_parser.add_argument("reports", nargs="+", help="BENCH_*.json paths")
-
     cache_parser = subparsers.add_parser(
         "cache", help="inspect or clear the persistent predictor-stream cache"
     )
@@ -325,7 +303,7 @@ def _command_run(args: argparse.Namespace) -> int:
     try:
         experiment = get_experiment(args.experiment)
     except KeyError as error:
-        print(error, file=sys.stderr)
+        print(error.args[0], file=sys.stderr)
         return 2
     config = _config_from_args(args)
     from repro import observability
@@ -368,7 +346,7 @@ def _experiment_ids(args: argparse.Namespace) -> List[str]:
         try:
             get_experiment(experiment_id)
         except KeyError as error:
-            raise SystemExit(str(error).strip("'\"")) from None
+            raise SystemExit(error.args[0]) from None
     return list(requested)
 
 
@@ -492,37 +470,6 @@ def _command_fabric(args: argparse.Namespace) -> int:
     raise AssertionError(f"unhandled fabric action {args.fabric_action!r}")
 
 
-def _command_bench(args: argparse.Namespace) -> int:
-    from repro.bench import (
-        DEFAULT_BAND,
-        compare_reports,
-        load_report,
-        trajectory_table,
-    )
-
-    if args.bench_action == "compare":
-        try:
-            old = load_report(args.old)
-            new = load_report(args.new)
-        except (OSError, ValueError) as error:
-            raise SystemExit(str(error)) from None
-        band = DEFAULT_BAND if args.band is None else args.band
-        try:
-            result = compare_reports(old, new, band=band)
-        except ValueError as error:
-            print(f"repro bench compare: {error}", file=sys.stderr)
-            return 2
-        print(result.render())
-        return 0 if result.ok else 1
-    if args.bench_action == "table":
-        try:
-            print(trajectory_table(args.reports))
-        except (OSError, ValueError) as error:
-            raise SystemExit(str(error)) from None
-        return 0
-    raise AssertionError(f"unhandled bench action {args.bench_action!r}")
-
-
 def _command_cache(args: argparse.Namespace) -> int:
     from repro.sim.diskcache import (
         clear_disk_cache_by_tier,
@@ -626,8 +573,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _command_run_all(args)
     if args.command == "fabric":
         return _command_fabric(args)
-    if args.command == "bench":
-        return _command_bench(args)
     if args.command == "suite":
         return _command_suite(args)
     if args.command == "cache":

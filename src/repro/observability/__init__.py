@@ -34,8 +34,9 @@ logger = logging.getLogger("repro.observability")
 PROFILE_SCHEMA = "repro-profile/1"
 
 #: Fault-tolerance error taxonomy.  These counters are zero-filled into
-#: every ``--profile`` export, so dashboards and the fault-injection CI
-#: gate can rely on the keys existing whether or not anything failed:
+#: every ``--profile`` export, so dashboards and
+#: ``benchmarks/fault_gate.py`` can rely on the keys existing whether or
+#: not anything failed:
 #:
 #: * ``faults.injected`` — faults fired by :mod:`repro.testing.faults`
 #: * ``retries.attempted`` — worker-task and cache-store retry attempts
@@ -52,8 +53,9 @@ ERROR_TAXONOMY = (
 )
 
 #: Sharded-fabric claim taxonomy.  Like :data:`ERROR_TAXONOMY`, these are
-#: zero-filled into every ``--profile`` export so fleet dashboards and the
-#: fabric CI gate can rely on the keys existing even for serial runs:
+#: zero-filled into every ``--profile`` export so fleet dashboards and
+#: ``benchmarks/fabric_gate.py`` can rely on the keys existing even for
+#: serial runs:
 #:
 #: * ``fabric.claims`` — work-unit leases acquired first-hand
 #: * ``fabric.steals`` — abandoned (stale) leases taken over from a peer
@@ -223,16 +225,21 @@ PEAK_RSS_GAUGE = "memory.peak_rss_bytes"
 
 
 def peak_rss_bytes() -> int:
-    """This process's peak resident-set size in bytes (0 if unavailable).
+    """Peak resident-set size in bytes of this process or any reaped
+    child, whichever is larger (0 if unavailable).
 
-    Uses ``resource.getrusage``; ``ru_maxrss`` is kibibytes on Linux and
-    bytes on macOS.
+    ``RUSAGE_CHILDREN`` covers finished ``--jobs`` pool workers and
+    fabric shards, which ``RUSAGE_SELF`` alone under-reports.
+    ``ru_maxrss`` is kibibytes on Linux and bytes on macOS.
     """
     try:
         import resource
     except ImportError:  # pragma: no cover - non-POSIX platforms
         return 0
-    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    peak = max(
+        resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
+        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,
+    )
     if sys.platform == "darwin":  # pragma: no cover - platform-specific
         return int(peak)
     return int(peak) * 1024
@@ -276,8 +283,11 @@ def write_profile(path: str, extra: Optional[Dict] = None) -> None:
 
     The error-taxonomy counters (:data:`ERROR_TAXONOMY`) and the fabric
     claim counters (:data:`FABRIC_TAXONOMY`) are always present in the
-    export, zero-filled when nothing failed / nothing was sharded.
+    export, zero-filled when nothing failed / nothing was sharded.  Peak
+    RSS (:data:`PEAK_RSS_GAUGE`) is sampled here, so every export
+    carries it.
     """
+    record_peak_rss()
     payload = {"schema": PROFILE_SCHEMA}
     payload.update(snapshot())
     counters = payload.setdefault("counters", {})

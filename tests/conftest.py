@@ -7,6 +7,9 @@ integration tests build their own medium-sized configurations.
 from __future__ import annotations
 
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,6 +31,42 @@ def _isolated_stream_cache(tmp_path_factory):
     # exercise the fault paths; fault tests opt in via monkeypatch.
     os.environ.pop("REPRO_FAULT_SPEC", None)
     yield
+
+
+#: Re-executes its arguments as a child.  On Linux ``ru_maxrss`` survives
+#: exec: a process spawned straight from pytest starts with pytest's peak
+#: RSS as its own, which hides any growth below it.  The relay is a small
+#: fresh interpreter, so the process it spawns starts near an empty
+#: interpreter's footprint.
+_RSS_RELAY = (
+    "import subprocess, sys; "
+    "sys.exit(subprocess.run(sys.argv[1:]).returncode)"
+)
+
+_SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture
+def run_fresh_python():
+    """Run ``python ARGS...`` in a process whose peak RSS starts fresh.
+
+    Returns the completed process (text stdout/stderr captured); a
+    nonzero exit raises ``CalledProcessError``.
+    """
+
+    def run(*args: str) -> subprocess.CompletedProcess:
+        env = dict(os.environ)
+        env["PYTHONPATH"] = _SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        return subprocess.run(
+            [sys.executable, "-c", _RSS_RELAY, sys.executable, *args],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=300,
+            check=True,
+        )
+
+    return run
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,11 @@ class TestList:
         assert "fig5" in output
         assert "table1" in output
 
+    def test_bench_command_is_gone(self):
+        with pytest.raises(SystemExit) as raised:
+            main(["bench", "compare", "a.json", "b.json"])
+        assert raised.value.code == 2
+
 
 class TestRun:
     def test_run_small_experiment(self, capsys):
@@ -60,6 +65,17 @@ class TestRun:
     def test_unknown_experiment(self, capsys):
         assert main(["run", "fig99"]) == 2
         assert "known ids" in capsys.readouterr().err
+
+    def test_unknown_experiment_is_one_unquoted_line(self, capsys):
+        assert main(["run", "nosuch"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("unknown experiment 'nosuch'")
+        assert err.count("\n") == 1
+
+    def test_run_all_unknown_experiment_is_one_unquoted_line(self):
+        with pytest.raises(SystemExit) as raised:
+            main(["run-all", "--experiments", "nosuch"])
+        assert str(raised.value.code).startswith("unknown experiment 'nosuch'")
 
 
 class TestSuite:

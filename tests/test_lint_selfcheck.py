@@ -7,6 +7,7 @@ completeness is checked at runtime instead, by
 ``tests/test_cache_key_differential.py``.)
 """
 
+import time
 from pathlib import Path
 
 from repro.analysis.lint.engine import run_lint
@@ -16,13 +17,25 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC_REPRO = REPO_ROOT / "src" / "repro"
 
 
+#: Wall-time budget for one full lint pass over ``src/repro``.  A pass
+#: takes about 1.4 s on 2 vCPUs; blowing the budget means a rule has gone
+#: super-linear (e.g. re-parsing files per rule).
+LINT_WALL_LIMIT_SECONDS = 10.0
+
+
 def test_reprolint_clean_on_src_repro():
+    started = time.perf_counter()
     result = run_lint([SRC_REPRO])
+    wall_seconds = time.perf_counter() - started
     assert result.findings == [], "\n".join(
         finding.render() for finding in result.findings
     )
     assert result.exit_code == 0
     assert result.files_checked > 50
+    assert wall_seconds < LINT_WALL_LIMIT_SECONDS, (
+        f"full lint took {wall_seconds:.2f}s "
+        f"(budget {LINT_WALL_LIMIT_SECONDS:.0f}s)"
+    )
 
 
 def test_repro_cli_lint_subcommand(capsys):

@@ -1,6 +1,7 @@
 """Unit tests for the metrics registry and profile export."""
 
 import json
+import sys
 
 import pytest
 
@@ -103,3 +104,91 @@ class TestModuleLevelHelpers:
         assert data["counters"]["test.counter"] == 1
         assert data["extra"]["note"] == "hi"
         observability.reset_metrics()
+
+
+class TestPeakRssUnits:
+    """``ru_maxrss`` is kibibytes on Linux but bytes on macOS."""
+
+    class FakeUsage:
+        ru_maxrss = 2048
+
+    def test_linux_kibibytes_scaled_to_bytes(self, monkeypatch):
+        import resource
+
+        monkeypatch.setattr(
+            resource, "getrusage", lambda who: self.FakeUsage()
+        )
+        monkeypatch.setattr(observability.sys, "platform", "linux")
+        assert observability.peak_rss_bytes() == 2048 * 1024
+
+    def test_darwin_already_bytes(self, monkeypatch):
+        import resource
+
+        monkeypatch.setattr(
+            resource, "getrusage", lambda who: self.FakeUsage()
+        )
+        monkeypatch.setattr(observability.sys, "platform", "darwin")
+        assert observability.peak_rss_bytes() == 2048
+
+    def test_record_peak_rss_updates_max_gauge(self, monkeypatch):
+        import resource
+
+        observability.reset_metrics()
+        monkeypatch.setattr(
+            resource, "getrusage", lambda who: self.FakeUsage()
+        )
+        monkeypatch.setattr(observability.sys, "platform", "linux")
+        assert observability.record_peak_rss() == 2048 * 1024
+        assert (
+            observability.max_value(observability.PEAK_RSS_GAUGE)
+            == 2048 * 1024
+        )
+        observability.reset_metrics()
+
+
+class TestPeakRssIncludesChildren:
+    def test_larger_of_self_and_children(self, monkeypatch):
+        import resource
+
+        usage = {resource.RUSAGE_SELF: 100, resource.RUSAGE_CHILDREN: 300}
+
+        class Usage:
+            def __init__(self, who):
+                self.ru_maxrss = usage[who]
+
+        monkeypatch.setattr(resource, "getrusage", Usage)
+        monkeypatch.setattr(observability.sys, "platform", "linux")
+        assert observability.peak_rss_bytes() == 300 * 1024
+
+    def test_every_profile_carries_peak_rss(self, tmp_path):
+        observability.reset_metrics()
+        path = tmp_path / "profile.json"
+        observability.write_profile(str(path))
+        data = json.loads(path.read_text())
+        assert data["maxima"][observability.PEAK_RSS_GAUGE] > 0
+        observability.reset_metrics()
+
+    def test_reaped_child_peak_shows_in_exported_gauge(
+        self, tmp_path, run_fresh_python
+    ):
+        # A fresh parent process, so its own peak is only the interpreter
+        # plus the import; the child it reaps touches 96 MiB more.
+        parent = (
+            "import json, resource, subprocess, sys\n"
+            "from repro import observability\n"
+            "subprocess.run([sys.executable, '-c', "
+            "\"data = b'x' * (96 << 20)\"], check=True)\n"
+            "observability.write_profile(sys.argv[1])\n"
+            "print(json.dumps({\n"
+            "    'self': resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,\n"
+            "    'children': resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss,\n"
+            "}))\n"
+        )
+        profile = tmp_path / "profile.json"
+        usage = json.loads(run_fresh_python("-c", parent, str(profile)).stdout)
+        assert usage["children"] > usage["self"]
+        scale = 1 if sys.platform == "darwin" else 1024
+        gauge = json.loads(profile.read_text())["maxima"][
+            observability.PEAK_RSS_GAUGE
+        ]
+        assert gauge == usage["children"] * scale
