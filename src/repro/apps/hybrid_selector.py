@@ -27,9 +27,9 @@ from dataclasses import dataclass
 from typing import Dict, Optional
 
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
+from repro.sim.cache import _load_any_benchmark
 from repro.sim.chunked import _WEAKLY_TAKEN
 from repro.utils.bits import bit_mask
-from repro.workloads.ibs import load_benchmark
 
 _CHOOSER_NEUTRAL = 2
 
@@ -128,7 +128,7 @@ def _simulate_benchmark(
     counter_maximum: int,
 ) -> HybridAccuracies:
     """One fused pass: both components, chooser, per-component confidence."""
-    trace = load_benchmark(name, length, seed)
+    trace = _load_any_benchmark(name, length, seed)
     bimodal_mask = bimodal_entries - 1
     gshare_mask = gshare_entries - 1
     history_mask = bit_mask(gshare_history_bits)

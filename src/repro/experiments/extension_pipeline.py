@@ -15,8 +15,15 @@ bandwidth, resolution latency, and squash semantics:
   because a stalled thread forfeits speculative runahead that sibling
   threads only partially absorb.
 
-Pipeline runs use the object-oriented (reference-style) machinery per
-branch, so this experiment defaults to quarter-length traces; the
+Timing never feeds back into prediction or confidence, so both runs
+read the runner's cached predictor streams (the dual-path traces are the
+keys ``ablation-trace-length`` fills at the same length) and the
+vectorized resetting-counter tables, and only the fetch/resolve
+recurrence runs per branch (:mod:`repro.pipeline.timing`).  The object
+models (:class:`~repro.pipeline.SpeculativeFrontend`,
+:func:`~repro.pipeline.simulate_smt`) compute identical reports while
+every history and index width is at most the frontend's 16-bit BHR; the
+test suite checks that.  Runs default to quarter-length traces; the
 qualitative questions (does confidence-directed speculation win?) are
 insensitive to length.
 """
@@ -26,20 +33,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict
 
-from repro.core.counters import ResettingCounterConfidence
-from repro.core.threshold import ThresholdConfidence
-from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
-from repro.pipeline import (
-    DualPathPolicy,
-    FrontendConfig,
-    SMTConfig,
-    SpeculativeFrontend,
-    simulate_smt,
-)
-from repro.predictors.gshare import GsharePredictor
-from repro.workloads.ibs import load_benchmark
+import numpy as np
 
-#: Default per-benchmark length for the (per-branch Python) pipeline runs.
+from repro import observability
+from repro.core.indexing import make_index
+from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
+from repro.experiments.runner import suite_streams
+from repro.pipeline import FrontendConfig, frontend_timing, smt_timing
+from repro.sim.fast import PredictorStreams, resetting_counter_stream
+
+#: Default per-benchmark length for the (per-branch Python) timing loops.
 PIPELINE_TRACE_LENGTH = 40_000
 
 #: Resetting-counter values treated as low confidence for dual-path forks.
@@ -51,6 +54,9 @@ SMT_LOW_COUNTER_VALUES = (0,)
 
 #: Threads sharing the fetch port in the SMT run.
 SMT_THREADS = 4
+
+#: Saturation value of the resetting counters behind both signals.
+COUNTER_MAXIMUM = 16
 
 
 @dataclass(frozen=True)
@@ -102,9 +108,17 @@ class PipelineResult:
     __str__ = format
 
 
-def _make_confidence(index_bits: int) -> ThresholdConfidence:
-    estimator = ResettingCounterConfidence.paper_variant(index_bits=index_bits)
-    return ThresholdConfidence(estimator, LOW_COUNTER_VALUES)
+def _low_confidence(
+    streams: PredictorStreams, index_bits: int, low_values: "tuple[int, ...]"
+) -> np.ndarray:
+    """Per-branch LOW signal of a BHRxorPC resetting-counter table."""
+    indices = make_index("pc_xor_bhr", index_bits).vectorized(
+        streams.pcs, streams.bhrs, 0
+    )
+    counters = resetting_counter_stream(
+        indices, streams.correct, maximum=COUNTER_MAXIMUM, initial=0
+    )
+    return np.isin(counters, low_values)
 
 
 def run(
@@ -113,57 +127,37 @@ def run(
 ) -> PipelineResult:
     """Run both pipeline applications over the configured suite."""
     frontend_config = FrontendConfig()
+    pipeline_config = config.scaled(trace_length=trace_length)
     dual_path_ipc: Dict[str, "tuple[float, float]"] = {}
-    traces = []
-    for name in config.benchmarks:
-        trace = load_benchmark(name, trace_length, config.seed)
-        traces.append(trace)
-
-        baseline_frontend = SpeculativeFrontend(
-            GsharePredictor(
-                entries=config.predictor_entries,
-                history_bits=config.predictor_history_bits,
-            ),
-            frontend_config,
-        )
-        baseline = baseline_frontend.run(trace)
-
-        forked_frontend = SpeculativeFrontend(
-            GsharePredictor(
-                entries=config.predictor_entries,
-                history_bits=config.predictor_history_bits,
-            ),
-            frontend_config,
-            dual_path=DualPathPolicy(_make_confidence(config.ct_index_bits)),
-        )
-        forked = forked_frontend.run(trace)
+    for name, streams in suite_streams(pipeline_config).items():
+        low = _low_confidence(streams, config.ct_index_bits, LOW_COUNTER_VALUES)
+        with observability.timed("pipeline.seconds"):
+            baseline = frontend_timing(
+                frontend_config, streams.pcs, streams.correct
+            )
+            forked = frontend_timing(
+                frontend_config, streams.pcs, streams.correct, low
+            )
         dual_path_ipc[name] = (baseline.ipc, forked.ipc)
 
-    smt_traces = traces[:SMT_THREADS]
-
-    def smt_run(gated: bool):
-        predictors = [
-            GsharePredictor(entries=1 << 12, history_bits=12)
-            for _ in smt_traces
-        ]
-        confidences = [
-            ThresholdConfidence(
-                ResettingCounterConfidence.paper_variant(index_bits=12),
-                SMT_LOW_COUNTER_VALUES,
-            )
-            for _ in smt_traces
-        ]
-        return simulate_smt(
-            smt_traces,
-            predictors,
-            confidences,
-            config=SMTConfig(
-                frontend=frontend_config, gate_on_low_confidence=gated
+    # The SMT threads run the Section 5.3 geometry: 4K gshare, 12-bit
+    # history, 12-bit confidence index.
+    smt_config = pipeline_config.small_predictor.scaled(
+        benchmarks=config.benchmarks[:SMT_THREADS]
+    )
+    threads = [
+        (
+            streams.pcs,
+            streams.correct,
+            _low_confidence(
+                streams, smt_config.ct_index_bits, SMT_LOW_COUNTER_VALUES
             ),
         )
-
-    ungated = smt_run(gated=False)
-    gated = smt_run(gated=True)
+        for streams in suite_streams(smt_config).values()
+    ]
+    with observability.timed("pipeline.seconds"):
+        ungated = smt_timing(frontend_config, threads, gated=False)
+        gated = smt_timing(frontend_config, threads, gated=True)
 
     return PipelineResult(
         dual_path_ipc=dual_path_ipc,

@@ -34,6 +34,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.extension_pipeline import PIPELINE_TRACE_LENGTH
 from repro.experiments.runner import _stream_request
 from repro.sim.cache import has_disk_entry
 
@@ -59,6 +60,12 @@ SMALL_PREDICTOR_ONLY = frozenset({"fig10"})
 #: opaque report unit they would put the whole cost on a single shard.
 TRACE_LENGTH_SWEEP_EXPERIMENT = "ablation-trace-length"
 TRACE_LENGTH_SWEEP_LENGTHS = (20_000, 40_000, 80_000, 160_000)
+
+#: The pipeline experiment reads the default-geometry streams at its own
+#: fixed length, which the warmup ablation's sweep also plans as stream
+#: units; its SMT threads' 4K-gshare sweeps stay private to its report
+#: unit.
+PIPELINE_EXPERIMENT = "extension-pipeline"
 
 
 @dataclass(frozen=True)
@@ -176,6 +183,14 @@ def _geometry_requests(
             # The warmup ablation reads only its fixed-length sweeps,
             # never the configured trace length.
             deps[experiment_id] = list(sweep_names)
+        elif experiment_id == PIPELINE_EXPERIMENT:
+            # Only planned when the warmup ablation is in the run; the
+            # plan drops deps on units it does not hold.
+            pipeline = config.scaled(trace_length=PIPELINE_TRACE_LENGTH)
+            deps[experiment_id] = [
+                _stream_unit(_stream_request(pipeline, benchmark)).name
+                for benchmark in config.benchmarks
+            ]
         elif experiment_id in SMALL_PREDICTOR_ONLY:
             deps[experiment_id] = list(small_names)
         elif experiment_id in SMALL_PREDICTOR_EXPERIMENTS:
@@ -237,31 +252,34 @@ def plan_digest(
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 
 
-#: Relative cost hints for report units, in rough seconds at the gate's
-#: scale.  Scheduling hints ONLY: the static (no-steal) partition uses
-#: them to balance shards, and a wrong weight costs balance, never
+#: Relative cost hints for report units, in seconds at the gate's scale
+#: (``benchmarks/fabric_gate.py``: 4 benchmarks x 12,288 branches, chunk
+#: size 1024): the median of three fresh-process runs of each experiment
+#: over a cache holding every stream unit and no sweep results, on a
+#: 2-vCPU host.  Scheduling hints ONLY: the static (no-steal) partition
+#: uses them to balance shards, and a wrong weight costs balance, never
 #: correctness — every unit still computes exactly once wherever it
 #: lands.  Unlisted experiments get :data:`DEFAULT_REPORT_WEIGHT`.
 REPORT_WEIGHTS: Dict[str, float] = {
-    "ablation-trace-length": 7.0,   # fixed 20k-160k sweep, length-invariant
-    "extension-pipeline": 3.0,
-    "ablation-suite-seed": 1.0,
-    "ablation-indexing": 0.3,
-    "extension-metrics": 0.3,
-    "extension-cost": 0.3,
-    "fig6": 0.25,
-    "fig11": 0.25,
-    "fig5": 0.25,
-    "extension-crossval": 0.2,
-    "fig7": 0.2,
-    "fig2": 0.2,
-    "fig8": 0.1,
-    "fig10": 0.1,
-    "fig9": 0.1,
-    "ablation-counter-width": 0.1,
-    "extension-multilevel": 0.1,
-    "table1": 0.05,
-    "ablation-context-switch": 0.05,
+    "ablation-trace-length": 4.35,  # fixed 20k-160k grids, length-invariant
+    "ablation-suite-seed": 3.5,
+    "extension-pipeline": 1.75,     # private 4K-gshare 40k sweeps
+    "extension-cost": 1.05,
+    "extension-metrics": 0.9,
+    "fig5": 0.55,
+    "ablation-indexing": 0.55,
+    "fig6": 0.55,
+    "fig11": 0.55,
+    "fig7": 0.5,
+    "extension-crossval": 0.4,
+    "fig2": 0.3,
+    "fig8": 0.25,
+    "ablation-counter-width": 0.25,
+    "ablation-context-switch": 0.2,
+    "fig10": 0.2,
+    "fig9": 0.2,
+    "extension-multilevel": 0.2,
+    "table1": 0.15,
 }
 
 DEFAULT_REPORT_WEIGHT = 0.5

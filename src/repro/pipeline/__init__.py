@@ -12,7 +12,14 @@ bandwidth, branch-resolution latency, and squash semantics:
   both paths on a low-confidence signal
   (:class:`~repro.pipeline.machine.DualPathPolicy`);
 * :mod:`repro.pipeline.smt` — a multi-thread fetch arbiter where threads
-  compete for one fetch port, with optional confidence gating.
+  compete for one fetch port, with optional confidence gating;
+* :mod:`repro.pipeline.timing` — the same two recurrences over
+  precomputed correctness and low-confidence streams
+  (:func:`~repro.pipeline.timing.frontend_timing`,
+  :func:`~repro.pipeline.timing.smt_timing`).  Timing never feeds back
+  into prediction or confidence, so experiments drive these from the
+  cached predictor streams; the object models above stay as the oracle
+  they are tested against, field for field.
 
 The models are deliberately frontend-centric (the paper's costs are all
 fetch-side); backend execution is abstracted as retirement of correctly
@@ -26,6 +33,7 @@ from repro.pipeline.machine import (
     SpeculativeFrontend,
 )
 from repro.pipeline.smt import SMTConfig, SMTReport, simulate_smt
+from repro.pipeline.timing import frontend_timing, smt_timing
 
 __all__ = [
     "FrontendConfig",
@@ -35,4 +43,6 @@ __all__ = [
     "SMTConfig",
     "SMTReport",
     "simulate_smt",
+    "frontend_timing",
+    "smt_timing",
 ]

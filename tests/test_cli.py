@@ -189,3 +189,26 @@ class TestBadLengthAndBenchmarks:
         assert error.startswith(message)
         assert "\n" not in error
         assert not out.exists()
+
+
+class TestSpecLikeBenchmarkNames:
+    """SPEC-like names (``compress``) resolve in every command that loads
+    traces, not only in the stream cache."""
+
+    def test_run_extension_pipeline(self, capsys):
+        code = main([
+            "run", "extension-pipeline",
+            "--benchmarks", "gcc", "compress", "--length", "2000",
+        ])
+        assert code == 0
+        output = capsys.readouterr().out
+        assert "compress" in output
+        assert "SMT (4 threads)" in output
+
+    def test_apps_hybrid_selector(self, capsys):
+        code = main([
+            "apps", "hybrid-selector",
+            "--benchmarks", "gcc", "compress", "--length", "2000",
+        ])
+        assert code == 0
+        assert "compress" in capsys.readouterr().out

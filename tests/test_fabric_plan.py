@@ -1,6 +1,7 @@
 """Plan construction: unit identity, dependency wiring, static partition."""
 
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.extension_pipeline import PIPELINE_TRACE_LENGTH
 from repro.experiments.registry import list_experiments
 from repro.fabric.plan import (
     TRACE_LENGTH_SWEEP_LENGTHS,
@@ -57,6 +58,25 @@ def test_trace_length_ablation_plans_its_fixed_sweeps():
     expected = len(TRACE_LENGTH_SWEEP_LENGTHS) * len(CONFIG.benchmarks)
     assert len(sweep_units) == expected
     assert set(ablation.deps) == {u.name for u in sweep_units}
+
+
+def test_pipeline_waits_on_the_fixed_length_streams_it_reads():
+    from repro.experiments.runner import _stream_request
+
+    ids = ["ablation-trace-length", "extension-pipeline"]
+    plan = build_plan(CONFIG, ids)
+    pipeline = CONFIG.scaled(trace_length=PIPELINE_TRACE_LENGTH)
+    expected = {
+        u.name for u in plan.stream_units
+        if u.request in [_stream_request(pipeline, b) for b in CONFIG.benchmarks]
+    }
+    by_id = {u.experiment_id: u for u in plan.report_units}
+    assert len(expected) == len(CONFIG.benchmarks)
+    assert set(by_id["extension-pipeline"].deps) == expected
+    # Without the warmup ablation those streams are not units: the
+    # pipeline's report unit sweeps them itself.
+    alone = build_plan(CONFIG, ["extension-pipeline"])
+    assert alone.report_units[0].deps == ()
 
 
 def test_plan_digest_ignores_execution_knobs_only():
