@@ -183,13 +183,13 @@ def _build_parser() -> argparse.ArgumentParser:
         )
 
     cache_parser = subparsers.add_parser(
-        "cache", help="inspect or clear the persistent predictor-stream cache"
+        "cache", help="inspect or clear the persistent artifact store"
     )
     cache_parser.add_argument(
         "action",
         choices=["stats", "clear", "path"],
         help="stats: per-tier footprint; clear: delete entries; "
-             "path: print directory",
+             "path: print the store's root directory",
     )
 
     suite_parser = subparsers.add_parser(
@@ -472,13 +472,13 @@ def _command_fabric(args: argparse.Namespace) -> int:
 
 def _command_cache(args: argparse.Namespace) -> int:
     from repro.sim.diskcache import (
+        cache_root,
         clear_disk_cache_by_tier,
         disk_cache_stats,
-        stream_cache_dir,
     )
 
     if args.action == "path":
-        print(stream_cache_dir())
+        print(cache_root())
     elif args.action == "stats":
         print(disk_cache_stats().format())
     elif args.action == "clear":

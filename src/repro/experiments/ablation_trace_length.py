@@ -9,6 +9,12 @@ the suite misprediction rate, the headline capture of the best one-level
 method, and the zero bucket share — quantifying how the reproduction's
 numbers drift toward the paper's as traces lengthen (EXPERIMENTS.md's
 deviations 1-2).
+
+Every shorter trace is a prefix of the longest one, so the whole sweep
+is one :func:`~repro.experiments.runner.sweep_grid_prefixes` call: one
+grid pass per benchmark over the longest length's streams, with the
+statistics snapshotted at each shorter length.  Each length's results
+are still cached under their own key.
 """
 
 from __future__ import annotations
@@ -18,10 +24,11 @@ from typing import Dict, List, Tuple
 
 import numpy as np
 
+from repro.analysis.buckets import BucketStatistics
 from repro.analysis.curves import ConfidenceCurve
 from repro.analysis.weighting import equal_weight_combine
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
-from repro.experiments.runner import one_level_pattern_statistics
+from repro.experiments.runner import one_level_pattern_spec, sweep_grid_prefixes
 
 DEFAULT_LENGTHS: Tuple[int, ...] = (20_000, 40_000, 80_000, 160_000)
 
@@ -77,14 +84,10 @@ class TraceLengthResult:
     __str__ = format
 
 
-def _sample(config: ExperimentConfig, length: int) -> LengthSample:
-    """The warmup-sensitive quantities at one trace length.
-
-    A function of its own so the per-benchmark statistics are dropped
-    before the next (longer) length's grid runs.
-    """
-    scaled = config.scaled(trace_length=length)
-    per_benchmark = one_level_pattern_statistics(scaled, "pc_xor_bhr")
+def _sample(
+    config: ExperimentConfig, length: int, per_benchmark: Dict[str, BucketStatistics]
+) -> LengthSample:
+    """The warmup-sensitive quantities at one trace length."""
     statistics = equal_weight_combine(per_benchmark)
     curve = ConfidenceCurve.from_statistics(statistics)
     return LengthSample(
@@ -93,10 +96,10 @@ def _sample(config: ExperimentConfig, length: int) -> LengthSample:
         # statistics carry its predictor misprediction rate exactly; the
         # streams need not be read again.
         misprediction_rate=float(
-            np.mean([per_benchmark[n].misprediction_rate for n in scaled.benchmarks])
+            np.mean([per_benchmark[n].misprediction_rate for n in config.benchmarks])
         ),
         captured_at_headline=curve.mispredictions_captured_at(
-            scaled.headline_percent
+            config.headline_percent
         ),
         zero_bucket_branch_percent=(
             100.0 * float(statistics.counts[0]) / statistics.total
@@ -109,7 +112,9 @@ def run(
     lengths: Tuple[int, ...] = DEFAULT_LENGTHS,
 ) -> TraceLengthResult:
     """Sweep the per-benchmark trace length."""
+    spec = one_level_pattern_spec(config, "pc_xor_bhr")
+    by_length = sweep_grid_prefixes(config, [spec], lengths)
     return TraceLengthResult(
-        samples=[_sample(config, length) for length in lengths],
+        samples=[_sample(config, length, by_length[length][0]) for length in lengths],
         headline_percent=config.headline_percent,
     )

@@ -1,10 +1,15 @@
 """Shared stream/statistics helpers for the experiment modules.
 
-Every confidence statistic goes through one path: :func:`sweep_grid`
-runs a :class:`~repro.sim.batched.GridObserver` over each benchmark's
-predictor stream chunks (a ``None`` chunk size is one whole-trace
-chunk), behind the sweep-result disk tier.  A single-mechanism helper is
-just a grid of one.  The helpers return *per-benchmark* statistics
+Every confidence statistic goes through one path:
+:func:`sweep_grid_prefixes` runs a :class:`~repro.sim.batched.GridObserver`
+over each benchmark's predictor stream chunks (a ``None`` chunk size is
+one whole-trace chunk), behind the sweep-result disk tier.  One pass
+over the longest requested length serves every shorter one: a trace of
+``L`` branches is a prefix of any longer trace of the same benchmark and
+seed, and the statistics are sums over branches, so a snapshot taken
+after ``L`` branches equals a fresh sweep at length ``L``.
+:func:`sweep_grid` is the one-length case, and a single-mechanism helper
+is just a grid of one.  The helpers return *per-benchmark* statistics
 dictionaries; experiments combine them with the paper's
 equal-branch-count weighting.
 """
@@ -30,6 +35,8 @@ from repro.sim.cache import (
     store_sweep_results,
     sweep_result_key,
 )
+from repro.sim.chunked import StreamChunk
+from repro.sim.diskcache import SweepKey
 from repro.sim.fast import PredictorStreams
 from repro.testing import faults
 from repro.utils.bits import bit_mask
@@ -122,7 +129,10 @@ def suite_streams(config: ExperimentConfig) -> Dict[str, PredictorStreams]:
     requests = [_stream_request(config, name) for name in config.benchmarks]
     with observability.timed("suite_streams.seconds"):
         if config.jobs > 1 and len(requests) > 1:
-            results = [peek_cached_streams(**request) for request in requests]
+            results = [
+                peek_cached_streams(chunk_size=config.chunk_size, **request)
+                for request in requests
+            ]
             missing = [i for i, streams in enumerate(results) if streams is None]
             cold = [
                 i for i in missing
@@ -185,10 +195,22 @@ def one_level_pattern_statistics(
     :class:`~repro.core.indexing.IndexFunction` (for the ablations).
     ``init_patterns`` defaults to the paper's all-ones initialization.
     """
+    return sweep_grid(
+        config,
+        [one_level_pattern_spec(config, index_kind, init_patterns, index_function)],
+    )[0]
+
+
+def one_level_pattern_spec(
+    config: ExperimentConfig,
+    index_kind: str = "pc_xor_bhr",
+    init_patterns: Optional[InitSpec] = None,
+    index_function: Optional[IndexFunction] = None,
+) -> SweepSpec:
+    """The grid spec :func:`one_level_pattern_statistics` evaluates."""
     if index_function is None:
         index_function = make_index(index_kind, config.ct_index_bits)
-    spec = SweepSpec.pattern(index_function, config.cir_bits, init=init_patterns)
-    return sweep_grid(config, [spec])[0]
+    return SweepSpec.pattern(index_function, config.cir_bits, init=init_patterns)
 
 
 def two_level_pattern_statistics(
@@ -278,40 +300,108 @@ def sweep_grid(
 ) -> List[Dict[str, BucketStatistics]]:
     """Evaluate a grid of confidence-table specs over the config's suite.
 
-    Returns one per-benchmark statistics dict per spec, in spec order.
-    Each benchmark's results are content-keyed by (stream request, grid
-    digest) in the sweep-result disk tier, so repeat runs skip both the
-    sweep and the fold.  A miss runs one :class:`GridObserver` over the
-    benchmark's stream chunks; with ``jobs > 1`` the missing benchmarks'
-    streams are warmed through the pool (:func:`suite_streams`) first.
+    Returns one per-benchmark statistics dict per spec, in spec order:
+    the one-length case of :func:`sweep_grid_prefixes`.
+    """
+    length = config.trace_length
+    return sweep_grid_prefixes(config, specs, (length,))[length]
+
+
+def sweep_grid_prefixes(
+    config: ExperimentConfig, specs: Sequence[SweepSpec], lengths: Sequence[int]
+) -> Dict[int, List[Dict[str, BucketStatistics]]]:
+    """Evaluate a grid of specs over the suite at several trace lengths.
+
+    Returns, per length, one per-benchmark statistics dict per spec, in
+    spec order; ``config.trace_length`` is ignored.  Each (benchmark,
+    length) result is content-keyed by (stream request, grid digest) in
+    the sweep-result disk tier, so repeat runs skip both the sweep and
+    the fold.  A benchmark with misses runs one :class:`GridObserver`
+    over the stream chunks of its longest missing length and snapshots
+    the statistics at every shorter one; with ``jobs > 1`` the missing
+    benchmarks' streams are warmed through the pool
+    (:func:`suite_streams`) first.
     """
     specs = tuple(specs)
+    lengths = sorted(set(lengths))
     if not specs:
-        return []
+        return {length: [] for length in lengths}
     grid = grid_digest(specs)
-    keys = {
-        name: sweep_result_key(grid=grid, **_stream_request(config, name))
-        for name in config.benchmarks
+
+    def key(name: str, length: int) -> SweepKey:
+        scaled = config.scaled(trace_length=length)
+        return sweep_result_key(grid=grid, **_stream_request(scaled, name))
+
+    results: Dict[int, Dict[str, List[BucketStatistics]]] = {
+        length: {} for length in lengths
     }
-    results: Dict[str, List[BucketStatistics]] = {}
-    missing: List[str] = []
+    missing: Dict[str, List[int]] = {}
     for name in config.benchmarks:
-        cached = load_sweep_results(keys[name])
-        if cached is not None and len(cached) == len(specs):
-            results[name] = cached
-        else:
-            missing.append(name)
+        for length in lengths:
+            cached = load_sweep_results(key(name, length))
+            if cached is not None and len(cached) == len(specs):
+                results[length][name] = cached
+            else:
+                missing.setdefault(name, []).append(length)
     if config.jobs > 1 and len(missing) > 1:
-        suite_streams(config.scaled(benchmarks=tuple(missing)))
-    for name in missing:
-        observer = GridObserver(specs)
-        observability.increment("batched.grid_sweeps")
-        with observability.timed("batched.grid_sweep_seconds"):
-            for chunk in suite_stream_chunks(config, name):
-                observer.observe(chunk)
-        results[name] = observer.statistics()
-        store_sweep_results(keys[name], results[name])
-    return [
-        {name: results[name][position] for name in config.benchmarks}
-        for position in range(len(specs))
-    ]
+        for longest in sorted({wanted[-1] for wanted in missing.values()}):
+            names = tuple(n for n, wanted in missing.items() if wanted[-1] == longest)
+            suite_streams(config.scaled(trace_length=longest, benchmarks=names))
+    for name, wanted in missing.items():
+        snapshots = _observe_prefixes(config, name, specs, wanted)
+        for length in wanted:
+            results[length][name] = snapshots[length]
+            store_sweep_results(key(name, length), snapshots[length])
+    return {
+        length: [
+            {name: by_name[name][position] for name in config.benchmarks}
+            for position in range(len(specs))
+        ]
+        for length, by_name in results.items()
+    }
+
+
+def _observe_prefixes(
+    config: ExperimentConfig,
+    name: str,
+    specs: Sequence[SweepSpec],
+    lengths: Sequence[int],
+) -> Dict[int, List[BucketStatistics]]:
+    """One grid pass over ``name``'s first ``lengths[-1]`` branches.
+
+    ``lengths`` is ascending.  A chunk is split wherever a length falls
+    inside it, and the statistics are taken at each boundary.  The
+    snapshot never changes afterwards: the observer replaces, never
+    mutates, its statistics objects.
+    """
+    observer = GridObserver(specs)
+    pending = list(lengths)
+    snapshots: Dict[int, List[BucketStatistics]] = {}
+    offset = 0
+    observability.increment("batched.grid_sweeps")
+    with observability.timed("batched.grid_sweep_seconds"):
+        longest = config.scaled(trace_length=pending[-1])
+        for chunk in suite_stream_chunks(longest, name):
+            begin, end = 0, chunk.num_branches
+            while pending and pending[0] <= offset + end:
+                cut = pending.pop(0) - offset
+                observer.observe(_chunk_part(chunk, begin, cut))
+                snapshots[offset + cut] = observer.statistics()
+                begin = cut
+            observer.observe(_chunk_part(chunk, begin, end))
+            offset += end
+    return snapshots
+
+
+def _chunk_part(chunk: StreamChunk, begin: int, end: int) -> StreamChunk:
+    """Branches ``[begin, end)`` of ``chunk`` (the chunk itself if whole)."""
+    if begin == 0 and end == chunk.num_branches:
+        return chunk
+    return StreamChunk(
+        trace_name=chunk.trace_name,
+        start=chunk.start + begin,
+        correct=chunk.correct[begin:end],
+        bhrs=chunk.bhrs[begin:end],
+        pcs=chunk.pcs[begin:end],
+        gcirs=chunk.gcirs[begin:end],
+    )

@@ -33,6 +33,7 @@ import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
+from repro.experiments.ablation_trace_length import DEFAULT_LENGTHS
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.extension_pipeline import PIPELINE_TRACE_LENGTH
 from repro.experiments.runner import _stream_request
@@ -40,7 +41,7 @@ from repro.sim.cache import has_disk_entry
 
 #: Bump when the plan layout (unit naming, artifact layout) changes; the
 #: digest then changes, so mixed-version fleets never share a directory.
-FABRIC_PLAN_FORMAT = 2
+FABRIC_PLAN_FORMAT = 3
 
 #: Experiments that read the Section 5.3 small-predictor geometry in
 #: addition to / instead of the default one.  Kept as data here (rather
@@ -53,18 +54,18 @@ SMALL_PREDICTOR_EXPERIMENTS = frozenset({"fig10", "extension-cost"})
 #: Experiments whose report units read only the small-predictor streams.
 SMALL_PREDICTOR_ONLY = frozenset({"fig10"})
 
-#: The warmup ablation sweeps these fixed trace lengths regardless of
-#: ``config.trace_length`` (see ``ablation_trace_length.DEFAULT_LENGTHS``).
+#: The warmup ablation reads only the streams of its longest fixed trace
+#: length, regardless of ``config.trace_length``: one grid pass over them
+#: snapshots every shorter length (see ``ablation_trace_length``).
 #: Planning them as stream units matters more than anything else in the
 #: registry: the 160k-branch sweeps dominate a cold run-all, and as one
 #: opaque report unit they would put the whole cost on a single shard.
 TRACE_LENGTH_SWEEP_EXPERIMENT = "ablation-trace-length"
-TRACE_LENGTH_SWEEP_LENGTHS = (20_000, 40_000, 80_000, 160_000)
+TRACE_LENGTH_SWEEP_LENGTH = max(DEFAULT_LENGTHS)
 
 #: The pipeline experiment reads the default-geometry streams at its own
-#: fixed length, which the warmup ablation's sweep also plans as stream
-#: units; its SMT threads' 4K-gshare sweeps stay private to its report
-#: unit.
+#: fixed length, planned as stream units; its SMT threads' 4K-gshare
+#: sweeps stay private to its report unit.
 PIPELINE_EXPERIMENT = "extension-pipeline"
 
 
@@ -165,32 +166,28 @@ def _geometry_requests(
                 seen[name] = True
                 requests.append(request)
 
-    sweep_names: List[str] = []
-    if TRACE_LENGTH_SWEEP_EXPERIMENT in experiment_ids:
-        for length in TRACE_LENGTH_SWEEP_LENGTHS:
-            scaled = config.scaled(trace_length=length)
-            for benchmark in config.benchmarks:
-                request = _stream_request(scaled, benchmark)
-                name = _stream_unit(request).name
-                sweep_names.append(name)
-                if name not in seen:
-                    seen[name] = True
-                    requests.append(request)
+    fixed_names: Dict[str, List[str]] = {}
+    for experiment_id, length in (
+        (TRACE_LENGTH_SWEEP_EXPERIMENT, TRACE_LENGTH_SWEEP_LENGTH),
+        (PIPELINE_EXPERIMENT, PIPELINE_TRACE_LENGTH),
+    ):
+        if experiment_id not in experiment_ids:
+            continue
+        scaled = config.scaled(trace_length=length)
+        fixed_names[experiment_id] = []
+        for benchmark in config.benchmarks:
+            request = _stream_request(scaled, benchmark)
+            name = _stream_unit(request).name
+            fixed_names[experiment_id].append(name)
+            if name not in seen:
+                seen[name] = True
+                requests.append(request)
 
     deps: Dict[str, List[str]] = {}
     for experiment_id in experiment_ids:
-        if experiment_id == TRACE_LENGTH_SWEEP_EXPERIMENT:
-            # The warmup ablation reads only its fixed-length sweeps,
-            # never the configured trace length.
-            deps[experiment_id] = list(sweep_names)
-        elif experiment_id == PIPELINE_EXPERIMENT:
-            # Only planned when the warmup ablation is in the run; the
-            # plan drops deps on units it does not hold.
-            pipeline = config.scaled(trace_length=PIPELINE_TRACE_LENGTH)
-            deps[experiment_id] = [
-                _stream_unit(_stream_request(pipeline, benchmark)).name
-                for benchmark in config.benchmarks
-            ]
+        if experiment_id in fixed_names:
+            # Fixed-length experiments never read the configured length.
+            deps[experiment_id] = fixed_names[experiment_id]
         elif experiment_id in SMALL_PREDICTOR_ONLY:
             deps[experiment_id] = list(small_names)
         elif experiment_id in SMALL_PREDICTOR_EXPERIMENTS:
@@ -261,25 +258,25 @@ def plan_digest(
 #: correctness — every unit still computes exactly once wherever it
 #: lands.  Unlisted experiments get :data:`DEFAULT_REPORT_WEIGHT`.
 REPORT_WEIGHTS: Dict[str, float] = {
-    "ablation-trace-length": 4.35,  # fixed 20k-160k grids, length-invariant
-    "ablation-suite-seed": 3.5,
-    "extension-pipeline": 1.75,     # private 4K-gshare 40k sweeps
-    "extension-cost": 1.05,
-    "extension-metrics": 0.9,
-    "fig5": 0.55,
-    "ablation-indexing": 0.55,
-    "fig6": 0.55,
-    "fig11": 0.55,
-    "fig7": 0.5,
-    "extension-crossval": 0.4,
-    "fig2": 0.3,
-    "fig8": 0.25,
-    "ablation-counter-width": 0.25,
-    "ablation-context-switch": 0.2,
-    "fig10": 0.2,
-    "fig9": 0.2,
-    "extension-multilevel": 0.2,
-    "table1": 0.15,
+    "ablation-trace-length": 2.1,   # one pass over the 160k streams
+    "ablation-suite-seed": 2.05,
+    "extension-pipeline": 1.4,      # private 4K-gshare 40k sweeps
+    "extension-cost": 0.6,
+    "extension-metrics": 0.6,
+    "fig6": 0.5,
+    "fig5": 0.45,
+    "fig7": 0.4,
+    "ablation-indexing": 0.35,
+    "extension-crossval": 0.35,
+    "fig11": 0.3,
+    "fig10": 0.25,
+    "fig8": 0.2,
+    "fig2": 0.2,
+    "fig9": 0.15,
+    "extension-multilevel": 0.15,
+    "ablation-counter-width": 0.1,
+    "ablation-context-switch": 0.1,
+    "table1": 0.1,
 }
 
 DEFAULT_REPORT_WEIGHT = 0.5

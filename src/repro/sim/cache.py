@@ -14,6 +14,17 @@ parallel workers.  Cache traffic is counted through
 :mod:`repro.observability` (``stream_cache.memory_hits`` /
 ``.disk_hits`` / ``.sweeps``), so a warm run can prove it swept nothing.
 
+Shorter lengths are served as prefixes.  A benchmark's trace of ``L``
+branches is a prefix of its longer traces at the same seed, and the
+gshare sweep is causal, so its streams are prefixes too.  The trace memo
+keeps the longest trace synthesized per (benchmark, seed) and slices it
+(``workloads.prefix_hits``); on an exact miss the memory tier slices any
+longer entry of the same geometry (``stream_cache.prefix_hits``).  In
+whole-trace mode the slice is persisted exactly as a fresh sweep would
+be.  The per-chunk tier cannot take a slice: each chunk entry carries
+the predictor state after it, which a slice of the streams does not
+hold, so chunked lookups persist only what they sweep.
+
 Grid results (:func:`load_sweep_results` / :func:`store_sweep_results`)
 live on disk only: they are read once per figure run, so a process memo
 would only hold memory.
@@ -21,8 +32,9 @@ would only hold memory.
 
 from __future__ import annotations
 
+import dataclasses
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence
+from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -61,16 +73,82 @@ MEMORY_TIER_MAXSIZE = 128
 
 _memory: "OrderedDict[StreamKey, PredictorStreams]" = OrderedDict()
 
+#: The longest trace synthesized so far per (benchmark, seed).
+_traces: "OrderedDict[Tuple[str, int], Trace]" = OrderedDict()
+
 
 def _load_any_benchmark(name: str, length: int, seed: int) -> Trace:
     """Resolve a benchmark from the IBS suite or the SPEC-like suite.
 
-    The suite is chosen by name, so an invalid length or an unknown name
+    A length no longer than the longest trace held for (name, seed) is
+    that trace's prefix; anything else is synthesized and held.  The
+    suite is chosen by name, so an invalid length or an unknown name
     surfaces the IBS loader's own error instead of a SPEC-like miss.
     """
+    held = _traces.get((name, seed))
+    if held is not None and 0 < length <= len(held):
+        _traces.move_to_end((name, seed))
+        if length == len(held):
+            return held
+        observability.increment("workloads.prefix_hits")
+        return held.slice(0, length)
     if name in spec_benchmark_names():
-        return load_spec_benchmark(name, length, seed)
-    return load_benchmark(name, length, seed)
+        trace = load_spec_benchmark(name, length, seed)
+    else:
+        trace = load_benchmark(name, length, seed)
+    _bounded_put(_traces, (name, seed), trace)
+    return trace
+
+
+def _bounded_put(memo: "OrderedDict", key, value) -> None:
+    """Insert into an LRU memo, evicting past :data:`MEMORY_TIER_MAXSIZE`."""
+    memo[key] = value
+    memo.move_to_end(key)
+    while len(memo) > MEMORY_TIER_MAXSIZE:
+        memo.popitem(last=False)
+
+
+def _prefix_streams(streams: PredictorStreams, length: int) -> PredictorStreams:
+    """The first ``length`` branches of ``streams`` (views, no copies)."""
+    return PredictorStreams(
+        trace_name=streams.trace_name,
+        correct=streams.correct[:length],
+        bhrs=streams.bhrs[:length],
+        pcs=streams.pcs[:length],
+        gcir_bits=streams.gcir_bits,
+    )
+
+
+def _memory_lookup(
+    key: StreamKey, chunk_size: Optional[int]
+) -> "PredictorStreams | None":
+    """The memory tier: the exact entry, else a prefix of a longer one.
+
+    A prefix is memoized under ``key`` and, in whole-trace mode
+    (``chunk_size`` None), persisted like a fresh sweep unless the disk
+    already holds the entry.
+    """
+    streams = _memory.get(key)
+    if streams is not None:
+        _memory.move_to_end(key)
+        observability.increment("stream_cache.memory_hits")
+        return streams
+    longer = next(
+        (
+            held for held_key, held in _memory.items()
+            if held_key.length > key.length
+            and dataclasses.replace(held_key, length=key.length) == key
+        ),
+        None,
+    )
+    if longer is None:
+        return None
+    observability.increment("stream_cache.prefix_hits")
+    streams = _prefix_streams(longer, key.length)
+    _bounded_put(_memory, key, streams)
+    if chunk_size is None and not entry_path(key).exists():
+        store_cached_streams(key, streams)
+    return streams
 
 
 def stream_key(
@@ -94,18 +172,17 @@ def stream_key(
     )
 
 
-def peek_cached_streams(**request) -> "PredictorStreams | None":
-    """Memory-tier-only lookup; never touches disk or sweeps.
+def peek_cached_streams(
+    chunk_size: Optional[int] = None, **request
+) -> "PredictorStreams | None":
+    """Memory-tier-only lookup; never loads from disk or sweeps.
 
     Lets callers (the parallel runner) find out what still needs
-    computing without triggering the computation themselves.
+    computing without triggering the computation themselves.  A prefix
+    of a longer memoized entry counts as a hit; ``chunk_size`` decides
+    whether it is persisted (see :func:`cached_predictor_streams`).
     """
-    key = stream_key(**request)
-    streams = _memory.get(key)
-    if streams is not None:
-        _memory.move_to_end(key)
-        observability.increment("stream_cache.memory_hits")
-    return streams
+    return _memory_lookup(stream_key(**request), chunk_size)
 
 
 def has_disk_entry(chunk_size: Optional[int] = None, **request) -> bool:
@@ -134,9 +211,7 @@ def has_disk_entry(chunk_size: Optional[int] = None, **request) -> bool:
 
 def seed_memory_tier(streams: PredictorStreams, **request) -> None:
     """Insert externally-computed streams (e.g. from a worker) into the memo."""
-    _memory[stream_key(**request)] = streams
-    while len(_memory) > MEMORY_TIER_MAXSIZE:
-        _memory.popitem(last=False)
+    _bounded_put(_memory, stream_key(**request), streams)
 
 
 def chunk_stream_key(
@@ -261,12 +336,14 @@ def cached_predictor_streams(
     """Predictor streams for a suite benchmark, memoized by value.
 
     ``benchmark`` may name an IBS-suite or SPEC-like-suite program.
-    Lookups fall through memory -> disk -> fresh sweep; a fresh sweep is
-    persisted so later processes (and parallel workers sharing the cache
-    directory) skip it.  The result is chunk-size invariant, so the
-    memory tier is shared across chunk sizes; with ``chunk_size`` set,
-    disk traffic goes through the per-chunk tier
-    (:func:`iter_cached_stream_chunks`) instead of the monolithic one.
+    Lookups fall through memory (exact, then a prefix of a longer entry
+    of the same geometry) -> disk -> fresh sweep; a fresh sweep, and in
+    whole-trace mode a prefix, is persisted so later processes (and
+    parallel workers sharing the cache directory) skip it.  The result
+    is chunk-size invariant, so the memory tier is shared across chunk
+    sizes; with ``chunk_size`` set, disk traffic goes through the
+    per-chunk tier (:func:`iter_cached_stream_chunks`) instead of the
+    monolithic one.
     """
     key = stream_key(
         benchmark,
@@ -277,10 +354,8 @@ def cached_predictor_streams(
         bhr_record_bits=bhr_record_bits,
         gcir_bits=gcir_bits,
     )
-    streams = _memory.get(key)
+    streams = _memory_lookup(key, chunk_size)
     if streams is not None:
-        _memory.move_to_end(key)
-        observability.increment("stream_cache.memory_hits")
         return streams
     if chunk_size is not None:
         correct_parts = []
@@ -322,9 +397,7 @@ def cached_predictor_streams(
                     gcir_bits=gcir_bits,
                 )
             store_cached_streams(key, streams)
-    _memory[key] = streams
-    while len(_memory) > MEMORY_TIER_MAXSIZE:
-        _memory.popitem(last=False)
+    _bounded_put(_memory, key, streams)
     return streams
 
 
@@ -375,9 +448,10 @@ def memory_tier_info() -> Dict[str, int]:
 
 
 def clear_stream_cache() -> None:
-    """Drop the in-process stream memo (mainly for tests).
+    """Drop the in-process stream and trace memos (mainly for tests).
 
     The persistent tier is cleared separately with
     :func:`repro.sim.diskcache.clear_disk_cache`.
     """
     _memory.clear()
+    _traces.clear()

@@ -15,6 +15,12 @@ artifacts use the same store.
 * **Content keys.**  :class:`StreamKey` captures everything the sweep
   depends on plus :data:`STREAM_CACHE_FORMAT`; its digest names the
   file, so format bumps and config changes can never alias.
+* **Compact arrays.**  Streams, chunks and carried predictor tables
+  store their int64 arrays at the smallest unsigned dtype that holds
+  them and widen them back on decode; sweep results store only their
+  nonzero buckets (positions, counts, mispredicts).  Decoding rejects
+  non-integer dtypes, unequal lengths and out-of-range positions, so a
+  damaged entry with a valid checksum is still dropped.
 * **Atomic writes.**  :func:`publish` writes a temporary file next to
   the target and renames it into place, so a crashed or concurrent
   writer never leaves a half-written entry (last rename wins with
@@ -53,7 +59,7 @@ T = TypeVar("T")
 
 #: Bump when the on-disk layout or the sweep semantics change; old
 #: entries then simply miss (different digest) instead of being misread.
-STREAM_CACHE_FORMAT = 2
+STREAM_CACHE_FORMAT = 3
 
 #: Environment variable overriding the cache directory.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
@@ -271,6 +277,33 @@ def get(
     return value
 
 
+def _narrow(values: np.ndarray) -> np.ndarray:
+    """Non-negative integers at the smallest unsigned dtype holding them.
+
+    Arrays with a negative value keep their dtype; :func:`_widen` takes
+    any integer dtype back.
+    """
+    if values.size and int(values.min()) < 0:
+        return values
+    top = int(values.max()) if values.size else 0
+    return values.astype(np.min_scalar_type(top), copy=False)
+
+
+def _widen(values: np.ndarray) -> np.ndarray:
+    """A stored integer array back at int64; any other dtype is damage."""
+    if values.ndim != 1 or values.dtype.kind not in "ui":
+        raise ValueError(f"store entry array has dtype {values.dtype}, shape {values.shape}")
+    return values.astype(np.int64)
+
+
+def _same_lengths(arrays: Dict[str, np.ndarray]) -> None:
+    """Raise unless every array is one-dimensional with one common length."""
+    if len({array.shape for array in arrays.values()}) != 1 or any(
+        array.ndim != 1 for array in arrays.values()
+    ):
+        raise ValueError("store entry arrays differ in length")
+
+
 def stream_cache_dir() -> Path:
     """Directory holding the predictor-stream entries."""
     return cache_root() / _STREAMS_SUBDIR
@@ -291,7 +324,8 @@ def store_cached_streams(key: StreamKey, streams: PredictorStreams) -> Optional[
     """
     if not cache_enabled():
         return None
-    arrays = {"correct": streams.correct, "bhrs": streams.bhrs, "pcs": streams.pcs}
+    arrays = {"correct": streams.correct, "bhrs": _narrow(streams.bhrs),
+              "pcs": _narrow(streams.pcs)}
     fields = {"trace_name": streams.trace_name}
     return put(STREAMS, entry_path(key), key.describe(), arrays, fields)
 
@@ -304,10 +338,15 @@ def load_cached_streams(key: StreamKey) -> Optional[PredictorStreams]:
     """
     if not cache_enabled():
         return None
-    return get(
-        STREAMS, entry_path(key), key.describe(),
-        lambda arrays, fields: PredictorStreams(gcir_bits=key.gcir_bits, **fields, **arrays),
-    )
+
+    def decode(arrays: Dict[str, np.ndarray], fields: Dict[str, Any]) -> PredictorStreams:
+        _same_lengths(arrays)
+        return PredictorStreams(
+            gcir_bits=key.gcir_bits, **fields, correct=arrays["correct"],
+            bhrs=_widen(arrays["bhrs"]), pcs=_widen(arrays["pcs"]),
+        )
+
+    return get(STREAMS, entry_path(key), key.describe(), decode)
 
 
 def chunk_cache_dir() -> Path:
@@ -336,8 +375,9 @@ def store_cached_chunk(
     """
     if not cache_enabled():
         return None
-    arrays = {"correct": chunk.correct, "bhrs": chunk.bhrs, "pcs": chunk.pcs,
-              "gcirs": chunk.gcirs, "table": state_after.table}
+    arrays = {"correct": chunk.correct, "bhrs": _narrow(chunk.bhrs),
+              "pcs": _narrow(chunk.pcs), "gcirs": _narrow(chunk.gcirs),
+              "table": _narrow(state_after.table)}
     fields = {"trace_name": chunk.trace_name, "start": int(chunk.start),
               "bhr": int(state_after.bhr), "gcir": int(state_after.gcir),
               "position": int(state_after.position)}
@@ -359,8 +399,13 @@ def load_cached_chunk(
         arrays: Dict[str, np.ndarray], fields: Dict[str, Any]
     ) -> "tuple[StreamChunk, GshareState]":
         state = {name: fields.pop(name) for name in ("bhr", "gcir", "position")}
-        table = arrays.pop("table")
-        return StreamChunk(**fields, **arrays), GshareState(table=table, **state)
+        table = _widen(arrays.pop("table"))
+        if table.shape != (key.entries,):
+            raise ValueError("chunk cache entry table size mismatch")
+        _same_lengths(arrays)
+        streams = {name: _widen(arrays[name]) for name in ("bhrs", "pcs", "gcirs")}
+        chunk = StreamChunk(**fields, correct=arrays["correct"], **streams)
+        return chunk, GshareState(table=table, **state)
 
     return get(CHUNKS, chunk_entry_path(key), key.describe(), decode)
 
@@ -386,17 +431,22 @@ def store_cached_sweep(
 
     The per-spec bucket arrays are packed into one (counts, mispredicts)
     pair plus a bucket-count vector, so ragged grids (mixed widths/table
-    sizes) serialize without object arrays.  Same atomicity/retry story
-    as the stream tiers.
+    sizes) serialize without object arrays.  Only the nonzero buckets
+    are stored: their positions in the packed arrays, their counts and
+    their mispredicts.  Same atomicity/retry story as the stream tiers.
     """
     if not cache_enabled():
         return None
     empty = np.zeros(0, dtype=np.float64)
+    counts = np.concatenate([s.counts for s in statistics]) if statistics else empty
+    mispredicts = (
+        np.concatenate([s.mispredicts for s in statistics]) if statistics else empty
+    )
+    index = np.flatnonzero((counts != 0) | (mispredicts != 0))
     arrays = {
-        "counts": np.concatenate([s.counts for s in statistics]) if statistics else empty,
-        "mispredicts": (
-            np.concatenate([s.mispredicts for s in statistics]) if statistics else empty
-        ),
+        "index": _narrow(index),
+        "counts": counts[index],
+        "mispredicts": mispredicts[index],
         "buckets": np.array([s.num_buckets for s in statistics], dtype=np.int64),
     }
     return put(SWEEPS, sweep_entry_path(key), key.describe(), arrays, {})
@@ -405,9 +455,9 @@ def store_cached_sweep(
 def load_cached_sweep(key: SweepKey) -> "Optional[List[BucketStatistics]]":
     """Load the grid statistics for sweep ``key``, or None on miss.
 
-    Mirrors :func:`load_cached_streams`: corrupt entries — including a
-    bucket-count vector that does not match the packed arrays — are
-    dropped best-effort and reported as misses.
+    Mirrors :func:`load_cached_streams`: corrupt entries — including
+    bucket positions outside the bucket-count vector — are dropped
+    best-effort and reported as misses.
     """
     from repro.analysis.buckets import BucketStatistics
 
@@ -417,10 +467,19 @@ def load_cached_sweep(key: SweepKey) -> "Optional[List[BucketStatistics]]":
     def decode(
         arrays: Dict[str, np.ndarray], fields: Dict[str, Any]
     ) -> "List[BucketStatistics]":
-        counts, mispredicts = arrays["counts"], arrays["mispredicts"]
-        bounds = np.cumsum(arrays["buckets"]).tolist()
-        if (bounds[-1] if bounds else 0) != counts.shape[0]:
-            raise ValueError("sweep cache entry shape mismatch")
+        index = _widen(arrays["index"])
+        _same_lengths({name: arrays[name] for name in ("index", "counts", "mispredicts")})
+        buckets = _widen(arrays["buckets"])
+        if (buckets < 0).any():
+            raise ValueError("sweep cache entry has a negative bucket count")
+        bounds = np.cumsum(buckets).tolist()
+        total = bounds[-1] if bounds else 0
+        if index.size and (index[0] < 0 or index[-1] >= total or (np.diff(index) <= 0).any()):
+            raise ValueError("sweep cache entry bucket positions out of range")
+        counts = np.zeros(total, dtype=np.float64)
+        mispredicts = np.zeros(total, dtype=np.float64)
+        counts[index] = arrays["counts"]
+        mispredicts[index] = arrays["mispredicts"]
         starts = [0] + bounds[:-1]
         return [
             BucketStatistics(counts[start:stop], mispredicts[start:stop])

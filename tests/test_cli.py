@@ -212,3 +212,13 @@ class TestSpecLikeBenchmarkNames:
         ])
         assert code == 0
         assert "compress" in capsys.readouterr().out
+
+
+class TestCachePath:
+    def test_path_is_the_root_stats_reports(self, capsys, tmp_path, monkeypatch):
+        root = tmp_path / "store"
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(root))
+        assert main(["cache", "path"]) == 0
+        assert capsys.readouterr().out.strip() == str(root)
+        assert main(["cache", "stats"]) == 0
+        assert f"path:    {root}\n" in capsys.readouterr().out

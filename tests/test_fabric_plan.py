@@ -4,7 +4,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.extension_pipeline import PIPELINE_TRACE_LENGTH
 from repro.experiments.registry import list_experiments
 from repro.fabric.plan import (
-    TRACE_LENGTH_SWEEP_LENGTHS,
+    TRACE_LENGTH_SWEEP_LENGTH,
     build_plan,
     plan_digest,
     static_partition,
@@ -49,15 +49,18 @@ def test_trace_length_ablation_plans_its_fixed_sweeps():
         u for u in plan.report_units
         if u.experiment_id == "ablation-trace-length"
     )
-    # One stream unit per (fixed length x benchmark), and the ablation
-    # depends on exactly those — never on the configured trace length.
+    # One stream unit per benchmark at the longest fixed length, and the
+    # ablation depends on exactly those — never on the configured trace
+    # length, nor on the shorter lengths its one pass snapshots.
     sweep_units = [
         u for u in plan.stream_units
-        if u.request["length"] in TRACE_LENGTH_SWEEP_LENGTHS
+        if u.request["length"] == TRACE_LENGTH_SWEEP_LENGTH
     ]
-    expected = len(TRACE_LENGTH_SWEEP_LENGTHS) * len(CONFIG.benchmarks)
-    assert len(sweep_units) == expected
+    assert len(sweep_units) == len(CONFIG.benchmarks)
     assert set(ablation.deps) == {u.name for u in sweep_units}
+    assert {u.request["length"] for u in plan.stream_units} == {
+        CONFIG.trace_length, TRACE_LENGTH_SWEEP_LENGTH
+    }
 
 
 def test_pipeline_waits_on_the_fixed_length_streams_it_reads():
@@ -73,10 +76,10 @@ def test_pipeline_waits_on_the_fixed_length_streams_it_reads():
     by_id = {u.experiment_id: u for u in plan.report_units}
     assert len(expected) == len(CONFIG.benchmarks)
     assert set(by_id["extension-pipeline"].deps) == expected
-    # Without the warmup ablation those streams are not units: the
-    # pipeline's report unit sweeps them itself.
+    # The pipeline plans its own streams; the warmup ablation no longer
+    # reads that length.
     alone = build_plan(CONFIG, ["extension-pipeline"])
-    assert alone.report_units[0].deps == ()
+    assert set(alone.report_units[0].deps) == expected
 
 
 def test_plan_digest_ignores_execution_knobs_only():

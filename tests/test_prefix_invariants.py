@@ -1,0 +1,233 @@
+"""The prefix invariants that let one run serve many trace lengths.
+
+A benchmark's trace of ``L`` branches is a byte prefix of its longer
+traces at the same seed, and the gshare sweep is causal, so shorter
+traces, their predictor streams and their confidence statistics can all
+be cut from a longer run.  These tests pin each step against a fresh
+computation at the shorter length, and pin the counters that show a
+cold run computes each prefix once.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro import observability
+from repro.core.indexing import XorIndex, make_index
+from repro.experiments import ablation_trace_length
+from repro.experiments.config import ExperimentConfig
+from repro.experiments.runner import sweep_grid, sweep_grid_prefixes
+from repro.predictors import GsharePredictor
+from repro.sim import simulate
+from repro.sim.batched import SweepSpec
+from repro.sim.cache import (
+    cached_predictor_streams,
+    clear_stream_cache,
+    peek_cached_streams,
+    stream_key,
+)
+from repro.sim.diskcache import entry_path, load_cached_streams, stream_cache_dir
+from repro.sim.fast import predictor_streams
+from repro.workloads.ibs import benchmark_names, load_benchmark
+from repro.workloads.spec_like import load_spec_benchmark, spec_benchmark_names
+
+WORKLOADS = [(name, load_benchmark) for name in benchmark_names()] + [
+    (name, load_spec_benchmark) for name in spec_benchmark_names()
+]
+
+
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
+    clear_stream_cache()
+    observability.reset_metrics()
+    yield tmp_path
+    clear_stream_cache()
+    observability.reset_metrics()
+
+
+def test_every_suite_workload_is_registered():
+    assert len(benchmark_names()) == 8
+    assert len(spec_benchmark_names()) == 4
+
+
+@pytest.mark.parametrize(("name", "load"), WORKLOADS, ids=[n for n, _ in WORKLOADS])
+@settings(max_examples=6, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=1 << 20),
+    short=st.integers(min_value=1, max_value=3000),
+    extra=st.integers(min_value=1, max_value=3000),
+)
+def test_trace_is_a_byte_prefix_of_any_longer_trace(name, load, seed, short, extra):
+    shorter = load.__wrapped__(name, short, seed)
+    longer = load.__wrapped__(name, short + extra, seed)
+    assert shorter.name == longer.name
+    assert shorter.pcs.tobytes() == longer.pcs[:short].tobytes()
+    assert shorter.outcomes.tobytes() == longer.outcomes[:short].tobytes()
+
+
+@settings(max_examples=8, deadline=None)
+@given(
+    name=st.sampled_from([name for name, _ in WORKLOADS]),
+    seed=st.integers(min_value=0, max_value=1 << 20),
+    short=st.integers(min_value=1, max_value=600),
+    geometry=st.sampled_from([(1 << 8, 8), (1 << 10, 6), (1 << 12, 12)]),
+)
+def test_streams_of_a_prefix_are_the_prefix_of_the_streams(name, seed, short, geometry):
+    load = dict(WORKLOADS)[name]
+    trace = load.__wrapped__(name, 1200, seed)
+    entries, history_bits = geometry
+    full = predictor_streams(trace, entries=entries, history_bits=history_bits,
+                             bhr_record_bits=history_bits, gcir_bits=history_bits)
+    prefix = trace.slice(0, short)
+    reference = simulate(
+        prefix, GsharePredictor(entries=entries, history_bits=history_bits),
+        history_bits=history_bits, record_streams=True,
+    )
+    assert np.array_equal(full.correct[:short], reference.correct_stream)
+    assert np.array_equal(full.bhrs[:short], reference.bhr_stream)
+    assert np.array_equal(full.gcirs[:short], reference.gcir_stream)
+
+
+def _grid(config):
+    """A grid touching every spec kind, plus a GCIR-fed index."""
+    bits = config.ct_index_bits
+    index = make_index("pc_xor_bhr", bits)
+    return [
+        SweepSpec.pattern(index, config.cir_bits),
+        SweepSpec.pattern(XorIndex(bits, use_pc=True, use_bhr=True, use_gcir=True), 5),
+        SweepSpec.resetting(index, config.cir_bits),
+        SweepSpec.saturating(make_index("bhr", bits), 3),
+        SweepSpec.two_level(index, 4, second_use_pc=True),
+    ]
+
+
+@pytest.mark.parametrize("chunk_size", [None, 1024, 3000])
+def test_one_pass_equals_a_fresh_sweep_at_each_length(chunk_size, monkeypatch):
+    # 3000 does not divide 20,000, so that length falls inside a chunk.
+    monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
+    config = ExperimentConfig(
+        benchmarks=("jpeg_play", "gcc"), trace_length=1, chunk_size=chunk_size
+    )
+    specs = _grid(config)
+    lengths = (2048, 20_000, 7_000, 30_000)
+    clear_stream_cache()
+    observability.reset_metrics()
+    prefixes = sweep_grid_prefixes(config, specs, lengths)
+    assert observability.counter_value("batched.grid_sweeps") == len(config.benchmarks)
+    assert sorted(prefixes) == sorted(lengths)
+    for length in lengths:
+        clear_stream_cache()
+        fresh = sweep_grid(config.scaled(trace_length=length), specs)
+        assert len(fresh) == len(prefixes[length])
+        for left, right in zip(prefixes[length], fresh):
+            assert list(left) == list(right)
+            for name in left:
+                assert np.array_equal(left[name].counts, right[name].counts)
+                assert np.array_equal(left[name].mispredicts, right[name].mispredicts)
+    clear_stream_cache()
+
+
+def test_each_benchmark_passes_over_its_longest_missing_length(cache_dir):
+    config = ExperimentConfig(benchmarks=("jpeg_play", "gcc"), trace_length=1, jobs=2)
+    specs = _grid(config)
+    sweep_grid_prefixes(config.scaled(benchmarks=("jpeg_play",)), specs, (6000,))
+    observability.reset_metrics()
+    mixed = sweep_grid_prefixes(config, specs, (2500, 6000))
+    # jpeg_play misses only 2500 and passes over 2500 branches; gcc
+    # misses both and passes over 6000.
+    assert observability.counter_value("sweep_cache.disk_hits") == 1
+    assert observability.counter_value("sweep_cache.stores") == 3
+    assert observability.counter_value("stream_cache.sweeps") == 1
+    for length in (2500, 6000):
+        clear_stream_cache()
+        fresh = sweep_grid_prefixes(config, specs, (length,))[length]
+        for left, right in zip(mixed[length], fresh):
+            for name in config.benchmarks:
+                assert np.array_equal(left[name].counts, right[name].counts)
+                assert np.array_equal(left[name].mispredicts, right[name].mispredicts)
+
+
+REQUEST = dict(entries=1 << 12, history_bits=12, bhr_record_bits=12, gcir_bits=12)
+
+
+def _fresh(length):
+    return predictor_streams(load_benchmark.__wrapped__("gcc", length, 0), **REQUEST)
+
+
+def _assert_streams_equal(left, right):
+    assert left.trace_name == right.trace_name
+    assert left.gcir_bits == right.gcir_bits
+    for field in ("correct", "bhrs", "pcs", "gcirs"):
+        assert np.array_equal(getattr(left, field), getattr(right, field)), field
+        assert getattr(left, field).dtype == getattr(right, field).dtype, field
+
+
+def test_memory_tier_serves_and_persists_a_prefix(cache_dir):
+    cached_predictor_streams("gcc", length=4000, **REQUEST)
+    observability.reset_metrics()
+    short = cached_predictor_streams("gcc", length=2500, **REQUEST)
+    assert observability.counter_value("stream_cache.prefix_hits") == 1
+    assert observability.counter_value("stream_cache.sweeps") == 0
+    assert observability.counter_value("stream_cache.disk_misses") == 0
+    _assert_streams_equal(short, _fresh(2500))
+    # Memoized under its own key, and persisted like a fresh sweep.
+    assert cached_predictor_streams("gcc", length=2500, **REQUEST) is short
+    key = stream_key("gcc", length=2500, **REQUEST)
+    assert entry_path(key).exists()
+    _assert_streams_equal(load_cached_streams(key), short)
+
+
+def test_peek_serves_a_prefix_and_never_sweeps(cache_dir):
+    assert peek_cached_streams(benchmark="gcc", length=900, **REQUEST) is None
+    cached_predictor_streams("gcc", length=1800, **REQUEST)
+    observability.reset_metrics()
+    short = peek_cached_streams(benchmark="gcc", length=900, **REQUEST)
+    assert observability.counter_value("stream_cache.prefix_hits") == 1
+    assert observability.counter_value("stream_cache.sweeps") == 0
+    _assert_streams_equal(short, _fresh(900))
+    # Other geometries and longer lengths are not prefixes.
+    other = dict(REQUEST, history_bits=10)
+    assert peek_cached_streams(benchmark="gcc", length=900, **other) is None
+    assert peek_cached_streams(benchmark="gcc", length=3600, **REQUEST) is None
+
+
+def test_chunked_prefix_is_served_but_not_persisted(cache_dir):
+    cached_predictor_streams("gcc", length=4000, chunk_size=512, **REQUEST)
+    observability.reset_metrics()
+    short = cached_predictor_streams("gcc", length=3000, chunk_size=512, **REQUEST)
+    assert observability.counter_value("stream_cache.prefix_hits") == 1
+    assert observability.counter_value("stream_cache.chunk_sweeps") == 0
+    assert observability.counter_value("stream_cache.chunk_stores") == 0
+    _assert_streams_equal(short, _fresh(3000))
+    assert not stream_cache_dir().exists()
+
+
+def test_cold_trace_length_ablation_synthesizes_each_trace_once(cache_dir):
+    config = ExperimentConfig(benchmarks=("jpeg_play", "gcc"), trace_length=3000)
+    load_benchmark.cache_clear()
+    observability.reset_metrics()
+    ablation_trace_length.run(config)
+    info = load_benchmark.cache_info()
+    assert info.misses == len(config.benchmarks)
+    assert observability.counter_value("stream_cache.sweeps") == len(config.benchmarks)
+    assert observability.counter_value("batched.grid_sweeps") == len(config.benchmarks)
+    assert observability.counter_value("sweep_cache.stores") == (
+        len(config.benchmarks) * len(ablation_trace_length.DEFAULT_LENGTHS)
+    )
+
+
+def test_trace_memo_serves_shorter_lengths_as_prefixes(cache_dir):
+    from repro.sim.cache import _load_any_benchmark
+
+    load_benchmark.cache_clear()
+    longer = _load_any_benchmark("gcc", 3000, 7)
+    shorter = _load_any_benchmark("gcc", 1000, 7)
+    assert load_benchmark.cache_info().misses == 1
+    assert observability.counter_value("workloads.prefix_hits") == 1
+    assert shorter.pcs.tobytes() == longer.pcs[:1000].tobytes()
+    assert _load_any_benchmark("gcc", 3000, 7) is longer
+    _load_any_benchmark("gcc", 1000, 8)  # another seed is not a prefix
+    assert load_benchmark.cache_info().misses == 2

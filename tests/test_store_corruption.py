@@ -7,7 +7,14 @@ an otherwise valid archive that keeps the old meta record (only the
 checksum can tell); and another entry of the family is renamed over it
 (only the key check can tell).  Every damage must count exactly one
 corrupt drop, recompute, and leave the reports byte-identical.
+
+The compact encodings get damage that a fresh checksum vouches for, so
+only decoding can tell: a sweep entry with a bucket position out of
+range, one whose positions and counts differ in length, and a stream
+entry whose array has a non-integer dtype.
 """
+
+import json
 
 import numpy as np
 import pytest
@@ -17,7 +24,13 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import run_all_reports
 from repro.fabric.runtime import FabricOptions, merge_reports_text, run_worker
 from repro.sim.cache import clear_stream_cache
-from repro.sim.diskcache import cache_root, chunk_cache_dir, stream_cache_dir, sweep_cache_dir
+from repro.sim.diskcache import (
+    _checksum,
+    cache_root,
+    chunk_cache_dir,
+    stream_cache_dir,
+    sweep_cache_dir,
+)
 
 IDS = ["table1", "fig5"]
 CONFIG = ExperimentConfig(benchmarks=("jpeg_play", "gcc"), trace_length=2000)
@@ -119,3 +132,57 @@ def test_damaged_entry_is_dropped_and_recomputed(family, damage, cache_dir):
     assert run(config) == golden
     assert observability.counter_value(corrupt) == 0
     assert observability.counter_value(recompute) == 0
+
+
+def _rewrite_with_valid_checksum(entry, edit):
+    """Apply ``edit`` to an entry's arrays and re-sign it, key unchanged."""
+    with np.load(entry, allow_pickle=False) as archive:
+        meta = json.loads(str(archive["meta"]))
+        arrays = {name: archive[name] for name in archive.files if name != "meta"}
+    edit(arrays)
+    meta["checksum"] = _checksum(arrays, meta["fields"])
+    with open(entry, "wb") as handle:
+        np.savez_compressed(handle, meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+
+
+def _index_out_of_range(arrays):
+    # NumPy would read -1 as the last bucket without a range check.
+    arrays["index"] = arrays["index"].astype(np.int64)
+    arrays["index"][0] = -1
+
+
+def _counts_shorter_than_index(arrays):
+    # One count would broadcast over every position without a length check.
+    arrays["counts"] = arrays["counts"][:1]
+    arrays["mispredicts"] = arrays["mispredicts"][:1]
+
+
+def _float_bhrs(arrays):
+    arrays["bhrs"] = arrays["bhrs"].astype(np.float64)
+
+
+#: damage -> (family, edit of the re-signed entry)
+DECODE_DAMAGES = {
+    "sweep-index-out-of-range": ("sweeps", _index_out_of_range),
+    "sweep-length-mismatch": ("sweeps", _counts_shorter_than_index),
+    "stream-float-dtype": ("streams", _float_bhrs),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(DECODE_DAMAGES))
+def test_resigned_damage_is_caught_by_decode(damage, cache_dir):
+    family, edit = DECODE_DAMAGES[damage]
+    config, run, directory, corrupt, recompute = FAMILIES[family]
+    golden = _report_text(config)
+    entries = sorted(directory().glob("*.npz"))
+    _rewrite_with_valid_checksum(entries[0], edit)
+    if family == "streams":
+        for entry in sweep_cache_dir().glob("*.npz"):
+            entry.unlink()
+    observability.reset_metrics()
+    assert run(config) == golden
+    assert observability.counter_value(corrupt) == 1
+    assert observability.counter_value(recompute) >= 1
+    observability.reset_metrics()
+    assert run(config) == golden
+    assert observability.counter_value(corrupt) == 0
