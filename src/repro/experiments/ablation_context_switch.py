@@ -77,16 +77,27 @@ def run(
     index_function = make_index("pc_xor_bhr", config.ct_index_bits)
     table_entries = index_function.table_entries
     base_init = ones_init(config)
+    # Policies loop outside benchmarks so that only one policy's
+    # 2**cir_bits-bucket statistics per benchmark are alive at a time.
+    inputs = {
+        name: (
+            index_function.vectorized(
+                streams.pcs,
+                streams.bhrs,
+                np.zeros(streams.num_branches, dtype=np.int64),
+            ),
+            streams.correct,
+        )
+        for name, streams in suite_streams(config).items()
+    }
     curves: Dict[str, ConfidenceCurve] = {}
     at_headline: Dict[str, float] = {}
     for policy in POLICIES:
         per_benchmark: Dict[str, BucketStatistics] = {}
-        for name, streams in suite_streams(config).items():
-            gcirs = np.zeros(streams.num_branches, dtype=np.int64)
-            indices = index_function.vectorized(streams.pcs, streams.bhrs, gcirs)
+        for name, (indices, correct) in inputs.items():
             patterns = cir_pattern_stream_with_flushes(
                 indices,
-                streams.correct,
+                correct,
                 cir_bits=config.cir_bits,
                 table_entries=table_entries,
                 flush_interval=flush_interval,
@@ -94,7 +105,7 @@ def run(
                 base_init=base_init,
             )
             per_benchmark[name] = BucketStatistics.from_streams(
-                patterns, streams.correct, num_buckets=1 << config.cir_bits
+                patterns, correct, num_buckets=1 << config.cir_bits
             )
         curve = ConfidenceCurve.from_statistics(
             equal_weight_combine(per_benchmark), name=policy

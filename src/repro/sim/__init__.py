@@ -5,11 +5,12 @@ Two engines compute identical statistics:
 * :mod:`repro.sim.engine` — the reference implementation: plain objects,
   one Python loop, semantics that read directly off the paper.  Used by
   the unit tests as ground truth and for small runs.
-* :mod:`repro.sim.fast` — the production path for full experiments: the
-  predictor sweep is a tight loop producing correctness/BHR streams
-  (memoized per benchmark+predictor), and CIR pattern histories are
-  reconstructed with vectorized grouped scans.  Property tests assert
-  exact equivalence with the reference engine.
+* The kernels of :mod:`repro.sim.chunked` — the production path: a
+  vectorized gshare sweep producing correctness/BHR streams (memoized
+  per benchmark+predictor) and one grouped CIR scan for every
+  confidence table, run by :class:`repro.sim.batched.GridObserver` and
+  by the per-branch callers in :mod:`repro.sim.fast`.  Property tests
+  assert exact equivalence with the reference engine.
 """
 
 from repro.sim.cache import cached_predictor_streams, clear_stream_cache

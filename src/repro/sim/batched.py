@@ -1,24 +1,24 @@
-"""Batched multi-config sweep kernels (the config-axis engine).
+"""Batched multi-config sweeps: the one confidence-table observer.
 
 Every figure in the paper evaluates a *grid* of confidence-table
 configurations — several index functions, register widths, and reduction
 functions — over the same predictor streams.  Driving them one at a time
-would re-sort and re-reconstruct the stream once per grid point.  This
-module fuses the whole grid into single numpy passes with a leading
-config axis, and it is the only observer the experiments use: a single
-mechanism is a grid of one.
+would re-sort and re-reconstruct the stream once per grid point.
+:class:`GridObserver` pushes the whole grid through the kernels of
+:mod:`repro.sim.chunked` with a leading config axis, and it is the only
+observer the experiments use: a single mechanism is a grid of one.
 
-* **One flattened grouping for all configurations.**  Each distinct index
+* **One grouped CIR scan for all configurations.**  Each distinct index
   stream is offset into its own disjoint entry range and the
-  concatenation is stable-argsorted once.  Because the offset ranges are
-  disjoint, every stream's accesses land in a contiguous slice of the
-  sorted order with exactly the per-stream group ranks, so one sort
-  serves every grid point sharing that index stream.
-* **One lagged-shift CIR reconstruction shared by all widths.**  The
-  shift-register history is reconstructed once at the widest requested
-  register; a ``w``-bit configuration reads it through ``bit_mask(w)``.
-  This is exact: history bit ``j`` is populated only when the in-group
-  rank exceeds ``j``, which is width-independent.
+  concatenation is stable-argsorted once
+  (:func:`repro.sim.chunked._flatten_and_group`), so one sort serves
+  every grid point sharing an index stream.  The shift-register history
+  is reconstructed once at the widest requested register; a ``w``-bit
+  configuration reads it through ``bit_mask(w)``.  This is exact:
+  history bit ``j`` is populated only when the in-group rank exceeds
+  ``j``, which is width-independent.  Resetting counters and two-level
+  level-2 indices derive from the patterns through the same helpers the
+  per-branch paths use.
 * **Counter walks stacked as a 2-D clamp-affine scan.**  Saturating
   counters from every configuration are concatenated along the config
   axis and evaluated by a single segmented Hillis-Steele scan with
@@ -30,10 +30,10 @@ mechanism is a grid of one.
   scatter back to time order is needed except for the two-level cascade.
 
 :class:`GridObserver` carries all per-entry state across chunk
-boundaries, so it composes with the chunked streaming pipeline exactly
-like the single-table observers in :mod:`repro.sim.chunked`.  The golden
-suite pins it bit-identical to those observers and to the reference
-engine (:mod:`repro.sim.engine`).
+boundaries, so any chunking of the stream gives the same statistics.
+The golden suite pins it bit-identical to the single-table observers in
+:mod:`repro.sim.chunked` and to the reference engine
+(:mod:`repro.sim.engine`).
 """
 
 from __future__ import annotations
@@ -46,8 +46,17 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.analysis.buckets import BucketStatistics
-from repro.core.indexing import IndexFunction, PC_ALIGNMENT_BITS
-from repro.sim.chunked import StreamChunk, _group_ranks, _stacked_clamped_walk
+from repro.core.indexing import IndexFunction
+from repro.sim.chunked import (
+    InitPatterns,
+    StreamChunk,
+    _FlatGroups,
+    _flatten_and_group,
+    _stacked_clamped_walk,
+    initial_table,
+    level2_indices,
+    resetting_counts,
+)
 from repro.utils.bits import bit_mask
 from repro.utils.validation import check_in_range, check_positive
 
@@ -62,8 +71,6 @@ SPEC_KINDS = (PATTERN, RESETTING, SATURATING, TWO_LEVEL)
 #: Kinds whose table is a shift register (they share the lagged-shift
 #: history reconstruction; saturating counters do not need one).
 _REGISTER_KINDS = (PATTERN, RESETTING, TWO_LEVEL)
-
-InitPatterns = Union[int, np.ndarray]
 
 
 @dataclass(frozen=True, eq=False)
@@ -191,127 +198,6 @@ def grid_digest(specs: Sequence[SweepSpec]) -> str:
 
 
 # --------------------------------------------------------------------------
-# Flattened grouping: one stable sort shared by every grid point
-# --------------------------------------------------------------------------
-
-
-@dataclass
-class _FlatGroups:
-    """Sorted flattened layout of several index streams over one chunk.
-
-    Stream ``u`` of ``n`` accesses occupies flat positions
-    ``[u*n, (u+1)*n)`` before sorting; after the stable argsort its
-    accesses occupy the *sorted* slice ``[u*n, (u+1)*n)`` as well,
-    because the per-stream entry offsets are disjoint and cumulative.
-    Within that slice, time order and group ranks are exactly those of a
-    per-stream sort.
-    """
-
-    n: int
-    offsets: np.ndarray
-    order: np.ndarray
-    sorted_flat: np.ndarray
-    ranks: np.ndarray
-    is_last: np.ndarray
-    incorrect_sorted: np.ndarray
-    history: np.ndarray
-    history_width: int
-
-    def segment(self, stream: int) -> slice:
-        """Sorted-domain slice holding stream ``stream``'s accesses."""
-        return slice(stream * self.n, (stream + 1) * self.n)
-
-    def pattern_segment(
-        self, stream: int, width: int, table: np.ndarray
-    ) -> np.ndarray:
-        """Pre-update ``width``-bit patterns of one stream, sorted order.
-
-        Reads the shared history through ``bit_mask(width)`` and applies
-        the per-entry initial patterns carried in ``table``; ``table`` is
-        advanced in place to the post-chunk state (the last access of
-        each entry publishes its post-update pattern).
-        """
-        check_in_range(width, 1, self.history_width, "width")
-        sl = self.segment(stream)
-        entries = self.sorted_flat[sl] - self.offsets[stream]
-        ranks = self.ranks[sl]
-        incorrect = self.incorrect_sorted[sl]
-        mask = np.int64(bit_mask(width))
-        init_sorted = table[entries]
-        patterns = ((init_sorted << np.minimum(ranks, width)) & mask) | (
-            self.history[sl] & mask
-        )
-        post = ((patterns << np.int64(1)) | incorrect) & mask
-        last = self.is_last[sl]
-        table[entries[last]] = post[last]
-        return patterns
-
-    def time_positions(self, stream: int) -> np.ndarray:
-        """Original time index of each sorted position of one stream."""
-        return self.order[self.segment(stream)] - np.int64(stream * self.n)
-
-
-def _flatten_and_group(
-    index_streams: Sequence[np.ndarray],
-    entry_counts: Sequence[int],
-    incorrect: np.ndarray,
-    history_width: int,
-) -> _FlatGroups:
-    """One stable argsort + shared history over several index streams.
-
-    ``history_width`` is the widest shift register any consumer needs
-    (0 skips the reconstruction entirely, e.g. a saturating-only grid).
-    """
-    n = int(incorrect.shape[0])
-    streams = len(index_streams)
-    offsets = np.zeros(streams, dtype=np.int64)
-    if streams > 1:
-        offsets[1:] = np.cumsum(
-            np.asarray(entry_counts[:-1], dtype=np.int64)
-        )
-    flat = np.empty(streams * n, dtype=np.int64)
-    for u, indices in enumerate(index_streams):
-        flat[u * n : (u + 1) * n] = indices + offsets[u]
-    order = np.argsort(flat, kind="stable")
-    sorted_flat = flat[order]
-    ranks = _group_ranks(sorted_flat)
-    total = sorted_flat.shape[0]
-    is_last = np.empty(total, dtype=bool)
-    if total:
-        is_last[:-1] = sorted_flat[1:] != sorted_flat[:-1]
-        is_last[-1] = True
-    incorrect_tiled = np.tile(np.asarray(incorrect, dtype=np.int64), streams)
-    incorrect_sorted = incorrect_tiled[order]
-    history = np.zeros(total, dtype=np.int64)
-    for j in range(history_width):
-        lagged = np.zeros(total, dtype=np.int64)
-        if total > j + 1:
-            lagged[j + 1 :] = incorrect_sorted[: total - j - 1]
-        history |= np.where(ranks > j, lagged << j, 0)
-    return _FlatGroups(
-        n=n,
-        offsets=offsets,
-        order=order,
-        sorted_flat=sorted_flat,
-        ranks=ranks,
-        is_last=is_last,
-        incorrect_sorted=incorrect_sorted,
-        history=history,
-        history_width=history_width,
-    )
-
-
-def _resetting_counts(patterns: np.ndarray, maximum: int) -> np.ndarray:
-    """Resetting-counter values of CIR patterns (lowest-set-bit index)."""
-    lowest = patterns & -patterns
-    return np.where(
-        patterns == 0,
-        maximum,
-        np.log2(np.maximum(lowest, 1)).astype(np.int64),
-    ).astype(np.int64)
-
-
-# --------------------------------------------------------------------------
 # The grid observer: whole-grid sweep with state carried across chunks
 # --------------------------------------------------------------------------
 
@@ -371,16 +257,13 @@ class GridObserver:
     def _initial_state(spec: SweepSpec) -> _SpecState:
         entries = spec.index_function.table_entries
         if spec.kind == PATTERN:
-            if isinstance(spec.init, np.ndarray):
-                table = spec.init.astype(np.int64).copy()
-            else:
-                table = np.full(entries, int(spec.init), dtype=np.int64)
-        elif spec.kind == RESETTING:
-            # Counter initial value 0 == the all-ones CIR pattern.
-            table = np.full(entries, bit_mask(spec.width), dtype=np.int64)
+            table = initial_table(spec.init, entries)
         elif spec.kind == SATURATING:
             table = np.zeros(entries, dtype=np.int64)
-        else:  # TWO_LEVEL: all-ones at both levels, level 2 spans the CIR space.
+        else:
+            # Resetting counters start at 0, the all-ones CIR pattern;
+            # two-level tables are all-ones at both levels, and level 2
+            # spans the CIR space.
             table = np.full(entries, bit_mask(spec.width), dtype=np.int64)
         level2 = (
             np.full(1 << spec.width, bit_mask(spec.width), dtype=np.int64)
@@ -450,7 +333,7 @@ class GridObserver:
                 patterns = grouped.pattern_segment(stream, spec.width, state.table)
                 self._accumulate(
                     position,
-                    _resetting_counts(patterns, spec.width),
+                    resetting_counts(patterns, spec.width),
                     grouped.incorrect_sorted[grouped.segment(stream)],
                 )
             elif spec.kind == TWO_LEVEL:
@@ -478,11 +361,9 @@ class GridObserver:
         """Time-ordered level-2 indices of one two-level grid point."""
         cir1 = np.empty(grouped.n, dtype=np.int64)
         cir1[grouped.time_positions(stream)] = patterns
-        if spec.second_use_pc:
-            cir1 ^= np.asarray(chunk.pcs, dtype=np.int64) >> PC_ALIGNMENT_BITS
-        if spec.second_use_bhr:
-            cir1 ^= np.asarray(chunk.bhrs, dtype=np.int64)
-        return cir1 & np.int64(bit_mask(spec.width))
+        return level2_indices(
+            cir1, chunk.pcs, chunk.bhrs, spec.width, spec.second_use_pc, spec.second_use_bhr
+        )
 
     def _observe_saturating(
         self, positions: List[int], grouped: _FlatGroups

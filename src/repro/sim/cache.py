@@ -36,8 +36,6 @@ import dataclasses
 from collections import OrderedDict
 from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro import observability
 from repro.sim.chunked import (
     GshareState,
@@ -60,7 +58,7 @@ from repro.sim.diskcache import (
     store_cached_streams,
     store_cached_sweep,
 )
-from repro.sim.fast import PredictorStreams, predictor_streams
+from repro.sim.fast import PredictorStreams, predictor_streams, streams_from_chunks
 from repro.traces.trace import Trace
 from repro.workloads.ibs import DEFAULT_TRACE_LENGTH, load_benchmark
 from repro.workloads.spec_like import load_spec_benchmark, spec_benchmark_names
@@ -358,11 +356,7 @@ def cached_predictor_streams(
     if streams is not None:
         return streams
     if chunk_size is not None:
-        correct_parts = []
-        bhr_parts = []
-        pc_parts = []
-        trace_name = benchmark
-        for chunk in iter_cached_stream_chunks(
+        chunks = iter_cached_stream_chunks(
             benchmark,
             length=length,
             seed=seed,
@@ -371,18 +365,8 @@ def cached_predictor_streams(
             bhr_record_bits=bhr_record_bits,
             gcir_bits=gcir_bits,
             chunk_size=chunk_size,
-        ):
-            trace_name = chunk.trace_name or trace_name
-            correct_parts.append(chunk.correct)
-            bhr_parts.append(chunk.bhrs)
-            pc_parts.append(chunk.pcs)
-        streams = PredictorStreams(
-            trace_name=trace_name,
-            correct=np.concatenate(correct_parts) if correct_parts else np.zeros(0, dtype=np.uint8),
-            bhrs=np.concatenate(bhr_parts) if bhr_parts else np.zeros(0, dtype=np.int64),
-            pcs=np.concatenate(pc_parts) if pc_parts else np.zeros(0, dtype=np.int64),
-            gcir_bits=gcir_bits,
         )
+        streams = streams_from_chunks(chunks, benchmark, gcir_bits)
     else:
         streams = load_cached_streams(key)
         if streams is None:

@@ -1,50 +1,53 @@
-"""Chunked streaming simulation core.
+"""Chunked streaming simulation core and the one confidence-table kernel.
 
-The monolithic fast path (:mod:`repro.sim.fast`) materializes the full
-trace and every derived stream, so peak memory grows linearly with trace
-length.  This module bounds peak memory by the *chunk* size instead:
-traces are consumed as a generator of fixed-size chunks, all table state
-(the gshare counter table and BHR, CIR tables, saturating-counter
-tables) carries across chunk boundaries, and per-chunk bucket streams
-fold into running statistics.  Because every mechanism in the paper is
-causal — each access depends only on earlier accesses to the same entry
-— cutting the stream at arbitrary boundaries and re-seeding the next
-chunk with the carried state reproduces the monolithic streams *bit for
-bit*; the golden-equivalence tests assert exactly that for chunk sizes
-down to 1.
+The predictor sweep and every confidence table are consumed as a
+generator of fixed-size chunks, so peak memory is bounded by the *chunk*
+size rather than the trace length: all table state (the gshare counter
+table and BHR, CIR tables, saturating-counter tables) carries across
+chunk boundaries, and per-chunk bucket streams fold into running
+statistics.  Because every mechanism in the paper is causal — each
+access depends only on earlier accesses to the same entry — cutting the
+stream at arbitrary boundaries and re-seeding the next chunk with the
+carried state reproduces the whole-trace streams *bit for bit*; the
+golden-equivalence tests assert exactly that for chunk sizes down to 1.
 
-The chunk kernel is also where the last sequential Python loops die:
+Two kernels do all the work, and every other entry point in
+:mod:`repro.sim` is a thin caller of them:
 
-* **The gshare sweep is a table-state-carrying NumPy kernel.**  The BHR
-  stream is a lagged-shift reconstruction of the outcome bits (the
-  register shifts in the *resolved outcome*, so it never depends on the
-  predictions), which makes the per-branch table index fully
-  vectorizable.  The 2-bit counters are then a table of clamped ±1
-  walks, evaluated by :func:`segmented_clamped_walk`.
-* **Saturating counters ride the same kernel** — they are the identical
-  clamped-walk recurrence with a wider clamp range.
+* **The grouped CIR scan** (:func:`_flatten_and_group`,
+  :meth:`_FlatGroups.pattern_segment`).  CIR tables are linear shift
+  registers: the pattern an access reads is the last ``n`` incorrect
+  bits recorded at its entry, shifted over the entry's initial pattern.
+  One stable argsort groups the accesses of one or several index
+  streams by entry, and ``n`` rank-guarded lagged shifts rebuild every
+  access's history at once.  :class:`repro.sim.batched.GridObserver`
+  runs a whole grid through it; :func:`table_patterns` is its
+  one-stream entry, behind :mod:`repro.sim.fast` and the chunk
+  observers below.  Resetting counters (:func:`resetting_counts`) and
+  two-level tables (:func:`level2_indices`) derive from its output.
+* **The segmented clamped walk** (:func:`_stacked_clamped_walk`).  The
+  gshare 2-bit counters and saturating confidence counters both follow
+  ``x -> min(hi, max(lo, x + d))``, a *clamp-affine* function
+  ``x -> min(U, max(L, x + s))``, and clamp-affine functions are closed
+  under composition::
 
-The one scan behind both (:func:`_stacked_clamped_walk`, which the
-batched grid observer also stacks over configurations) exploits that
-the per-step update
-``x -> min(hi, max(lo, x + d))`` is a *clamp-affine* function
-``x -> min(U, max(L, x + s))``, and that clamp-affine functions are
-closed under composition::
+      (later ∘ earlier): s = s1 + s2
+                         L = max(l2, l1 + s2)
+                         U = min(u2, max(l2, u1 + s2))
 
-    (later ∘ earlier): s = s1 + s2
-                       L = max(l2, l1 + s2)
-                       U = min(u2, max(l2, u1 + s2))
-
-so the per-entry prefix compositions reduce to a segmented
-Hillis-Steele scan — ``O(n log n)`` vectorized work instead of a
-sequential Python loop.
+  so the per-entry prefix compositions reduce to a segmented
+  Hillis-Steele scan — ``O(n log n)`` vectorized work instead of a
+  sequential Python loop.  The BHR stream the gshare sweep needs is a
+  lagged-shift reconstruction of the outcome bits (the register shifts
+  in the *resolved outcome*, so it never depends on the predictions),
+  which makes the per-branch table index fully vectorizable.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Tuple, Union
+from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -87,21 +90,65 @@ def iter_trace_chunks(trace: Trace, chunk_size: Optional[int]) -> Iterator[Trace
         yield trace.slice(start, min(start + step, len(trace)))
 
 
+def check_table_indices(indices: np.ndarray, entries: Optional[int]) -> np.ndarray:
+    """``indices`` as int64; ``ValueError`` if one lies outside the table.
+
+    ``entries`` is the table size, or ``None`` for a table sized to fit
+    its largest index (then only negative indices are rejected).
+    """
+    indices = np.asarray(indices, dtype=np.int64)
+    if indices.size:
+        low, high = int(indices.min()), int(indices.max())
+        if entries is None and low < 0:
+            raise ValueError(f"table index {low} is negative")
+        if entries is not None and not 0 <= low <= high < entries:
+            bad = low if low < 0 else high
+            raise ValueError(f"table index {bad} is outside a {entries}-entry table")
+    return indices
+
+
+InitPatterns = Union[int, np.ndarray]
+
+
+def initial_table(init_patterns: InitPatterns, table_entries: int) -> np.ndarray:
+    """A fresh int64 table from a scalar or per-entry initial pattern."""
+    if isinstance(init_patterns, np.ndarray):
+        table = init_patterns.astype(np.int64)
+        if table.shape != (table_entries,):
+            raise ValueError(
+                f"init_patterns must cover {table_entries} entries, "
+                f"got shape {table.shape}"
+            )
+        return table
+    return np.full(table_entries, int(init_patterns), dtype=np.int64)
+
+
 # --------------------------------------------------------------------------
-# The segmented clamped-walk scan (shared by gshare and saturating counters)
+# Grouping by table entry and the segmented clamped-walk scan
 # --------------------------------------------------------------------------
 
 
-def _group_ranks(sorted_indices: np.ndarray) -> np.ndarray:
-    """Rank of each sorted position within its (contiguous) index group."""
-    n = sorted_indices.shape[0]
+def _sort_groups(
+    keys: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """One stable argsort of ``keys``, grouped by equal key.
+
+    Returns ``(order, sorted_keys, ranks, is_last)``: each sorted
+    position's rank within its (contiguous) group, and a mask of each
+    group's final access — the one whose post-update value the table
+    keeps.
+    """
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
+    n = sorted_keys.shape[0]
     if n == 0:
-        return np.zeros(0, dtype=np.int64)
-    is_start = np.concatenate(([True], sorted_indices[1:] != sorted_indices[:-1]))
-    group_starts = np.flatnonzero(is_start)
-    group_sizes = np.diff(np.concatenate((group_starts, [n])))
-    start_of_position = np.repeat(group_starts, group_sizes)
-    return np.arange(n, dtype=np.int64) - start_of_position
+        return order, sorted_keys, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
+    boundary = sorted_keys[1:] != sorted_keys[:-1]
+    group_starts = np.flatnonzero(np.concatenate(([True], boundary)))
+    group_sizes = np.diff(np.append(group_starts, n))
+    ranks = np.arange(n, dtype=np.int64) - np.repeat(group_starts, group_sizes)
+    is_last = np.append(boundary, True)
+    return order, sorted_keys, ranks, is_last
 
 
 def _stacked_clamped_walk(
@@ -114,7 +161,7 @@ def _stacked_clamped_walk(
     """Segmented clamped walk over already-grouped sorted segments.
 
     ``ranks`` is each position's rank within its (contiguous) group, as
-    from :func:`_group_ranks`; the clamp upper bound may vary per
+    from :func:`_sort_groups`; the clamp upper bound may vary per
     position, so several configurations with different counter maxima
     can be stacked into one scan.  The clamp-affine composition is
     element-wise, so windows never leak across groups: rank-0 positions
@@ -202,16 +249,177 @@ def segmented_clamped_walk(
     if n == 0:
         return np.zeros(0, dtype=np.int64), finals
 
-    order = np.argsort(indices, kind="stable")
-    sorted_indices = indices[order]
+    order, sorted_indices, ranks, is_last = _sort_groups(indices)
     pre_sorted, post_sorted = _stacked_clamped_walk(
-        _group_ranks(sorted_indices), deltas[order], lo, hi, finals[sorted_indices]
+        ranks, deltas[order], lo, hi, finals[sorted_indices]
     )
     pre_values = np.empty(n, dtype=np.int64)
     pre_values[order] = pre_sorted
-    # Later positions overwrite earlier ones, so the last access wins.
-    finals[sorted_indices] = post_sorted
+    finals[sorted_indices[is_last]] = post_sorted[is_last]
     return pre_values, finals
+
+
+# --------------------------------------------------------------------------
+# The grouped CIR scan: one stable sort shared by every index stream
+# --------------------------------------------------------------------------
+
+
+@dataclass
+class _FlatGroups:
+    """Sorted flattened layout of several index streams over one chunk.
+
+    Stream ``u`` of ``n`` accesses occupies flat positions
+    ``[u*n, (u+1)*n)`` before sorting; after the stable argsort its
+    accesses occupy the *sorted* slice ``[u*n, (u+1)*n)`` as well,
+    because the per-stream entry offsets are disjoint and cumulative.
+    Within that slice, time order and group ranks are exactly those of a
+    per-stream sort.
+    """
+
+    n: int
+    offsets: np.ndarray
+    order: np.ndarray
+    sorted_flat: np.ndarray
+    ranks: np.ndarray
+    is_last: np.ndarray
+    incorrect_sorted: np.ndarray
+    history: np.ndarray
+    history_width: int
+
+    def segment(self, stream: int) -> slice:
+        """Sorted-domain slice holding stream ``stream``'s accesses."""
+        return slice(stream * self.n, (stream + 1) * self.n)
+
+    def pattern_segment(
+        self, stream: int, width: int, table: np.ndarray
+    ) -> np.ndarray:
+        """Pre-update ``width``-bit patterns of one stream, sorted order.
+
+        Reads the shared history through ``bit_mask(width)`` and applies
+        the per-entry initial patterns carried in ``table``; ``table`` is
+        advanced in place to the post-chunk state (the last access of
+        each entry publishes its post-update pattern).
+        """
+        check_in_range(width, 1, self.history_width, "width")
+        sl = self.segment(stream)
+        entries = self.sorted_flat[sl] - self.offsets[stream]
+        ranks = self.ranks[sl]
+        incorrect = self.incorrect_sorted[sl]
+        mask = np.int64(bit_mask(width))
+        init_sorted = table[entries]
+        patterns = ((init_sorted << np.minimum(ranks, width)) & mask) | (
+            self.history[sl] & mask
+        )
+        post = ((patterns << np.int64(1)) | incorrect) & mask
+        last = self.is_last[sl]
+        table[entries[last]] = post[last]
+        return patterns
+
+    def time_positions(self, stream: int) -> np.ndarray:
+        """Original time index of each sorted position of one stream."""
+        return self.order[self.segment(stream)] - np.int64(stream * self.n)
+
+
+def _flatten_and_group(
+    index_streams: Sequence[np.ndarray],
+    entry_counts: Sequence[int],
+    incorrect: np.ndarray,
+    history_width: int,
+) -> _FlatGroups:
+    """One stable argsort + shared history over several index streams.
+
+    ``history_width`` is the widest shift register any consumer needs
+    (0 skips the reconstruction entirely, e.g. a saturating-only grid).
+    """
+    n = int(incorrect.shape[0])
+    streams = len(index_streams)
+    offsets = np.zeros(streams, dtype=np.int64)
+    offsets[1:] = np.cumsum(np.asarray(entry_counts[:-1], dtype=np.int64))
+    flat = np.empty(streams * n, dtype=np.int64)
+    for u, indices in enumerate(index_streams):
+        flat[u * n : (u + 1) * n] = indices + offsets[u]
+    order, sorted_flat, ranks, is_last = _sort_groups(flat)
+    incorrect_sorted = np.tile(np.asarray(incorrect, dtype=np.int64), streams)[order]
+    # History bit j of an access is the incorrect bit of the access j+1
+    # places earlier in sorted order, present only when that access
+    # belongs to the same entry (``ranks > j``).
+    total = sorted_flat.shape[0]
+    history = np.zeros(total, dtype=np.int64)
+    for j in range(min(history_width, total - 1)):
+        history[j + 1 :] |= (
+            incorrect_sorted[: total - j - 1] & (ranks[j + 1 :] > j)
+        ) << j
+    return _FlatGroups(
+        n=n,
+        offsets=offsets,
+        order=order,
+        sorted_flat=sorted_flat,
+        ranks=ranks,
+        is_last=is_last,
+        incorrect_sorted=incorrect_sorted,
+        history=history,
+        history_width=history_width,
+    )
+
+
+def table_patterns(
+    indices: np.ndarray, correct: np.ndarray, width: int, table: np.ndarray
+) -> np.ndarray:
+    """Time-ordered pre-update patterns of one ``width``-bit CIR table.
+
+    The one-stream entry to the grouped scan.  ``table`` (int64, one
+    pattern per entry) holds the patterns before the stream and is
+    advanced in place to the patterns after it; an index outside it is a
+    ``ValueError``.
+    """
+    indices = check_table_indices(indices, table.shape[0])
+    incorrect = (np.asarray(correct) == 0).astype(np.int64)
+    if indices.shape != incorrect.shape:
+        raise ValueError("indices and correct must have equal length")
+    grouped = _flatten_and_group([indices], [table.shape[0]], incorrect, width)
+    patterns = np.empty(grouped.n, dtype=np.int64)
+    patterns[grouped.order] = grouped.pattern_segment(0, width, table)
+    return patterns
+
+
+def resetting_counts(patterns: np.ndarray, maximum: int) -> np.ndarray:
+    """Resetting-counter values of ``maximum``-bit CIR patterns.
+
+    A resetting counter is the index of the lowest set bit of a
+    wide-enough CIR (``maximum`` when the CIR is all zeros); an initial
+    counter value ``c`` corresponds to the initial pattern
+    ``(all-ones << c)``.
+    """
+    lowest = patterns & -patterns
+    return np.where(
+        patterns == 0,
+        maximum,
+        np.log2(np.maximum(lowest, 1)).astype(np.int64),
+    ).astype(np.int64)
+
+
+def level2_indices(
+    level1_patterns: np.ndarray,
+    pcs: np.ndarray,
+    bhrs: np.ndarray,
+    width: int,
+    second_use_pc: bool,
+    second_use_bhr: bool,
+) -> np.ndarray:
+    """Time-ordered level-2 indices of a two-level mechanism.
+
+    The level-1 CIR each access read, optionally XORed with its PC
+    (alignment bits dropped) and BHR, masked to ``width`` bits — the
+    lookup and update index of
+    :class:`repro.core.two_level.TwoLevelConfidence`.
+    """
+    indices = np.array(level1_patterns, dtype=np.int64)
+    if second_use_pc:
+        indices ^= np.asarray(pcs, dtype=np.int64) >> PC_ALIGNMENT_BITS
+    if second_use_bhr:
+        indices ^= np.asarray(bhrs, dtype=np.int64)
+    indices &= np.int64(bit_mask(width))
+    return indices
 
 
 # --------------------------------------------------------------------------
@@ -403,48 +611,6 @@ def sweep_stream_chunks(
         yield chunk
 
 
-def sweep_streams(
-    trace: Trace,
-    entries: int = 1 << 16,
-    history_bits: int = 16,
-    bhr_record_bits: int = 16,
-    gcir_bits: int = 16,
-    chunk_size: Optional[int] = None,
-):
-    """Full-trace sweep via the chunk kernel; returns ``PredictorStreams``.
-
-    This is the engine behind :func:`repro.sim.fast.predictor_streams`:
-    identical output to the historical sequential loop, produced by the
-    vectorized kernel (one chunk per ``chunk_size`` branches).
-    """
-    from repro.sim.fast import PredictorStreams
-
-    correct_parts = []
-    bhr_parts = []
-    for chunk in sweep_stream_chunks(
-        iter_trace_chunks(trace, chunk_size),
-        entries=entries,
-        history_bits=history_bits,
-        bhr_record_bits=bhr_record_bits,
-        gcir_bits=gcir_bits,
-    ):
-        correct_parts.append(chunk.correct)
-        bhr_parts.append(chunk.bhrs)
-    if correct_parts:
-        correct = np.concatenate(correct_parts)
-        bhrs = np.concatenate(bhr_parts)
-    else:
-        correct = np.zeros(0, dtype=np.uint8)
-        bhrs = np.zeros(0, dtype=np.int64)
-    return PredictorStreams(
-        trace_name=trace.name,
-        correct=correct,
-        bhrs=bhrs,
-        pcs=trace.pcs.astype(np.int64),
-        gcir_bits=gcir_bits,
-    )
-
-
 def num_chunks(total: int, chunk_size: Optional[int]) -> int:
     """How many chunks a ``total``-branch stream splits into."""
     step = resolve_chunk_size(chunk_size, total)
@@ -465,31 +631,18 @@ class CIRTableObserver:
     monolithic :func:`repro.sim.fast.cir_pattern_stream`.
     """
 
-    def __init__(self, cir_bits: int, table_entries: int, init_patterns) -> None:
+    def __init__(
+        self, cir_bits: int, table_entries: int, init_patterns: InitPatterns
+    ) -> None:
         check_in_range(cir_bits, 1, 30, "cir_bits")
         check_positive(table_entries, "table_entries")
         self.cir_bits = cir_bits
         self.table_entries = table_entries
-        if isinstance(init_patterns, np.ndarray):
-            patterns = init_patterns.astype(np.int64).copy()
-            if patterns.shape != (table_entries,):
-                raise ValueError(
-                    f"init_patterns must cover {table_entries} entries, "
-                    f"got shape {patterns.shape}"
-                )
-        else:
-            patterns = np.full(table_entries, int(init_patterns), dtype=np.int64)
-        self.patterns = patterns
+        self.patterns = initial_table(init_patterns, table_entries)
 
     def observe(self, indices: np.ndarray, correct: np.ndarray) -> np.ndarray:
         """Patterns read by this chunk's accesses; advances the table."""
-        from repro.sim.fast import cir_pattern_stream, final_cir_patterns
-
-        read = cir_pattern_stream(indices, correct, self.cir_bits, self.patterns)
-        self.patterns = final_cir_patterns(
-            indices, correct, self.cir_bits, self.patterns, self.table_entries
-        )
-        return read
+        return table_patterns(indices, correct, self.cir_bits, self.patterns)
 
 
 class ResettingCounterObserver:
@@ -503,13 +656,7 @@ class ResettingCounterObserver:
         self._cir = CIRTableObserver(maximum, table_entries, (mask << initial) & mask)
 
     def observe(self, indices: np.ndarray, correct: np.ndarray) -> np.ndarray:
-        patterns = self._cir.observe(indices, correct)
-        lowest = patterns & -patterns
-        return np.where(
-            patterns == 0,
-            self.maximum,
-            np.log2(np.maximum(lowest, 1)).astype(np.int64),
-        ).astype(np.int64)
+        return resetting_counts(self._cir.observe(indices, correct), self.maximum)
 
 
 class SaturatingCounterObserver:
@@ -523,6 +670,7 @@ class SaturatingCounterObserver:
         self.table = np.full(table_entries, initial, dtype=np.int64)
 
     def observe(self, indices: np.ndarray, correct: np.ndarray) -> np.ndarray:
+        indices = check_table_indices(indices, self.table.shape[0])
         deltas = np.where(np.asarray(correct) != 0, 1, -1)
         values, self.table = segmented_clamped_walk(
             indices, deltas, 0, self.maximum, self.table
@@ -549,7 +697,6 @@ class TwoLevelObserver:
         )
         self.second_use_pc = second_use_pc
         self.second_use_bhr = second_use_bhr
-        self._level1_mask = bit_mask(level1_cir_bits)
 
     def observe(
         self,
@@ -559,10 +706,7 @@ class TwoLevelObserver:
         bhrs: np.ndarray,
     ) -> np.ndarray:
         cir1 = self.level1.observe(level1_indices, correct)
-        level2_indices = cir1.copy()
-        if self.second_use_pc:
-            level2_indices ^= np.asarray(pcs, dtype=np.int64) >> PC_ALIGNMENT_BITS
-        if self.second_use_bhr:
-            level2_indices ^= np.asarray(bhrs, dtype=np.int64)
-        level2_indices &= self._level1_mask
-        return self.level2.observe(level2_indices, correct)
+        level2 = level2_indices(
+            cir1, pcs, bhrs, self.level1.cir_bits, self.second_use_pc, self.second_use_bhr
+        )
+        return self.level2.observe(level2, correct)

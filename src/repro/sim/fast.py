@@ -1,4 +1,4 @@
-"""The fast simulation path for full-scale experiments.
+"""Whole-trace entry points over the chunk kernels.
 
 Two observations make the paper's experiments cheap without changing any
 semantics:
@@ -6,22 +6,28 @@ semantics:
 1. **The predictor decouples from the confidence mechanisms.**  Every
    confidence estimator consumes only the streams ``(pc, bhr, correct)``;
    none of them feeds back into the predictor.  So the predictor runs
-   once per (trace, configuration) — :func:`predictor_streams`, a tight
-   sequential loop — and its output streams are reused by every
-   confidence experiment (see :mod:`repro.sim.cache`).
+   once per (trace, configuration) — :func:`predictor_streams`, the
+   vectorized chunk sweep of :mod:`repro.sim.chunked` — and its output
+   streams are reused by every confidence experiment (see
+   :mod:`repro.sim.cache`).
 
 2. **CIR tables are linear shift registers.**  The pattern an access
    reads is fully determined by the previous accesses to the same entry:
    after ``r`` updates with incorrect-bits ``b_1 .. b_r`` (newest last),
    the pattern is ``((P0 << r) | b_r b_{r-1} ... b_1) & mask`` where
    ``P0`` is the entry's initial pattern.  Grouping accesses by entry
-   (one stable argsort) turns per-access pattern reconstruction into
-   ``cir_bits`` vectorized shifted gathers — :func:`cir_pattern_stream`.
+   turns per-access pattern reconstruction into ``cir_bits`` vectorized
+   shifted gathers — the grouped scan of :mod:`repro.sim.chunked`.
 
-Resetting counters are a pure function of the (wide-enough) CIR, so they
-ride the same machinery; saturating counters genuinely need a sequential
-scan (:func:`saturating_counter_stream`).  Two-level tables cascade two
-grouped scans (:func:`two_level_pattern_stream`).
+Every function here is a thin caller of those kernels:
+:func:`cir_pattern_stream`, :func:`final_cir_patterns` and
+:func:`cir_pattern_stream_with_flushes` run
+:func:`repro.sim.chunked.table_patterns`; resetting counters
+(:func:`resetting_counter_stream`) and two-level tables
+(:func:`two_level_pattern_stream`) derive from its patterns; saturating
+counters (:func:`saturating_counter_stream`) run the segmented
+clamped-walk scan.  Table indices outside the table are a
+``ValueError``.
 
 Exact equivalence with :mod:`repro.sim.engine` is asserted by the test
 suite, including under hypothesis-generated random traces.
@@ -31,12 +37,23 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Iterable, Optional
 
 import numpy as np
 
-from repro.core.indexing import PC_ALIGNMENT_BITS
-from repro.sim.chunked import _group_ranks, segmented_clamped_walk, sweep_streams
+from repro.sim.chunked import (
+    InitPatterns,
+    SaturatingCounterObserver,
+    StreamChunk,
+    check_table_indices,
+    initial_table,
+    iter_trace_chunks,
+    lagged_register_stream,
+    level2_indices,
+    resetting_counts,
+    sweep_stream_chunks,
+    table_patterns,
+)
 from repro.traces.trace import Trace
 from repro.utils.bits import bit_mask
 from repro.utils.validation import check_in_range, check_positive
@@ -75,18 +92,40 @@ class PredictorStreams:
         """Global-CIR value seen by each branch (derived lazily, then cached).
 
         The global CIR is the ``gcir_bits``-wide shift register of
-        incorrect bits; its pre-branch value for branch t is built from
-        branches t-1, t-2, ... — i.e. bit j is the incorrect bit of
-        branch ``t - 1 - j``, which makes the whole stream a stack of
-        lagged shifts rather than a sequential scan.
+        incorrect bits, empty before the first branch.
         """
-        n = self.num_branches
         incorrect = (self.correct == 0).astype(np.int64)
-        values = np.zeros(n, dtype=np.int64)
-        for j in range(self.gcir_bits):
-            if n > j + 1:
-                values[j + 1:] |= incorrect[: n - j - 1] << j
-        return values
+        return lagged_register_stream(incorrect, 0, self.gcir_bits)
+
+
+def streams_from_chunks(
+    chunks: Iterable[StreamChunk], trace_name: str, gcir_bits: int
+) -> PredictorStreams:
+    """Join consecutive stream chunks into whole-trace streams.
+
+    ``trace_name`` names the result unless the chunks carry a name.
+    """
+    correct_parts = []
+    bhr_parts = []
+    pc_parts = []
+    for chunk in chunks:
+        trace_name = chunk.trace_name or trace_name
+        correct_parts.append(chunk.correct)
+        bhr_parts.append(chunk.bhrs)
+        pc_parts.append(chunk.pcs)
+
+    def joined(parts, dtype) -> np.ndarray:
+        if len(parts) == 1:
+            return parts[0]
+        return np.concatenate(parts) if parts else np.zeros(0, dtype=dtype)
+
+    return PredictorStreams(
+        trace_name=trace_name,
+        correct=joined(correct_parts, np.uint8),
+        bhrs=joined(bhr_parts, np.int64),
+        pcs=joined(pc_parts, np.int64),
+        gcir_bits=gcir_bits,
+    )
 
 
 def predictor_streams(
@@ -111,21 +150,16 @@ def predictor_streams(
     ``bhr_record_bits`` controls the width of the *recorded* BHR stream
     (confidence tables may use more history bits than the predictor);
     ``gcir_bits`` the width of the lazily derived global-CIR stream.
+    ``entries`` must be a power of two.
     """
-    index_mask = entries - 1
-    if entries & index_mask:
-        raise ValueError(f"entries must be a power of two, got {entries}")
-    return sweep_streams(
-        trace,
+    chunks = sweep_stream_chunks(
+        iter_trace_chunks(trace, chunk_size),
         entries=entries,
         history_bits=history_bits,
         bhr_record_bits=bhr_record_bits,
         gcir_bits=gcir_bits,
-        chunk_size=chunk_size,
     )
-
-
-InitPatterns = Union[int, np.ndarray]
+    return streams_from_chunks(chunks, trace.name, gcir_bits)
 
 
 def cir_pattern_stream(
@@ -146,7 +180,8 @@ def cir_pattern_stream(
         Register width n.
     init_patterns:
         Either a scalar initial pattern applied to every entry, or an
-        array indexed by entry number (e.g. a random initialization).
+        array indexed by entry number (e.g. a random initialization),
+        which then fixes the table size.
 
     Returns
     -------
@@ -154,35 +189,12 @@ def cir_pattern_stream(
     """
     check_in_range(cir_bits, 1, 30, "cir_bits")
     indices = np.asarray(indices, dtype=np.int64)
-    correct_arr = np.asarray(correct)
-    if indices.shape != correct_arr.shape:
-        raise ValueError("indices and correct must have equal length")
-    n = indices.shape[0]
-    mask = bit_mask(cir_bits)
-
-    order = np.argsort(indices, kind="stable")
-    sorted_indices = indices[order]
-    incorrect_sorted = (correct_arr[order] == 0).astype(np.int64)
-    ranks = _group_ranks(sorted_indices)
-
-    history_bits = np.zeros(n, dtype=np.int64)
-    for j in range(cir_bits):
-        lagged = np.zeros(n, dtype=np.int64)
-        if n > j + 1:
-            lagged[j + 1:] = incorrect_sorted[: n - j - 1]
-        history_bits |= np.where(ranks > j, lagged << j, 0)
-
     if isinstance(init_patterns, np.ndarray):
-        initial = init_patterns.astype(np.int64)[sorted_indices]
+        entries = int(init_patterns.shape[0])
     else:
-        initial = np.full(n, int(init_patterns), dtype=np.int64)
-    shift = np.minimum(ranks, cir_bits)
-    init_part = (initial << shift) & mask
-
-    patterns_sorted = init_part | history_bits
-    patterns = np.empty(n, dtype=np.int64)
-    patterns[order] = patterns_sorted
-    return patterns
+        entries = int(check_table_indices(indices, None).max(initial=-1)) + 1
+    table = initial_table(init_patterns, entries)
+    return table_patterns(indices, correct, cir_bits, table)
 
 
 def two_level_pattern_stream(
@@ -205,13 +217,10 @@ def two_level_pattern_stream(
     :class:`repro.core.two_level.TwoLevelConfidence`.
     """
     cir1 = cir_pattern_stream(level1_indices, correct, level1_cir_bits, level1_init)
-    level2_indices = cir1.copy()
-    if second_use_pc:
-        level2_indices ^= np.asarray(pcs, dtype=np.int64) >> PC_ALIGNMENT_BITS
-    if second_use_bhr:
-        level2_indices ^= np.asarray(bhrs, dtype=np.int64)
-    level2_indices &= bit_mask(level1_cir_bits)
-    return cir_pattern_stream(level2_indices, correct, level2_cir_bits, level2_init)
+    level2 = level2_indices(
+        cir1, pcs, bhrs, level1_cir_bits, second_use_pc, second_use_bhr
+    )
+    return cir_pattern_stream(level2, correct, level2_cir_bits, level2_init)
 
 
 def resetting_counter_stream(
@@ -222,23 +231,14 @@ def resetting_counter_stream(
 ) -> np.ndarray:
     """Per-access pre-update values of a table of resetting counters.
 
-    Uses the CIR equivalence: a resetting counter equals the index of the
-    lowest set bit of a ``maximum``-bit CIR (saturating when the CIR is
-    all zeros).  An initial counter value ``c`` corresponds to the initial
-    pattern ``(all-ones << c)``.
+    Uses the CIR equivalence of :func:`repro.sim.chunked.resetting_counts`
+    over a ``maximum``-bit CIR table.
     """
     check_in_range(maximum, 1, 30, "maximum")
     check_in_range(initial, 0, maximum, "initial")
     mask = bit_mask(maximum)
-    init_pattern = (mask << initial) & mask
-    patterns = cir_pattern_stream(indices, correct, maximum, init_pattern)
-    lowest = patterns & -patterns
-    counts = np.where(
-        patterns == 0,
-        maximum,
-        np.log2(np.maximum(lowest, 1)).astype(np.int64),
-    )
-    return counts.astype(np.int64)
+    patterns = cir_pattern_stream(indices, correct, maximum, (mask << initial) & mask)
+    return resetting_counts(patterns, maximum)
 
 
 def final_cir_patterns(
@@ -256,25 +256,9 @@ def final_cir_patterns(
     switches.
     """
     check_in_range(cir_bits, 1, 30, "cir_bits")
-    mask = bit_mask(cir_bits)
-    if isinstance(init_patterns, np.ndarray):
-        finals = init_patterns.astype(np.int64).copy()
-        if finals.shape != (table_entries,):
-            raise ValueError(
-                f"init_patterns must cover {table_entries} entries, "
-                f"got shape {finals.shape}"
-            )
-    else:
-        finals = np.full(table_entries, int(init_patterns), dtype=np.int64)
-    if indices.shape[0] == 0:
-        return finals
-    pre_patterns = cir_pattern_stream(indices, correct, cir_bits, init_patterns)
-    incorrect = (np.asarray(correct) == 0).astype(np.int64)
-    post_patterns = ((pre_patterns << 1) | incorrect) & mask
-    # The last occurrence of each entry wins; np assignment applies in
-    # order, so later positions overwrite earlier ones.
-    finals[np.asarray(indices, dtype=np.int64)] = post_patterns
-    return finals
+    table = initial_table(init_patterns, table_entries)
+    table_patterns(indices, correct, cir_bits, table)
+    return table
 
 
 def cir_pattern_stream_with_flushes(
@@ -305,33 +289,25 @@ def cir_pattern_stream_with_flushes(
     # A non-positive interval would make the segment loop below produce an
     # empty (or never-terminating) stream; reject it up front.
     check_positive(flush_interval, "flush_interval")
+    check_in_range(cir_bits, 1, 30, "cir_bits")
     indices = np.asarray(indices, dtype=np.int64)
     correct_arr = np.asarray(correct)
+    if indices.shape != correct_arr.shape:
+        raise ValueError("indices and correct must have equal length")
     n = indices.shape[0]
-    oldest_bit = 1 << (cir_bits - 1)
+    oldest_bit = np.int64(1 << (cir_bits - 1))
 
     patterns = np.empty(n, dtype=np.int64)
-    if isinstance(base_init, np.ndarray):
-        current_init: InitPatterns = base_init.astype(np.int64)
-    else:
-        current_init = int(base_init)
+    table = initial_table(base_init, table_entries)
     for start in range(0, n, flush_interval):
+        if start and policy == "reinit":
+            table = initial_table(base_init, table_entries)
+        elif start and policy == "keep_lastbit":
+            table |= oldest_bit
         stop = min(start + flush_interval, n)
-        segment_indices = indices[start:stop]
-        segment_correct = correct_arr[start:stop]
-        patterns[start:stop] = cir_pattern_stream(
-            segment_indices, segment_correct, cir_bits, current_init
+        patterns[start:stop] = table_patterns(
+            indices[start:stop], correct_arr[start:stop], cir_bits, table
         )
-        if stop == n:
-            break
-        if policy == "reinit":
-            continue  # current_init stays the base initialization
-        finals = final_cir_patterns(
-            segment_indices, segment_correct, cir_bits, current_init, table_entries
-        )
-        if policy == "keep_lastbit":
-            finals |= oldest_bit
-        current_init = finals
     return patterns
 
 
@@ -347,16 +323,10 @@ def saturating_counter_stream(
     Saturation is a non-linear recurrence, but the per-step update is a
     clamp-affine function, so the whole table evaluates as one segmented
     clamped-walk scan (:func:`repro.sim.chunked.segmented_clamped_walk`)
-    instead of a sequential Python loop.
+    instead of a sequential Python loop.  ``None`` sizes the table to
+    the largest index.
     """
-    check_positive(maximum, "maximum")
-    check_in_range(initial, 0, maximum, "initial")
-    indices = np.asarray(indices, dtype=np.int64)
-    correct_arr = np.asarray(correct)
-    n = indices.shape[0]
     if table_entries is None:
-        table_entries = int(indices.max(initial=0)) + 1 if n else 1
-    deltas = np.where(correct_arr != 0, 1, -1)
-    init_values = np.full(table_entries, initial, dtype=np.int64)
-    values, _ = segmented_clamped_walk(indices, deltas, 0, maximum, init_values)
-    return values
+        table_entries = int(check_table_indices(indices, None).max(initial=0)) + 1
+    observer = SaturatingCounterObserver(maximum, table_entries, initial)
+    return observer.observe(indices, correct)

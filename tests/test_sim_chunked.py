@@ -5,6 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.cir import CIRTable
+from repro.core.counters import (
+    ResettingCounterConfidence,
+    SaturatingCounterConfidence,
+)
+from repro.core.indexing import make_index
 from repro.sim.chunked import (
     CIRTableObserver,
     GshareState,
@@ -232,7 +238,45 @@ def _split_observe(observer_factory, observe, indices, correct, chunk_size):
     return np.concatenate(parts) if parts else np.zeros(0, dtype=np.int64)
 
 
+def _cir_table_reads(indices, correct, cir_bits, entries, init):
+    """Reference: the patterns a plain CIRTable returns, access by access."""
+    table = CIRTable(entries, cir_bits, initializer=lambda e, b: np.full(e, init))
+    reads = []
+    for index, is_correct in zip(indices.tolist(), correct.tolist()):
+        reads.append(table.read(index))
+        table.record(index, bool(is_correct))
+    return reads
+
+
+def _counter_reads(estimator, indices, correct):
+    """Reference: a counter estimator indexed by PC, access by access."""
+    reads = []
+    for index, is_correct in zip(indices.tolist(), correct.tolist()):
+        pc = index << 2
+        reads.append(estimator.lookup(pc, 0, 0))
+        estimator.update(pc, 0, 0, bool(is_correct))
+    return reads
+
+
+def _two_level_reads(indices, correct, pcs, bhrs, width):
+    """Reference: two CIRTables cascaded as TwoLevelConfidence does."""
+    mask = bit_mask(width)
+    level1 = CIRTable(64, width, initializer=lambda e, b: np.full(e, mask))
+    level2 = CIRTable(1 << width, width, initializer=lambda e, b: np.full(e, mask))
+    reads = []
+    rows = zip(indices.tolist(), correct.tolist(), pcs.tolist(), bhrs.tolist())
+    for index, is_correct, pc, bhr in rows:
+        cir1 = level1.read(index)
+        level2_index = (cir1 ^ (pc >> 2) ^ bhr) & mask
+        reads.append(level2.read(level2_index))
+        level2.record(level2_index, bool(is_correct))
+        level1.record(index, bool(is_correct))
+    return reads
+
+
 class TestObservers:
+    """Chunk-split observers against the core tables and the whole-trace paths."""
+
     @pytest.fixture(scope="class")
     def access_stream(self):
         rng = np.random.default_rng(11)
@@ -248,6 +292,7 @@ class TestObservers:
             lambda observer, i, c: observer.observe(i, c),
             indices, correct, chunk_size,
         )
+        assert split.tolist() == _cir_table_reads(indices, correct, 5, 64, bit_mask(5))
         assert np.array_equal(mono, split)
 
     @pytest.mark.parametrize("chunk_size", [1, 17, 4096])
@@ -259,6 +304,8 @@ class TestObservers:
             lambda observer, i, c: observer.observe(i, c),
             indices, correct, chunk_size,
         )
+        estimator = ResettingCounterConfidence(make_index("pc", 6), maximum=8)
+        assert split.tolist() == _counter_reads(estimator, indices, correct)
         assert np.array_equal(mono, split)
 
     @pytest.mark.parametrize("chunk_size", [1, 17, 4096])
@@ -272,6 +319,8 @@ class TestObservers:
             lambda observer, i, c: observer.observe(i, c),
             indices, correct, chunk_size,
         )
+        estimator = SaturatingCounterConfidence(make_index("pc", 6), maximum=8)
+        assert split.tolist() == _counter_reads(estimator, indices, correct)
         assert np.array_equal(mono, split)
 
     @pytest.mark.parametrize("chunk_size", [1, 17, 4096])
@@ -299,7 +348,30 @@ class TestObservers:
                     pcs[start:stop], bhrs[start:stop],
                 )
             )
-        assert np.array_equal(mono, np.concatenate(parts))
+        split = np.concatenate(parts)
+        assert split.tolist() == _two_level_reads(indices, correct, pcs, bhrs, 5)
+        assert np.array_equal(mono, split)
+
+    @pytest.mark.parametrize(
+        "make_observer, observe",
+        [
+            (lambda: CIRTableObserver(4, 4, 0), lambda o, i: o.observe(i, [1] * len(i))),
+            (lambda: ResettingCounterObserver(4, 4), lambda o, i: o.observe(i, [1] * len(i))),
+            (lambda: SaturatingCounterObserver(4, 4), lambda o, i: o.observe(i, [1] * len(i))),
+            (
+                lambda: TwoLevelObserver(4, 4, 4),
+                lambda o, i: o.observe(i, [1] * len(i), [0] * len(i), [0] * len(i)),
+            ),
+        ],
+        ids=["cir", "resetting", "saturating", "two_level"],
+    )
+    @pytest.mark.parametrize("bad_index", [-1, 4, 9])
+    def test_out_of_range_index_is_a_value_error(
+        self, make_observer, observe, bad_index
+    ):
+        observer = make_observer()
+        with pytest.raises(ValueError, match=r"table index"):
+            observe(observer, np.array([0, bad_index]))
 
 
 class TestStreamingSource:

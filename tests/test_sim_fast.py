@@ -400,3 +400,108 @@ class TestFinalPatternsAndFlushes:
                 np.zeros(4, dtype=np.int64), np.ones(4, dtype=np.uint8),
                 4, 4, flush_interval, policy="keep",
             )
+
+
+@st.composite
+def flush_cases(draw):
+    """Random accesses, a flush interval (1 up to past the end), an init."""
+    cir_bits = draw(st.integers(1, 8))
+    accesses = draw(
+        st.lists(st.tuples(st.integers(0, 7), st.booleans()), max_size=120)
+    )
+    interval = draw(st.one_of(st.just(1), st.integers(1, len(accesses) + 5)))
+    mask = bit_mask(cir_bits)
+    if draw(st.booleans()):
+        base_init = draw(st.integers(0, mask))
+    else:
+        base_init = np.asarray(
+            draw(st.lists(st.integers(0, mask), min_size=8, max_size=8)),
+            dtype=np.int64,
+        )
+    return cir_bits, accesses, interval, base_init
+
+
+class TestFlushesAgainstCIRTable:
+    """The flushed stream against a CIRTable driven branch by branch."""
+
+    @staticmethod
+    def _reference(accesses, cir_bits, interval, policy, base_init):
+        from repro.core.cir import CIRTable
+
+        def initializer(entries, bits):
+            return np.broadcast_to(base_init, (entries,)).copy()
+
+        table = CIRTable(8, cir_bits, initializer=initializer)
+        oldest_bit = 1 << (cir_bits - 1)
+        reads = []
+        for position, (index, is_correct) in enumerate(accesses):
+            if position and position % interval == 0:
+                if policy == "reinit":
+                    table.reset()
+                elif policy == "keep_lastbit":
+                    kept = table.snapshot() | oldest_bit
+                    table = CIRTable(8, cir_bits, initializer=lambda e, b: kept)
+            reads.append(table.read(index))
+            table.record(index, is_correct)
+        return reads
+
+    @settings(max_examples=60, deadline=None)
+    @given(flush_cases(), st.sampled_from(["reinit", "keep", "keep_lastbit"]))
+    def test_matches_cir_table(self, case, policy):
+        cir_bits, accesses, interval, base_init = case
+        indices = np.asarray([a[0] for a in accesses], dtype=np.int64)
+        correct = np.asarray([int(a[1]) for a in accesses], dtype=np.uint8)
+        patterns = cir_pattern_stream_with_flushes(
+            indices, correct, cir_bits, 8, flush_interval=interval,
+            policy=policy, base_init=base_init,
+        )
+        expected = self._reference(accesses, cir_bits, interval, policy, base_init)
+        assert patterns.tolist() == expected
+
+
+class TestOutOfRangeIndices:
+    """Indices outside the table are a one-line ValueError, not a wrong read."""
+
+    def test_negative_index_with_an_init_array(self):
+        with pytest.raises(ValueError, match="outside a 4-entry table"):
+            cir_pattern_stream(np.array([-1]), [1], 4, np.array([1, 2, 3, 4]))
+
+    def test_index_past_an_init_array(self):
+        with pytest.raises(ValueError, match="table index 7 is outside a 4-entry"):
+            cir_pattern_stream(np.array([0, 7]), [1, 1], 4, np.array([1, 2, 3, 4]))
+
+    def test_negative_index_with_a_scalar_init(self):
+        with pytest.raises(ValueError, match="table index -2 is negative"):
+            cir_pattern_stream(np.array([0, -2]), [1, 1], 4, 0)
+
+    @pytest.mark.parametrize("bad_index", [-1, 4])
+    def test_final_patterns(self, bad_index):
+        with pytest.raises(ValueError, match="outside a 4-entry table"):
+            final_cir_patterns(np.array([bad_index]), np.array([1]), 4, 0, 4)
+
+    @pytest.mark.parametrize("policy", ["reinit", "keep", "keep_lastbit"])
+    @pytest.mark.parametrize("bad_index", [-1, 4])
+    def test_flushes(self, policy, bad_index):
+        with pytest.raises(ValueError, match="outside a 4-entry table"):
+            cir_pattern_stream_with_flushes(
+                np.array([0, bad_index]), np.array([1, 1]), 4, 4,
+                flush_interval=5, policy=policy,
+            )
+
+    @pytest.mark.parametrize("bad_index", [-1, 4])
+    def test_saturating_counters(self, bad_index):
+        with pytest.raises(ValueError, match="table index"):
+            saturating_counter_stream(
+                np.array([bad_index]), np.array([1]), maximum=4, table_entries=4
+            )
+
+    def test_counters_and_two_level_reject_negative_indices(self):
+        with pytest.raises(ValueError, match="negative"):
+            resetting_counter_stream(np.array([-1]), np.array([1]), maximum=4)
+        with pytest.raises(ValueError, match="negative"):
+            saturating_counter_stream(np.array([-1]), np.array([1]), maximum=4)
+        with pytest.raises(ValueError, match="negative"):
+            two_level_pattern_stream(
+                np.array([-1]), np.array([1]), np.array([0]), np.array([0]),
+                level1_cir_bits=4, level2_cir_bits=4,
+            )
