@@ -542,12 +542,15 @@ def _command_apps(args: argparse.Namespace) -> int:
 
 
 def _command_trace(args: argparse.Namespace) -> int:
+    from repro.sim.cache import _load_any_benchmark
     from repro.traces import save_trace
-    from repro.workloads import load_benchmark
 
     config = _config_from_args(args)  # the same --length check as `run`
     try:
-        trace = load_benchmark(args.benchmark, config.trace_length, config.seed)
+        # The benchmark check `run` makes (IBS or SPEC-like names), then
+        # the loader the experiments use.
+        config = config.scaled(benchmarks=(args.benchmark,))
+        trace = _load_any_benchmark(args.benchmark, config.trace_length, config.seed)
     except ValueError as error:
         raise SystemExit(str(error)) from None
     save_trace(trace, args.out)

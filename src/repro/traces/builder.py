@@ -1,9 +1,11 @@
 """Incremental trace construction.
 
-Synthetic programs emit one branch at a time; building numpy arrays by
-concatenation would be quadratic.  ``TraceBuilder`` amortizes growth and
-also accepts whole vectorized blocks, which the workload generators use for
-unrolled loop bodies.
+Code that produces a trace one branch at a time cannot build numpy arrays
+by concatenation, which would be quadratic.  ``TraceBuilder`` amortizes
+growth, checks every outcome as it arrives, and also accepts whole
+vectorized blocks.  The synthetic-program interpreter does not use it: it
+fills plain Python buffers and checks only the prefix it keeps (see
+:mod:`repro.workloads.program`).
 """
 
 from __future__ import annotations

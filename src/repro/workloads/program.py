@@ -21,21 +21,29 @@ Nodes
     Sequential composition.
 
 The interpreter bounds recursion by program construction (trees are
-shallow) and bounds trace length exactly: generation stops mid-structure
-once the target length is reached.
+shallow).  It appends branches to plain buffers and checks the length
+only once per loop iteration and once per pass over the root, so a run
+may overshoot the requested length by part of a loop body; the trace is
+the exact prefix.  That prefix is the same as if generation had stopped
+at the requested length: branch *i* depends only on the draws made
+before it, and every run starts from reset behaviours and a fresh
+generator.  Draws come from :class:`repro.utils.rng.PrefetchedDraws`, an
+exact stand-in for that generator.
 """
 
 from __future__ import annotations
 
 import abc
+import operator
+from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from repro.traces.builder import TraceBuilder
+from repro import observability
 from repro.traces.trace import NOT_TAKEN, TAKEN, Trace
-from repro.utils.rng import make_rng
+from repro.utils.rng import PrefetchedDraws, make_rng
 from repro.utils.validation import check_positive
 from repro.workloads.behaviors import (
     BranchBehavior,
@@ -60,12 +68,20 @@ class Site:
     is_backward: bool = False
 
     def __post_init__(self) -> None:
+        if not 0 <= self.pc < 1 << 64:
+            raise ValueError(
+                f"site {self.name!r}: pc {self.pc:#x} is outside [0, 2**64)"
+            )
         if self.pc % 4 != 0:
             raise ValueError(f"site {self.name!r}: pc {self.pc:#x} not 4-byte aligned")
 
 
 class _StopGeneration(Exception):
-    """Raised internally when the requested trace length is reached."""
+    """Raised internally once the requested trace length is reached."""
+
+
+def _no_behaviour(site: Site) -> ValueError:
+    return ValueError(f"site {site.name!r} has no behaviour and is not a loop")
 
 
 class Node(abc.ABC):
@@ -99,7 +115,15 @@ class Emit(Node):
     site: Site
 
     def execute(self, machine: "_Machine") -> None:
-        machine.run_site(self.site)
+        # _Machine.run_site, inlined: most dynamic branches come through here.
+        site = self.site
+        behavior = site.behavior
+        if behavior is None:
+            raise _no_behaviour(site)
+        outcome = behavior.next_outcome(machine.context, machine.rng)
+        machine.append_pc(site.pc)
+        machine.append_outcome(outcome)
+        machine.last_outcome[site.name] = outcome
 
     def sites(self) -> List[Site]:
         return [self.site]
@@ -156,6 +180,8 @@ class Loop(Node):
         for _ in range(trip_count):
             machine.emit(self.site, TAKEN)
             self.body.execute(machine)
+            if len(machine.outcomes) >= machine.target_length:
+                raise _StopGeneration
         machine.emit(self.site, NOT_TAKEN)
 
     def sites(self) -> List[Site]:
@@ -163,28 +189,66 @@ class Loop(Node):
 
 
 class _Machine:
-    """Interpreter state for one program run."""
+    """Interpreter state for one program run.
 
-    def __init__(
-        self, builder: TraceBuilder, target_length: int, rng: np.random.Generator
-    ) -> None:
-        self.builder = builder
+    Branches go to compact buffers, the pcs to an ``array("Q")`` and the
+    outcomes to a list, and each outcome straight into the context's
+    last-outcome dict.  Outcomes are checked only for the kept prefix,
+    when the trace is built.
+    """
+
+    def __init__(self, target_length: int, rng: PrefetchedDraws) -> None:
         self.target_length = target_length
         self.rng = rng
         self.context = ExecutionContext()
+        self.pcs = array("Q")
+        self.outcomes: List[int] = []
+        self.append_pc = self.pcs.append
+        self.append_outcome = self.outcomes.append
+        # The context's own dict: one store per branch, no method call.
+        self.last_outcome = self.context._last_outcome
 
     def run_site(self, site: Site) -> int:
-        if site.behavior is None:
-            raise ValueError(f"site {site.name!r} has no behaviour and is not a loop")
-        outcome = site.behavior.next_outcome(self.context, self.rng)
+        behavior = site.behavior
+        if behavior is None:
+            raise _no_behaviour(site)
+        outcome = behavior.next_outcome(self.context, self.rng)
         self.emit(site, outcome)
         return outcome
 
     def emit(self, site: Site, outcome: int) -> None:
-        self.builder.append(site.pc, outcome)
-        self.context.record(site.name, outcome)
-        if len(self.builder) >= self.target_length:
-            raise _StopGeneration
+        self.append_pc(site.pc)
+        self.append_outcome(outcome)
+        self.last_outcome[site.name] = outcome
+
+    def build(self, name: str) -> Trace:
+        """The first ``target_length`` branches as a :class:`Trace`."""
+        length = self.target_length
+        return Trace(
+            np.frombuffer(self.pcs, dtype=np.uint64)[:length].copy(),
+            np.frombuffer(_packed_outcomes(self.outcomes[:length]), dtype=np.uint8),
+            name,
+        )
+
+
+def _is_outcome(value: object) -> bool:
+    try:
+        return operator.index(value) in (NOT_TAKEN, TAKEN)
+    except TypeError:
+        return False
+
+
+def _packed_outcomes(outcomes: List[int]) -> bytearray:
+    """``outcomes`` as one byte each; a ValueError names one not 0 or 1."""
+    try:
+        packed = bytearray(outcomes)
+        valid = not packed.translate(None, b"\x00\x01")
+    except (TypeError, ValueError):  # not an int, or not in range(256)
+        valid = False
+    if not valid:
+        bad = next(value for value in outcomes if not _is_outcome(value))
+        raise ValueError(f"outcome must be 0 or 1, got {bad!r}")
+    return packed
 
 
 class SyntheticProgram:
@@ -221,14 +285,18 @@ class SyntheticProgram:
     def generate(self, length: int, seed: int = 0) -> Trace:
         """Generate a trace of exactly ``length`` dynamic branches."""
         check_positive(length, "length")
-        for site in self._sites:
-            if site.behavior is not None:
-                site.behavior.reset()
-        builder = TraceBuilder(self._name)
-        machine = _Machine(builder, length, make_rng("program", self._name, seed))
-        try:
-            while True:
-                self._root.execute(machine)
-        except _StopGeneration:
-            pass
-        return builder.build()
+        with observability.timed("workloads.synthesize.seconds"):
+            for site in self._sites:
+                if site.behavior is not None:
+                    site.behavior.reset()
+            rng = PrefetchedDraws(make_rng("program", self._name, seed))
+            machine = _Machine(length, rng)
+            try:
+                while len(machine.outcomes) < length:
+                    self._root.execute(machine)
+            except _StopGeneration:
+                pass
+            trace = machine.build(self._name)
+        observability.increment("workloads.synthesize.calls")
+        observability.increment("workloads.synthesize.branches", length)
+        return trace

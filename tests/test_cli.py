@@ -205,6 +205,29 @@ class TestSpecLikeBenchmarkNames:
         assert "compress" in output
         assert "SMT (4 threads)" in output
 
+    def test_trace(self, capsys, tmp_path):
+        from repro.traces import load_trace
+        from repro.workloads.spec_like import load_spec_benchmark
+
+        out = tmp_path / "compress.npz"
+        code = main(["trace", "compress", "--length", "1500", "--out", str(out)])
+        assert code == 0
+        assert capsys.readouterr().out.strip() == f"wrote 1500 branches to {out}"
+        trace, expected = load_trace(out), load_spec_benchmark("compress", 1500)
+        assert trace.pcs.tolist() == expected.pcs.tolist()
+        assert trace.outcomes.tolist() == expected.outcomes.tolist()
+
+    def test_unknown_name_lists_both_suites(self, tmp_path):
+        from repro.workloads.ibs import benchmark_names
+        from repro.workloads.spec_like import spec_benchmark_names
+
+        with pytest.raises(SystemExit) as excinfo:
+            main(["trace", "nosuch", "--out", str(tmp_path / "x.npz")])
+        known = benchmark_names() + spec_benchmark_names()
+        assert str(excinfo.value.code) == (
+            f"unknown benchmark 'nosuch'; expected one of {known}"
+        )
+
     def test_apps_hybrid_selector(self, capsys):
         code = main([
             "apps", "hybrid-selector",

@@ -1,7 +1,10 @@
 """Unit tests for the metrics registry and profile export."""
 
 import json
+import os
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -192,3 +195,40 @@ class TestPeakRssIncludesChildren:
             observability.PEAK_RSS_GAUGE
         ]
         assert gauge == usage["children"] * scale
+
+
+#: Runs the CLI with ``SyntheticProgram.generate`` wrapped to record the
+#: length of every trace it synthesizes; prints them as the last line.
+_COUNT_SYNTHESIS = (
+    "import json, sys\n"
+    "from repro.cli import main\n"
+    "from repro.workloads.program import SyntheticProgram\n"
+    "lengths = []\n"
+    "generate = SyntheticProgram.generate\n"
+    "def recorded(self, length, seed=0):\n"
+    "    lengths.append(length)\n"
+    "    return generate(self, length, seed)\n"
+    "SyntheticProgram.generate = recorded\n"
+    "assert main(sys.argv[1:]) == 0\n"
+    "print(json.dumps(lengths))\n"
+)
+
+
+class TestSynthesisMetrics:
+    def test_cold_run_profile_counts_synthesis(self, tmp_path, monkeypatch):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        path = src + os.pathsep + os.environ.get("PYTHONPATH", "")
+        monkeypatch.setenv("PYTHONPATH", path)
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "cache"))
+        profile = tmp_path / "profile.json"
+        result = subprocess.run(
+            [sys.executable, "-c", _COUNT_SYNTHESIS, "run", "fig2",
+             "--benchmarks", "gcc", "jpeg_play", "--length", "3000",
+             "--profile", str(profile)],
+            capture_output=True, text=True, timeout=300, check=True,
+        )
+        lengths = json.loads(result.stdout.strip().splitlines()[-1])
+        data = json.loads(profile.read_text())
+        assert data["counters"]["workloads.synthesize.calls"] == len(lengths) > 0
+        assert data["counters"]["workloads.synthesize.branches"] == sum(lengths)
+        assert data["timers"]["workloads.synthesize.seconds"]["calls"] == len(lengths)
