@@ -41,16 +41,43 @@ class CurvePoint:
 
 
 class ConfidenceCurve:
-    """Cumulative mispredictions versus cumulative dynamic branches."""
+    """Cumulative mispredictions versus cumulative dynamic branches.
+
+    A curve is stored as four parallel columns (x, y, bucket, bucket
+    rate); :class:`CurvePoint` objects are built only when :attr:`points`
+    is read.
+    """
 
     def __init__(self, name: str, points: Sequence[CurvePoint]) -> None:
+        points = list(points)
+        xs = [point.dynamic_percent for point in points]
+        if len(xs) > 1:
+            x_column = np.asarray(xs, dtype=np.float64)
+            if (x_column[:-1] > x_column[1:] + 1e-9).any():
+                raise ValueError("curve points must have non-decreasing x")
         self._name = name
-        self._points = list(points)
-        xs = [point.dynamic_percent for point in self._points]
-        if any(b > a + 1e-9 for a, b in zip(xs[1:], xs)):
-            raise ValueError("curve points must have non-decreasing x")
         self._xs = xs
-        self._ys = [point.misprediction_percent for point in self._points]
+        self._ys = [point.misprediction_percent for point in points]
+        self._buckets = [point.bucket for point in points]
+        self._rates = [point.bucket_rate for point in points]
+
+    @classmethod
+    def _from_columns(
+        cls,
+        name: str,
+        xs: List[float],
+        ys: List[float],
+        buckets: List[int],
+        rates: List[float],
+    ) -> "ConfidenceCurve":
+        """Adopt already-checked columns without building any point."""
+        curve = cls.__new__(cls)
+        curve._name = name
+        curve._xs = xs
+        curve._ys = ys
+        curve._buckets = buckets
+        curve._rates = rates
+        return curve
 
     # ----- construction -----------------------------------------------------
 
@@ -80,26 +107,28 @@ class ConfidenceCurve:
                 order_arr.min() < 0 or order_arr.max() >= statistics.num_buckets
             ):
                 raise ValueError("order contains bucket ids out of range")
+            if order_arr.size and np.bincount(order_arr).max() > 1:
+                raise ValueError("order contains duplicate bucket ids")
             order_arr = order_arr[counts[order_arr] > 0]
 
         total = counts.sum()
         total_mispredicts = mispredicts.sum()
         if total == 0:
             return cls(name, [])
-        cumulative_counts = np.cumsum(counts[order_arr])
-        cumulative_mispredicts = np.cumsum(mispredicts[order_arr])
-        points = []
-        for position, bucket in enumerate(order_arr.tolist()):
-            dynamic_percent = float(100.0 * cumulative_counts[position] / total)
-            if total_mispredicts > 0:
-                mis_percent = float(
-                    100.0 * cumulative_mispredicts[position] / total_mispredicts
-                )
-            else:
-                mis_percent = 100.0
-            rate = float(mispredicts[bucket] / counts[bucket])
-            points.append(CurvePoint(dynamic_percent, mis_percent, bucket, rate))
-        return cls(name, points)
+        ordered_counts = counts[order_arr]
+        ordered_mispredicts = mispredicts[order_arr]
+        xs = 100.0 * np.cumsum(ordered_counts) / total
+        if total_mispredicts > 0:
+            ys = 100.0 * np.cumsum(ordered_mispredicts) / total_mispredicts
+        else:
+            ys = np.full(order_arr.size, 100.0)
+        return cls._from_columns(
+            name,
+            xs.tolist(),
+            ys.tolist(),
+            order_arr.tolist(),
+            (ordered_mispredicts / ordered_counts).tolist(),
+        )
 
     # ----- access -----------------------------------------------------------
 
@@ -109,10 +138,13 @@ class ConfidenceCurve:
 
     @property
     def points(self) -> List[CurvePoint]:
-        return list(self._points)
+        return [
+            CurvePoint(*fields)
+            for fields in zip(self._xs, self._ys, self._buckets, self._rates)
+        ]
 
     def __len__(self) -> int:
-        return len(self._points)
+        return len(self._xs)
 
     def as_series(
         self,
@@ -134,7 +166,7 @@ class ConfidenceCurve:
         """
         if not 0.0 <= dynamic_percent <= 100.0:
             raise ValueError(f"dynamic_percent must be in [0, 100], got {dynamic_percent}")
-        if not self._points:
+        if not self._xs:
             return 0.0
         xs, ys = [0.0] + self._xs, [0.0] + self._ys
         position = bisect.bisect_left(xs, dynamic_percent)
@@ -155,12 +187,11 @@ class ConfidenceCurve:
         This is how an offline curve is turned into an online threshold
         (see :class:`repro.core.threshold.ThresholdConfidence`).
         """
-        selected: List[int] = []
-        for point in self._points:
-            if point.dynamic_percent > max_dynamic_percent + 1e-9:
-                break
-            selected.append(point.bucket)
-        return selected
+        limit = max_dynamic_percent + 1e-9
+        for position, x in enumerate(self._xs):
+            if x > limit:
+                return self._buckets[:position]
+        return list(self._buckets)
 
     def knee(self) -> CurvePoint:
         """The curve's knee: the point farthest above the diagonal.
@@ -171,12 +202,11 @@ class ConfidenceCurve:
         confidence set starts to fall below average — a natural operating
         point for threshold selection.
         """
-        if not self._points:
+        if not self._xs:
             raise ValueError("cannot locate the knee of an empty curve")
-        return max(
-            self._points,
-            key=lambda p: p.misprediction_percent - p.dynamic_percent,
-        )
+        xs, ys = self._xs, self._ys
+        best = max(range(len(xs)), key=lambda i: ys[i] - xs[i])
+        return CurvePoint(xs[best], ys[best], self._buckets[best], self._rates[best])
 
     def area_under_curve(self) -> float:
         """Trapezoidal area under the curve, normalized to [0, 1].
@@ -198,21 +228,26 @@ class ConfidenceCurve:
         kept point (the paper plots "only those points that differ from a
         previous point by 2.5 percent").  The final point is always kept.
         """
-        if not self._points:
+        xs, ys = self._xs, self._ys
+        if not xs:
             return ConfidenceCurve(self._name, [])
-        kept = [self._points[0]]
-        for point in self._points[1:-1]:
+        kept = [0]
+        for position in range(1, len(xs) - 1):
             previous = kept[-1]
             if (
-                point.dynamic_percent - previous.dynamic_percent
-                >= min_spacing_percent
-                or point.misprediction_percent - previous.misprediction_percent
-                >= min_spacing_percent
+                xs[position] - xs[previous] >= min_spacing_percent
+                or ys[position] - ys[previous] >= min_spacing_percent
             ):
-                kept.append(point)
-        if len(self._points) > 1:
-            kept.append(self._points[-1])
-        return ConfidenceCurve(self._name, kept)
+                kept.append(position)
+        if len(xs) > 1:
+            kept.append(len(xs) - 1)
+        return ConfidenceCurve._from_columns(
+            self._name,
+            [xs[i] for i in kept],
+            [ys[i] for i in kept],
+            [self._buckets[i] for i in kept],
+            [self._rates[i] for i in kept],
+        )
 
     def __repr__(self) -> str:
-        return f"ConfidenceCurve(name={self._name!r}, points={len(self._points)})"
+        return f"ConfidenceCurve(name={self._name!r}, points={len(self)})"

@@ -37,12 +37,18 @@ def equal_weight_combine(collection: StatisticsCollection) -> BucketStatistics:
     sizes = {stats.num_buckets for stats in items}
     if len(sizes) != 1:
         raise ValueError(f"statistics have differing bucket counts: {sorted(sizes)}")
-    combined = BucketStatistics.zeros(items[0].num_buckets)
+    # The same arithmetic as summing ``stats.normalized()`` one by one,
+    # accumulated as arrays so only the result is built and validated.
+    counts = np.zeros(items[0].num_buckets, dtype=np.float64)
+    mispredicts = np.zeros(items[0].num_buckets, dtype=np.float64)
     for stats in items:
-        if stats.total == 0:
+        total = stats.total
+        if total == 0:
             continue
-        combined = combined + stats.normalized()
-    return combined
+        factor = 1.0 / total
+        counts = counts + stats.counts * factor
+        mispredicts = mispredicts + stats.mispredicts * factor
+    return BucketStatistics(counts, mispredicts)
 
 
 def concat_normalized(collection: StatisticsCollection) -> BucketStatistics:

@@ -45,6 +45,11 @@ class Reduction(abc.ABC):
         return self._cir_bits
 
     def _build_lut(self) -> np.ndarray:
+        """Tabulate :meth:`reduce_pattern` over every pattern.
+
+        The built-in reductions override this with a closed form; the
+        scalar :meth:`reduce_pattern` stays their oracle.
+        """
         patterns = 1 << self._cir_bits
         return np.fromiter(
             (self.reduce_pattern(p) for p in range(patterns)),
@@ -90,6 +95,9 @@ class IdentityReduction(Reduction):
     def reduce_pattern(self, pattern: int) -> int:
         return pattern
 
+    def _build_lut(self) -> np.ndarray:
+        return np.arange(1 << self._cir_bits, dtype=np.int64)
+
     @property
     def num_buckets(self) -> int:
         return 1 << self._cir_bits
@@ -112,6 +120,13 @@ class OnesCountReduction(Reduction):
 
     def reduce_pattern(self, pattern: int) -> int:
         return popcount(pattern)
+
+    def _build_lut(self) -> np.ndarray:
+        # Patterns [2^k, 2^(k+1)) are patterns [0, 2^k) plus bit k.
+        lut = np.zeros(1, dtype=np.int64)
+        for _ in range(self._cir_bits):
+            lut = np.concatenate((lut, lut + 1))
+        return lut
 
     @property
     def num_buckets(self) -> int:
@@ -153,6 +168,14 @@ class ResettingCountReduction(Reduction):
         if position < 0:
             return self._maximum
         return min(position, self._maximum)
+
+    def _build_lut(self) -> np.ndarray:
+        patterns = np.arange(1 << self._cir_bits, dtype=np.int64)
+        # frexp(2^k) = (0.5, k + 1) exactly; frexp(0) = (0.0, 0).
+        _, exponent = np.frexp((patterns & -patterns).astype(np.float64))
+        position = exponent.astype(np.int64) - 1
+        position[0] = self._maximum
+        return np.minimum(position, self._maximum)
 
     @property
     def num_buckets(self) -> int:

@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.analysis import (
     BucketStatistics,
@@ -44,6 +46,34 @@ class TestEqualWeightCombine:
     def test_zero_total_benchmark_skipped(self):
         combined = equal_weight_combine([stats([4], [1]), BucketStatistics.zeros(1)])
         assert combined.total == pytest.approx(1.0)
+
+    @given(
+        st.integers(1, 8).flatmap(
+            lambda size: st.lists(
+                st.lists(
+                    st.tuples(st.integers(0, 50), st.integers(0, 50)),
+                    min_size=size,
+                    max_size=size,
+                ),
+                min_size=1,
+                max_size=6,
+            )
+        )
+    )
+    def test_matches_sequential_algebra(self, benchmarks):
+        items = [
+            stats([c for c, _ in rows], [min(c, m) for c, m in rows])
+            for rows in benchmarks
+        ]
+        # Reference: summing normalized statistics one object at a time.
+        expected = BucketStatistics.zeros(items[0].num_buckets)
+        for item in items:
+            if item.total == 0:
+                continue
+            expected = expected + item.normalized()
+        combined = equal_weight_combine(items)
+        assert combined.counts.tolist() == expected.counts.tolist()
+        assert combined.mispredicts.tolist() == expected.mispredicts.tolist()
 
 
 class TestConcatNormalized:

@@ -103,3 +103,35 @@ class TestReducedEstimator:
     def test_storage_matches_base(self):
         estimator = self.make()
         assert estimator.storage_bits == estimator.base.storage_bits
+
+
+class TestClosedFormLuts:
+    """Each built-in LUT is built in closed form; ``reduce_pattern`` is its
+    scalar oracle."""
+
+    @staticmethod
+    def oracle(reduction):
+        return [reduction.reduce_pattern(p) for p in range(1 << reduction.cir_bits)]
+
+    @pytest.mark.parametrize("bits", range(1, 17))
+    def test_identity_and_ones_count(self, bits):
+        for reduction in (IdentityReduction(bits), OnesCountReduction(bits)):
+            lut = reduction.vectorized(np.arange(1 << bits))
+            assert lut.dtype == np.int64
+            assert lut.tolist() == self.oracle(reduction)
+
+    @pytest.mark.parametrize("bits", range(1, 17))
+    def test_resetting_every_maximum(self, bits):
+        for maximum in range(1, bits + 1):
+            reduction = ResettingCountReduction(bits, maximum=maximum)
+            lut = reduction.vectorized(np.arange(1 << bits))
+            assert lut.dtype == np.int64
+            assert lut.tolist() == self.oracle(reduction)
+
+    def test_builtin_luts_never_call_reduce_pattern(self, monkeypatch):
+        for cls in (IdentityReduction, OnesCountReduction, ResettingCountReduction):
+            def forbidden(self, pattern):
+                raise AssertionError("LUT build called reduce_pattern")
+
+            monkeypatch.setattr(cls, "reduce_pattern", forbidden)
+            cls(12)
