@@ -8,20 +8,17 @@ shared value types:
 * :class:`Finding` — one diagnostic, anchored to a file position;
 * :class:`ParsedFile` — a source file plus its AST and the suppression
   comments parsed out of it;
-* :class:`Project` — the set of parsed files one lint run operates on
-  (rules that check cross-file invariants, like the public-API surface,
-  see the whole project at once).
+* :class:`Project` — the set of parsed files one lint run operates on.
 
 Suppression syntax (checked by :func:`ParsedFile.is_suppressed`):
 
-* ``# reprolint: disable=R001`` — suppress the named rule(s) on this line;
-* ``# reprolint: disable=R001,R004`` — several rules;
-* ``# reprolint: disable=all`` — every rule on this line;
-* ``# reprolint: disable-file=R001`` — suppress for the whole file.
+* ``# reprolint: disable=R001 - justification`` — suppress the named
+  rule on this line;
+* ``# reprolint: disable=R001,R004 - justification`` — several rules.
 
-A suppression comment should always carry a human justification on the
-same line or the line above; the linter does not enforce that, review
-does.
+The justification goes on the same line or the line above; the linter
+does not enforce it, review does.  There is no file-wide or all-rules
+form: every exception names its rules on one line.
 """
 
 from __future__ import annotations
@@ -32,9 +29,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, FrozenSet, Iterable, Iterator, List, Optional, Set, Tuple
 
-#: Severity tiers, least severe first (index = rank).
-SEVERITIES: Tuple[str, ...] = ("info", "warning", "error")
-
 #: Pseudo-rule id used for files the engine cannot parse.
 PARSE_ERROR_RULE = "R000"
 
@@ -42,19 +36,8 @@ PARSE_ERROR_RULE = "R000"
 #: justification (``# reprolint: disable=R001 - timing only``) is not
 #: swallowed into the rule names.
 _SUPPRESS_RE = re.compile(
-    r"#\s*reprolint:\s*(disable|disable-file)\s*=\s*"
-    r"([A-Za-z0-9_*]+(?:\s*,\s*[A-Za-z0-9_*]+)*)"
+    r"#\s*reprolint:\s*disable\s*=\s*([A-Za-z0-9_]+(?:\s*,\s*[A-Za-z0-9_]+)*)"
 )
-
-
-def severity_rank(severity: str) -> int:
-    """Numeric rank of a severity name (higher = more severe)."""
-    try:
-        return SEVERITIES.index(severity)
-    except ValueError:
-        raise ValueError(
-            f"unknown severity {severity!r}; expected one of {SEVERITIES}"
-        ) from None
 
 
 @dataclass(frozen=True, order=True)
@@ -70,31 +53,11 @@ class Finding:
     line: int
     col: int
     rule: str
-    severity: str
     message: str
-
-    def to_dict(self) -> Dict[str, object]:
-        """JSON-serializable record of this finding."""
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "rule": self.rule,
-            "severity": self.severity,
-            "message": self.message,
-        }
 
     def render(self) -> str:
         """One-line human rendering (1-based column)."""
-        return (
-            f"{self.path}:{self.line}:{self.col + 1}: "
-            f"{self.rule} [{self.severity}] {self.message}"
-        )
-
-
-def _parse_rule_list(raw: str) -> FrozenSet[str]:
-    names = [part.strip() for part in raw.replace(";", ",").split(",")]
-    return frozenset(name for name in names if name)
+        return f"{self.path}:{self.line}:{self.col + 1}: {self.rule} {self.message}"
 
 
 @dataclass
@@ -103,10 +66,8 @@ class ParsedFile:
 
     path: Path
     display: str
-    source: str
     tree: ast.Module
     line_suppressions: Dict[int, FrozenSet[str]] = field(default_factory=dict)
-    file_suppressions: FrozenSet[str] = frozenset()
 
     @property
     def parts(self) -> Tuple[str, ...]:
@@ -118,45 +79,31 @@ class ParsedFile:
         return any(name in self.parts for name in names)
 
     def is_suppressed(self, rule: str, line: int) -> bool:
-        """True when ``rule`` is disabled on ``line`` or for the file."""
-        if "all" in self.file_suppressions or rule in self.file_suppressions:
-            return True
-        on_line = self.line_suppressions.get(line)
-        if on_line is None:
-            return False
-        return "all" in on_line or rule in on_line
+        """True when ``rule`` is disabled on ``line``."""
+        return rule in self.line_suppressions.get(line, frozenset())
 
-    def finding(
-        self, rule: str, severity: str, node: ast.AST, message: str
-    ) -> Finding:
+    def finding(self, rule: str, node: ast.AST, message: str) -> Finding:
         """Build a finding anchored at ``node``'s position."""
         return Finding(
             path=self.display,
             line=int(getattr(node, "lineno", 1)),
             col=int(getattr(node, "col_offset", 0)),
             rule=rule,
-            severity=severity,
             message=message,
         )
 
 
-def _collect_suppressions(
-    source: str,
-) -> Tuple[Dict[int, FrozenSet[str]], FrozenSet[str]]:
+def _collect_suppressions(source: str) -> Dict[int, FrozenSet[str]]:
     per_line: Dict[int, FrozenSet[str]] = {}
-    whole_file: FrozenSet[str] = frozenset()
     for number, text in enumerate(source.splitlines(), start=1):
         if "reprolint" not in text:
             continue
         match = _SUPPRESS_RE.search(text)
-        if match is None:
-            continue
-        rules = _parse_rule_list(match.group(2))
-        if match.group(1) == "disable-file":
-            whole_file = whole_file | rules
-        else:
-            per_line[number] = per_line.get(number, frozenset()) | rules
-    return per_line, whole_file
+        if match is not None:
+            per_line[number] = frozenset(
+                name.strip() for name in match.group(1).split(",")
+            )
+    return per_line
 
 
 def parse_file(path: Path, display: str) -> Tuple[Optional[ParsedFile], Optional[Finding]]:
@@ -169,7 +116,6 @@ def parse_file(path: Path, display: str) -> Tuple[Optional[ParsedFile], Optional
             line=1,
             col=0,
             rule=PARSE_ERROR_RULE,
-            severity="error",
             message=f"cannot read file: {error}",
         )
     try:
@@ -180,18 +126,14 @@ def parse_file(path: Path, display: str) -> Tuple[Optional[ParsedFile], Optional
             line=int(error.lineno or 1),
             col=int(error.offset or 1) - 1,
             rule=PARSE_ERROR_RULE,
-            severity="error",
             message=f"syntax error: {error.msg}",
         )
-    per_line, whole_file = _collect_suppressions(source)
     return (
         ParsedFile(
             path=path,
             display=display,
-            source=source,
             tree=tree,
-            line_suppressions=per_line,
-            file_suppressions=whole_file,
+            line_suppressions=_collect_suppressions(source),
         ),
         None,
     )

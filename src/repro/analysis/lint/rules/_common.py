@@ -9,7 +9,7 @@ live module object.
 from __future__ import annotations
 
 import ast
-from typing import Dict, Iterator, List, Optional
+from typing import Dict, List, Optional
 
 
 def import_aliases(tree: ast.Module) -> Dict[str, str]:
@@ -50,12 +50,6 @@ def dotted_name(node: ast.AST, aliases: Dict[str, str]) -> Optional[str]:
     root = aliases.get(current.id, current.id)
     parts.append(root)
     return ".".join(reversed(parts))
-
-
-def iter_calls(tree: ast.Module) -> Iterator[ast.Call]:
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Call):
-            yield node
 
 
 def call_keywords(call: ast.Call) -> Dict[str, ast.expr]:

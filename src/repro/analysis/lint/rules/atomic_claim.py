@@ -38,8 +38,6 @@ from repro.analysis.lint.rules._common import (
 )
 
 RULE_ID = "R007"
-SEVERITY = "error"
-SUMMARY = "atomic claim discipline: lease/claim files are created O_EXCL, never exists()-checked"
 
 #: Substrings (of identifiers, attributes, or string literals inside the
 #: path expression) that mark a file as a mutual-exclusion artifact.
@@ -115,7 +113,6 @@ def _check_call(
         if _mentions_lease(path) and not _mentions_o_excl(flags):
             return parsed.finding(
                 RULE_ID,
-                SEVERITY,
                 call,
                 "os.open on a lease/claim path without O_EXCL: two workers "
                 "can both create the file and both believe they own the "
@@ -130,7 +127,6 @@ def _check_call(
         if _mentions_lease(path) and _creating_mode(mode):
             return parsed.finding(
                 RULE_ID,
-                SEVERITY,
                 call,
                 "open() on a lease/claim path with a non-exclusive creating "
                 "mode: 'w'/'a' silently succeed for every racer; use mode "
@@ -142,7 +138,6 @@ def _check_call(
         if _creating_mode(_argument(call, 0, "mode")):
             return parsed.finding(
                 RULE_ID,
-                SEVERITY,
                 call,
                 ".open() on a lease/claim path with a non-exclusive "
                 "creating mode: use mode 'x' so exactly one claimer wins",
@@ -152,7 +147,6 @@ def _check_call(
     if attr in ("write_text", "write_bytes") and _mentions_lease(receiver):
         return parsed.finding(
             RULE_ID,
-            SEVERITY,
             call,
             f".{attr}() on a lease/claim path truncates-or-creates and "
             "never fails on an existing file; claim through an O_EXCL "
@@ -166,7 +160,6 @@ def _check_call(
         ):
             return parsed.finding(
                 RULE_ID,
-                SEVERITY,
                 call,
                 ".touch() on a lease/claim path succeeds whether or not "
                 "the file existed; pass exist_ok=False so the claim "
@@ -177,7 +170,6 @@ def _check_call(
     if dotted == "os.path.exists" and _mentions_lease(_argument(call, 0, "path")):
         return parsed.finding(
             RULE_ID,
-            SEVERITY,
             call,
             "os.path.exists on a lease/claim path is check-then-act: the "
             "answer is stale the moment it returns; attempt the O_EXCL "
@@ -187,7 +179,6 @@ def _check_call(
     if attr == "exists" and not call.args and _mentions_lease(receiver):
         return parsed.finding(
             RULE_ID,
-            SEVERITY,
             call,
             ".exists() on a lease/claim path is check-then-act: the "
             "answer is stale the moment it returns; attempt the O_EXCL "

@@ -25,8 +25,6 @@ from repro.analysis.lint.model import Finding, ParsedFile, Project
 from repro.analysis.lint.rules._common import dotted_name, import_aliases
 
 RULE_ID = "R001"
-SEVERITY = "error"
-SUMMARY = "determinism: unseeded RNG, wall-clock reads in sim/experiments, set-order iteration"
 
 #: Constructors that are fine *when given an explicit seed argument*
 #: (a literal ``None`` seed requests OS entropy and does not count).
@@ -78,7 +76,6 @@ def _check_rng_call(
         return [
             parsed.finding(
                 RULE_ID,
-                SEVERITY,
                 call,
                 f"{spelled} draws OS entropy; "
                 "pass an explicit seed (see repro.utils.rng.derive_seed)",
@@ -88,7 +85,6 @@ def _check_rng_call(
         return [
             parsed.finding(
                 RULE_ID,
-                SEVERITY,
                 call,
                 f"`{name}` uses global RNG state; use an explicitly "
                 "seeded np.random.default_rng(...) generator instead",
@@ -109,7 +105,6 @@ def _check_clock_call(
         return [
             parsed.finding(
                 RULE_ID,
-                SEVERITY,
                 call,
                 f"`{name}` reads the wall clock inside {'/'.join(_CLOCK_SCOPES)}; "
                 "results must be a pure function of (config, seed) — if this is "
@@ -151,7 +146,6 @@ def check(project: Project) -> List[Finding]:
                 findings.append(
                     parsed.finding(
                         RULE_ID,
-                        SEVERITY,
                         iterable,
                         "iteration over a set feeds hash order into the loop; "
                         "wrap the iterable in sorted(...)",

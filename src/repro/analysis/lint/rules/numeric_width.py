@@ -35,11 +35,6 @@ from repro.analysis.lint.rules._common import (
 )
 
 RULE_ID = "R004"
-SEVERITY = "warning"
-SUMMARY = (
-    "numeric-width safety: hard-coded mask literals, dtype-less numpy "
-    "allocations, out-of-range fixed-width literals"
-)
 
 #: Subtrees where mask literals must derive from width parameters.
 _MASK_SCOPES = ("sim", "core")
@@ -95,7 +90,6 @@ def _mask_findings(parsed: ParsedFile) -> List[Finding]:
                     findings.append(
                         parsed.finding(
                             RULE_ID,
-                            SEVERITY,
                             operand,
                             f"hard-coded mask literal {value} (= {value.bit_length()} "
                             f"all-ones bits) in `{node.name}`, which takes width "
@@ -129,7 +123,6 @@ def _dtype_findings(parsed: ParsedFile, aliases: Dict[str, str]) -> List[Finding
                 findings.append(
                     parsed.finding(
                         RULE_ID,
-                        SEVERITY,
                         node,
                         f"`{name}({value})` is outside its range "
                         f"[{low}, {high}]; numpy wraps or rejects it",
@@ -152,7 +145,7 @@ def _dtype_findings(parsed: ParsedFile, aliases: Dict[str, str]) -> List[Finding
             )
         else:
             continue
-        findings.append(parsed.finding(RULE_ID, SEVERITY, node, message))
+        findings.append(parsed.finding(RULE_ID, node, message))
     return findings
 
 

@@ -21,8 +21,6 @@ from repro.analysis.lint.model import Finding, ParsedFile, Project
 from repro.analysis.lint.rules._common import call_keywords, top_level_functions
 
 RULE_ID = "R003"
-SEVERITY = "error"
-SUMMARY = "worker-payload purity: pool workers must be module-level and not mutate globals"
 
 _POOL_METHODS = frozenset({"submit", "map"})
 
@@ -91,7 +89,6 @@ def _check_worker(
         return [
             parsed.finding(
                 RULE_ID,
-                SEVERITY,
                 expression,
                 f"lambda passed to {dispatch} is not picklable and cannot "
                 "cross a process boundary; define a module-level function",
@@ -101,7 +98,6 @@ def _check_worker(
         return [
             parsed.finding(
                 RULE_ID,
-                SEVERITY,
                 expression,
                 f"bound attribute `{ast.unparse(expression)}` passed to "
                 f"{dispatch}; workers must be plain module-level functions",
@@ -111,7 +107,6 @@ def _check_worker(
         return [
             parsed.finding(
                 RULE_ID,
-                SEVERITY,
                 expression,
                 f"non-name worker expression passed to {dispatch}; "
                 "pass a module-level function by name",
@@ -130,7 +125,6 @@ def _check_worker(
                 return [
                     parsed.finding(
                         RULE_ID,
-                        SEVERITY,
                         expression,
                         f"`{expression.id}` is a nested function; workers "
                         f"passed to {dispatch} must be module-level to be "
@@ -144,7 +138,6 @@ def _check_worker(
         return [
             parsed.finding(
                 RULE_ID,
-                SEVERITY,
                 expression,
                 f"worker `{expression.id}` mutates module global(s) {names}; "
                 "retried/replayed tasks would observe divergent state",

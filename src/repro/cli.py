@@ -18,8 +18,8 @@ Usage examples::
     repro apps dual-path             # run an application model
     repro apps dual-path --json      # ... as a JSON record on stdout
     repro trace gcc --length 50000 --out gcc.npz   # dump a trace
-    repro lint                       # reprolint invariant checker
-    repro lint --format json src     # ... JSON report over another tree
+    repro lint                       # reprolint invariant checker (src/repro)
+    repro lint src/repro/sim         # ... over chosen paths
 """
 
 from __future__ import annotations
@@ -258,6 +258,23 @@ def _config_from_args(args: argparse.Namespace):
         raise SystemExit(str(error)) from None
 
 
+def _check_output_paths(args: argparse.Namespace, *flags: str) -> None:
+    """Exit with one line when an output file's directory does not exist.
+
+    Checked before any work starts, so a mistyped path costs nothing
+    instead of a traceback after the whole run.  ``apps --json -`` (stdout)
+    passes: the directory of ``-`` is the working directory.
+    """
+    from pathlib import Path
+
+    for flag in flags:
+        path = getattr(args, flag.lstrip("-").replace("-", "_"), None)
+        if path and not Path(path).parent.is_dir():
+            raise SystemExit(
+                f"{flag}: directory {Path(path).parent} does not exist"
+            )
+
+
 def _maybe_write_profile(args: argparse.Namespace, config) -> None:
     """Export the run's metrics when ``--profile`` was requested."""
     profile_path = getattr(args, "profile", None)
@@ -309,6 +326,7 @@ def _command_run(args: argparse.Namespace) -> int:
     from repro import observability
 
     _check_experiments([experiment.id], config)
+    _check_output_paths(args, "--csv", "--json", "--profile")
     with observability.timed(f"experiment.{experiment.id}.seconds"):
         result = experiment.run(config)
     print(result.format())
@@ -394,6 +412,7 @@ def _command_run_all(args: argparse.Namespace) -> int:
     config = _config_from_args(args)
     ids = _experiment_ids(args)
     _check_experiments(ids, config)
+    _check_output_paths(args, "--profile")
     if args.shards is not None or args.shard_id is not None:
         # Fabric mode: compute through the shared-cache claim loop; any
         # worker that observes the completed plan prints the merge, so a
@@ -519,6 +538,7 @@ def _command_apps(args: argparse.Namespace) -> int:
     )
 
     config = _config_from_args(args)
+    _check_output_paths(args, "--json")
     runners = {
         "dual-path": evaluate_dual_path,
         "smt-fetch": evaluate_smt_fetch,
@@ -546,6 +566,7 @@ def _command_trace(args: argparse.Namespace) -> int:
     from repro.traces import save_trace
 
     config = _config_from_args(args)  # the same --length check as `run`
+    _check_output_paths(args, "--out")
     try:
         # The benchmark check `run` makes (IBS or SPEC-like names), then
         # the loader the experiments use.

@@ -63,12 +63,15 @@ ERROR_TAXONOMY = (
 #: * ``fabric.lease_conflicts`` — claim attempts lost to a live peer
 #: * ``fabric.warm_skips`` — work units skipped because their cache
 #:   artifact was already published by this or another shard
+#: * ``fabric.lease_lost`` — heartbeats that found their own lease
+#:   taken over by a peer
 FABRIC_TAXONOMY = (
     "fabric.claims",
     "fabric.steals",
     "fabric.stale_leases",
     "fabric.lease_conflicts",
     "fabric.warm_skips",
+    "fabric.lease_lost",
 )
 
 

@@ -14,6 +14,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro import observability
+from repro.sim.cache import clear_stream_cache
+from repro.testing import faults
 from repro.traces import Trace
 from repro.workloads import load_benchmark
 
@@ -31,6 +34,25 @@ def _isolated_stream_cache(tmp_path_factory):
     # exercise the fault paths; fault tests opt in via monkeypatch.
     os.environ.pop("REPRO_FAULT_SPEC", None)
     yield
+
+
+@pytest.fixture
+def cache_dir(tmp_path, monkeypatch):
+    """A private cold cache dir, no ambient faults, zeroed counters.
+
+    Modules whose tests need less isolation define their own
+    ``cache_dir``, which overrides this one.
+    """
+    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+    monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
+    monkeypatch.delenv(faults.FAULT_SPEC_ENV, raising=False)
+    clear_stream_cache()
+    faults.reset_fault_state()
+    observability.reset_metrics()
+    yield tmp_path
+    clear_stream_cache()
+    faults.reset_fault_state()
+    observability.reset_metrics()
 
 
 #: Re-executes its arguments as a child.  On Linux ``ru_maxrss`` survives

@@ -1,6 +1,8 @@
 """Tests for the stable high-level facade (repro.api)."""
 
+import ast
 import inspect
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +17,22 @@ class TestSurface:
         for name in api.__all__:
             assert name in repro.__all__
             assert getattr(repro, name) is getattr(api, name)
+
+    def test_no_private_facade_imports(self):
+        # Only the names __all__ declares are stable; an import of any
+        # other facade name from src/ or examples/ would freeze an
+        # internal helper into the contract.
+        root = Path(__file__).resolve().parents[1]
+        private = [
+            f"{path.relative_to(root)}:{node.lineno}: {alias.name}"
+            for tree in ("src", "examples")
+            for path in sorted((root / tree).rglob("*.py"))
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and node.module == "repro.api"
+            for alias in node.names
+            if alias.name != "*" and alias.name not in api.__all__
+        ]
+        assert private == []
 
     def test_options_are_keyword_only(self):
         for function, positional in (

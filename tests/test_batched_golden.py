@@ -29,7 +29,7 @@ from repro.core import (
     SaturatingCounterConfidence,
     TwoLevelConfidence,
 )
-from repro.core.indexing import XorIndex, make_index
+from repro.core.indexing import ConcatIndex, GlobalCIRIndex, XorIndex, make_index
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import (
     _serial_report,
@@ -65,20 +65,6 @@ DIGESTS = json.loads(
 
 def _digest(text):
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
-
-
-@pytest.fixture
-def cache_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
-    monkeypatch.delenv("REPRO_FAULT_SPEC", raising=False)
-    clear_stream_cache()
-    faults.reset_fault_state()
-    observability.reset_metrics()
-    yield tmp_path
-    clear_stream_cache()
-    faults.reset_fault_state()
-    observability.reset_metrics()
 
 
 def _mixed_grid(config):
@@ -358,10 +344,12 @@ def _random_trace(seed, n):
 
 
 class TestReferenceEngineOracle:
-    """Hypothesis: one-spec grids through GridObserver == the reference engine.
+    """Hypothesis: GridObserver grids == the reference engine.
 
-    Every spec kind runs on a small random trace, fed to the observer as
-    one chunk and as chunks of 1 and 7, and must reproduce the bucket
+    Every spec kind (and the GCIR and PC/GCIR concatenation index
+    families) runs on a small random trace, alone and with all the
+    other specs in one multi-spec grid, fed to the observer as one chunk
+    and as chunks of 1 and 7.  Each spec must reproduce the bucket
     statistics of :func:`repro.sim.engine.simulate` driving the matching
     :mod:`repro.core` estimator.  Both sides see 16-bit BHR/GCIR
     registers, so every index bit the specs consume agrees.
@@ -377,6 +365,9 @@ class TestReferenceEngineOracle:
         scalar = int(rng.randint(0, 1 << width))
         patterns = rng.randint(0, 1 << width, size=pc_xor_bhr.table_entries)
         patterns = patterns.astype(np.int64)
+        gcir = GlobalCIRIndex(index_bits)
+        split = int(rng.randint(1, index_bits))
+        concat = ConcatIndex(index_bits, fields=[("gcir", split), ("pc", index_bits - split)])
         return [
             (
                 SweepSpec.pattern(pc_xor_bhr, width, init=scalar),
@@ -389,6 +380,8 @@ class TestReferenceEngineOracle:
                 OneLevelConfidence(pc_xor_bhr, width, lambda entries, bits: patterns),
             ),
             (SweepSpec.pattern(gcir_index, width), OneLevelConfidence(gcir_index, width)),
+            (SweepSpec.pattern(gcir, width), OneLevelConfidence(gcir, width)),
+            (SweepSpec.pattern(concat, width), OneLevelConfidence(concat, width)),
             (
                 SweepSpec.resetting(pc_xor_bhr, width),
                 ResettingCounterConfidence(pc_xor_bhr, maximum=width),
@@ -429,20 +422,29 @@ class TestReferenceEngineOracle:
             gcirs=streams.gcirs,
         )
         rng = np.random.RandomState(seed)
-        for spec, estimator in self._cases(rng, index_bits, width):
+        cases = self._cases(rng, index_bits, width)
+        runs = []
+        for _, estimator in cases:
             predictor = GsharePredictor(
                 entries=self.ENTRIES, history_bits=self.HISTORY_BITS
             )
-            run = simulate(trace, predictor, [estimator]).estimator_runs[
-                estimator.name
-            ]
+            runs.append(
+                simulate(trace, predictor, [estimator]).estimator_runs[estimator.name]
+            )
+        # Each spec alone, then every spec in one multi-spec grid.
+        grids = [[index] for index in range(len(cases))] + [list(range(len(cases)))]
+        for grid in grids:
+            specs = [cases[index][0] for index in grid]
             for chunks in ([whole], _split_chunks(whole, 1), _split_chunks(whole, 7)):
-                observer = GridObserver([spec])
+                observer = GridObserver(specs)
                 for chunk in chunks:
                     observer.observe(chunk)
-                (statistics,) = observer.statistics()
-                assert statistics.counts.tolist() == run.counts.tolist(), spec.kind
-                assert statistics.mispredicts.tolist() == run.mispredicts.tolist()
+                results = observer.statistics()
+                assert len(results) == len(grid)
+                for index, statistics in zip(grid, results):
+                    run = runs[index]
+                    assert statistics.counts.tolist() == run.counts.tolist(), index
+                    assert statistics.mispredicts.tolist() == run.mispredicts.tolist()
 
 
 class TestSerialReportParity:

@@ -191,6 +191,29 @@ class TestBadLengthAndBenchmarks:
         assert not out.exists()
 
 
+class TestMissingOutputDirectory:
+    """An output path in a missing directory exits 1 with one line,
+    before any work starts (not with a traceback after the run)."""
+
+    SMALL = ["--benchmarks", "jpeg_play", "gcc", "--length", "2000"]
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["run", "fig5", *SMALL], "--csv"),
+        (["run", "fig5", *SMALL], "--json"),
+        (["run", "fig5", *SMALL], "--profile"),
+        (["run-all", *SMALL], "--profile"),
+        (["apps", "dual-path", *SMALL], "--json"),
+        (["trace", "gcc", "--length", "2000"], "--out"),
+    ])
+    def test_fails_up_front(self, argv, flag, tmp_path, capsys):
+        missing = tmp_path / "missing"
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + [flag, str(missing / "out.file")])
+        assert excinfo.value.code == f"{flag}: directory {missing} does not exist"
+        assert capsys.readouterr().out == ""
+        assert not missing.exists()
+
+
 class TestSpecLikeBenchmarkNames:
     """SPEC-like names (``compress``) resolve in every command that loads
     traces, not only in the stream cache."""

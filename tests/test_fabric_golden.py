@@ -181,17 +181,23 @@ def test_two_concurrent_stealing_workers_compute_each_unit_once(fresh_cache):
     assert merge_reports_text(config, IDS, fabric_dir) == golden
 
 
-def test_warm_fabric_pass_is_pool_free_and_computes_nothing(fresh_cache):
-    config = make_config(1024, 2000)
-    cache = fresh_cache("fabric")
-    fabric_dir = cache / "fabric"
-    run_worker(config, IDS, FabricOptions(shards=1, fabric_dir=fabric_dir))
+def rerun_a_finished_fabric(tmp_path, monkeypatch=None):
+    """A one-shard pass over a plan its own earlier pass finished.
 
+    Needs a private cache dir in ``REPRO_CACHE_DIR``; counters cover the
+    second pass only.  ``tests/test_taxonomy.py`` drives
+    ``fabric.warm_skips`` through it.
+    """
+    config = make_config(1024, 2000)
+    options = FabricOptions(shards=1, fabric_dir=tmp_path / "fabric")
+    run_worker(config, IDS, options)
     observability.reset_metrics()
-    result = run_worker(
-        config, IDS, FabricOptions(shards=1, fabric_dir=fabric_dir)
-    )
-    plan = build_plan(config, IDS)
+    return run_worker(config, IDS, options)
+
+
+def test_warm_fabric_pass_is_pool_free_and_computes_nothing(fresh_cache):
+    result = rerun_a_finished_fabric(fresh_cache("fabric"))
+    plan = build_plan(make_config(1024, 2000), IDS)
     assert result.computed == []
     assert len(result.skipped_warm) == len(plan.units)
     assert observability.counter_value("fabric.warm_skips") == len(plan.units)

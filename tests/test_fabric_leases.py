@@ -20,6 +20,36 @@ def backdate(path, seconds):
     os.utime(path, (old, old))
 
 
+# Scenarios that provoke the fabric's lease failure modes.
+# ``tests/test_taxonomy.py`` drives the fabric-taxonomy counters through
+# them (shared ``(tmp_path, monkeypatch)`` signature); the tests
+# below pin the exact accounting each one leaves behind.
+
+
+def claim_a_live_lease(tmp_path, monkeypatch=None):
+    """Alpha claims a unit, then beta loses the race for it."""
+    path = tmp_path / "unit.lease"
+    assert try_acquire_lease(path, "alpha") is not None
+    assert try_acquire_lease(path, "beta") is None
+
+
+def steal_a_stale_lease(tmp_path, monkeypatch=None):
+    """Alpha's lease outlives its TTL and beta takes the unit over."""
+    path = tmp_path / "unit.lease"
+    assert try_acquire_lease(path, "alpha", ttl_seconds=5.0) is not None
+    backdate(path, 60.0)
+    assert try_acquire_lease(path, "beta", ttl_seconds=5.0) is not None
+    return path
+
+
+def lose_a_lease_to_a_peer(tmp_path, monkeypatch=None):
+    """Alpha's next heartbeat finds its lease gone (a peer took it)."""
+    path = tmp_path / "unit.lease"
+    lease = try_acquire_lease(path, "alpha")
+    os.unlink(path)  # simulate a peer's takeover
+    assert lease.beat() is False
+
+
 class TestClaim:
     def test_first_claimer_wins(self, tmp_path):
         path = tmp_path / "unit.lease"
@@ -29,11 +59,7 @@ class TestClaim:
         assert observability.counter_value("fabric.claims") == 1
 
     def test_second_claimer_conflicts(self, tmp_path):
-        path = tmp_path / "unit.lease"
-        winner = try_acquire_lease(path, "alpha")
-        assert winner is not None
-        loser = try_acquire_lease(path, "beta")
-        assert loser is None
+        claim_a_live_lease(tmp_path)
         assert observability.counter_value("fabric.claims") == 1
         assert observability.counter_value("fabric.lease_conflicts") == 1
         assert observability.counter_value("fabric.steals") == 0
@@ -85,22 +111,14 @@ class TestStaleTakeover:
         assert observability.counter_value("fabric.steals") == 0
 
     def test_stale_lease_is_stolen(self, tmp_path):
-        path = tmp_path / "unit.lease"
-        assert try_acquire_lease(path, "alpha", ttl_seconds=5.0) is not None
-        backdate(path, 60.0)
-        stolen = try_acquire_lease(path, "beta", ttl_seconds=5.0)
-        assert stolen is not None
-        info = read_lease(path)
+        info = read_lease(steal_a_stale_lease(tmp_path))
         assert info is not None and info.owner == "beta"
         assert observability.counter_value("fabric.stale_leases") == 1
         assert observability.counter_value("fabric.steals") == 1
         assert observability.counter_value("fabric.claims") == 2
 
     def test_no_stale_tombstone_left_behind(self, tmp_path):
-        path = tmp_path / "unit.lease"
-        try_acquire_lease(path, "alpha", ttl_seconds=5.0)
-        backdate(path, 60.0)
-        try_acquire_lease(path, "beta", ttl_seconds=5.0)
+        steal_a_stale_lease(tmp_path)
         leftovers = [p.name for p in tmp_path.iterdir() if p.name != "unit.lease"]
         assert leftovers == []
 
@@ -115,10 +133,7 @@ class TestHeartbeat:
         assert os.stat(path).st_mtime > stale_mtime
 
     def test_beat_detects_stolen_lease(self, tmp_path):
-        path = tmp_path / "unit.lease"
-        lease = try_acquire_lease(path, "alpha")
-        os.unlink(path)  # simulate a peer's takeover
-        assert lease.beat() is False
+        lose_a_lease_to_a_peer(tmp_path)
         assert observability.counter_value("fabric.lease_lost") == 1
 
     def test_heartbeat_thread_keeps_lease_fresh(self, tmp_path):

@@ -34,20 +34,6 @@ CONFIG = ExperimentConfig(benchmarks=("jpeg_play", "gcc"), trace_length=3000)
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
 
-@pytest.fixture
-def cache_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
-    monkeypatch.delenv("REPRO_FAULT_SPEC", raising=False)
-    clear_stream_cache()
-    faults.reset_fault_state()
-    observability.reset_metrics()
-    yield tmp_path
-    clear_stream_cache()
-    faults.reset_fault_state()
-    observability.reset_metrics()
-
-
 def _suite_arrays(config):
     return {
         name: (streams.correct.copy(), streams.bhrs.copy(), streams.pcs.copy())
@@ -73,6 +59,41 @@ def _arm(monkeypatch, spec):
     monkeypatch.setenv(faults.FAULT_SPEC_ENV, spec)
     faults.reset_fault_state()
     observability.reset_metrics()
+
+
+# Scenarios that provoke one failure mode each.  ``tests/test_taxonomy.py``
+# checks through them that each error-taxonomy counter rises; the tests
+# below pin the exact counts and what else each scenario leaves behind.
+# Each takes the shared ``(tmp_path, monkeypatch)`` signature and
+# needs a private cache dir in ``REPRO_CACHE_DIR``.
+
+
+def fail_every_store(tmp_path, monkeypatch):
+    """Every cache store raises ``OSError``; the run retries and survives."""
+    baseline = _suite_arrays(CONFIG)
+    _wipe_disk_tier()
+    clear_stream_cache()
+    _arm(monkeypatch, "store_oserror=1.0,seed=1")
+    _assert_identical(baseline, _suite_arrays(CONFIG))
+
+
+def crash_every_worker(tmp_path, monkeypatch):
+    """Every pool worker dies; every benchmark finishes on the serial path."""
+    baseline = _suite_arrays(CONFIG)
+    _wipe_disk_tier()
+    clear_stream_cache()
+    _arm(monkeypatch, "worker_crash=1.0")
+    _assert_identical(baseline, _suite_arrays(CONFIG.scaled(jobs=2)))
+
+
+def time_out_every_task(tmp_path, monkeypatch):
+    """Every pool task outlives its timeout and falls back to serial."""
+    baseline = _suite_arrays(CONFIG)
+    _wipe_disk_tier()
+    clear_stream_cache()
+    _arm(monkeypatch, "slow_task=1.0,slow_seconds=2.0")
+    faulted = _suite_arrays(CONFIG.scaled(jobs=2, max_retries=1, task_timeout=0.3))
+    _assert_identical(baseline, faulted)
 
 
 class TestFaultSpecParsing:
@@ -133,12 +154,7 @@ class TestFaultSpecParsing:
 
 class TestCacheIOFaults:
     def test_store_oserror_is_retried_and_survived(self, cache_dir, monkeypatch):
-        baseline = _suite_arrays(CONFIG)
-        _wipe_disk_tier()
-        clear_stream_cache()
-        _arm(monkeypatch, "store_oserror=1.0,seed=1")
-        faulted = _suite_arrays(CONFIG)
-        _assert_identical(baseline, faulted)
+        fail_every_store(cache_dir, monkeypatch)
         benchmarks = len(CONFIG.benchmarks)
         assert observability.counter_value("stream_cache.store_errors") == benchmarks
         assert observability.counter_value("retries.attempted") >= benchmarks
@@ -178,13 +194,7 @@ class TestCacheIOFaults:
 
 class TestWorkerFaults:
     def test_worker_crash_degrades_to_serial(self, cache_dir, monkeypatch):
-        baseline = _suite_arrays(CONFIG)
-        _wipe_disk_tier()
-        clear_stream_cache()
-        _arm(monkeypatch, "worker_crash=1.0")
-        faulted = _suite_arrays(CONFIG.scaled(jobs=2))
-        _assert_identical(baseline, faulted)
-        assert observability.counter_value("pool.broken") >= 1
+        crash_every_worker(cache_dir, monkeypatch)
         assert observability.counter_value("degraded.serial_fallback") == len(
             CONFIG.benchmarks
         )
@@ -225,15 +235,7 @@ class TestWorkerFaults:
         assert observability.counter_value("stream_cache.chunk_sweeps") > 0
 
     def test_slow_task_times_out_and_falls_back(self, cache_dir, monkeypatch):
-        baseline = _suite_arrays(CONFIG)
-        _wipe_disk_tier()
-        clear_stream_cache()
-        _arm(monkeypatch, "slow_task=1.0,slow_seconds=2.0")
-        faulted = _suite_arrays(
-            CONFIG.scaled(jobs=2, max_retries=1, task_timeout=0.3)
-        )
-        _assert_identical(baseline, faulted)
-        assert observability.counter_value("tasks.timed_out") >= 1
+        time_out_every_task(cache_dir, monkeypatch)
         assert observability.counter_value("degraded.serial_fallback") == len(
             CONFIG.benchmarks
         )
