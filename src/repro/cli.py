@@ -25,6 +25,7 @@ Usage examples::
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from typing import List, Optional
 
@@ -580,8 +581,26 @@ def _command_trace(args: argparse.Namespace) -> int:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns a process exit code."""
+    """CLI entry point; returns a process exit code.
+
+    A reader that closes stdout early (``repro ... | head``) ends the
+    run quietly with exit code 1 instead of a ``BrokenPipeError``
+    traceback.
+    """
     arguments = list(sys.argv[1:]) if argv is None else list(argv)
+    try:
+        code = _dispatch(arguments)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # Python's exit-time flush would hit the closed pipe again.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
+    return code
+
+
+def _dispatch(arguments: List[str]) -> int:
+    """Run the command ``arguments`` name; returns its exit code."""
     if arguments and arguments[0] == "lint":
         # Forwarded wholesale (argparse.REMAINDER cannot pass through
         # leading options); the lint CLI owns its own argument parsing.

@@ -41,7 +41,7 @@ from repro.sim.cache import has_disk_entry
 
 #: Bump when the plan layout (unit naming, artifact layout) changes; the
 #: digest then changes, so mixed-version fleets never share a directory.
-FABRIC_PLAN_FORMAT = 3
+FABRIC_PLAN_FORMAT = 4
 
 #: Experiments that read the Section 5.3 small-predictor geometry in
 #: addition to / instead of the default one.  Kept as data here (rather

@@ -55,7 +55,7 @@ from repro.fabric.plan import (
     static_partition,
     stream_unit_done,
 )
-from repro.sim.diskcache import EntryFamily, cache_root, get, publish, put
+from repro.sim.diskcache import ENTRY_SUFFIX, EntryFamily, cache_root, get, publish, put
 from repro.utils.resilient import retry_call
 
 #: Version stamp of the on-disk fabric directory layout.
@@ -120,7 +120,7 @@ def _report_entry(
     fabric_dir: Path, digest: str, experiment_id: str
 ) -> Tuple[Path, Dict[str, str]]:
     """Store path and key of one report artifact."""
-    path = fabric_dir / "reports" / f"{experiment_id}.npz"
+    path = fabric_dir / "reports" / f"{experiment_id}{ENTRY_SUFFIX}"
     return path, {"plan": digest, "experiment_id": experiment_id}
 
 

@@ -8,7 +8,7 @@ trace length, seed, predictor geometry, record widths), so a cached entry
 is always interchangeable with a fresh sweep.
 
 Tier 1 is a bounded per-process memo (identical objects on repeat
-lookups); tier 2 is the persistent content-keyed ``.npz`` store in
+lookups); tier 2 is the persistent content-keyed entry store in
 :mod:`repro.sim.diskcache`, shared across processes, CLI invocations, and
 parallel workers.  Cache traffic is counted through
 :mod:`repro.observability` (``stream_cache.memory_hits`` /

@@ -143,6 +143,7 @@ def resilient_map(
                 done[index] = True
             break
         broken = False
+        timed_out = False
         retry: List[int] = []
         observability.increment("pool.started")
         pool = ProcessPoolExecutor(max_workers=max(1, min(jobs, len(pending))))
@@ -161,6 +162,7 @@ def resilient_map(
                     result, metrics = future.result(timeout=task_timeout)
                 except FuturesTimeout:
                     observability.increment("tasks.timed_out")
+                    timed_out = True
                     future.cancel()
                     retry.append(index)
                     last_failure[index] = "timeout"
@@ -179,9 +181,10 @@ def resilient_map(
                     results[index] = result
                     done[index] = True
         finally:
-            # Never block on stragglers (e.g. a task that timed out but is
-            # still running); abandoned workers finish or die on their own.
-            pool.shutdown(wait=False, cancel_futures=True)
+            # Join the pool so its manager thread is gone before interpreter
+            # exit, unless a timed-out straggler may still be running:
+            # never block on one, it finishes or dies on its own.
+            pool.shutdown(wait=not timed_out, cancel_futures=True)
         if broken:
             pool_breaks += 1
             pending = [index for index in pending if not done[index]]

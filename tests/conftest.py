@@ -38,11 +38,7 @@ def _isolated_stream_cache(tmp_path_factory):
 
 @pytest.fixture
 def cache_dir(tmp_path, monkeypatch):
-    """A private cold cache dir, no ambient faults, zeroed counters.
-
-    Modules whose tests need less isolation define their own
-    ``cache_dir``, which overrides this one.
-    """
+    """A private cold cache dir, no ambient faults, zeroed counters."""
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
     monkeypatch.delenv(faults.FAULT_SPEC_ENV, raising=False)

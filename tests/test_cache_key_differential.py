@@ -33,6 +33,7 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import run_all_reports
 from repro.sim import cache
 from repro.sim.cache import clear_stream_cache
+from repro.sim.diskcache import ENTRY_SUFFIX
 
 #: Experiments covering every statistics helper, the small-predictor
 #: geometry (fig10) and the CIR initializations (fig11).
@@ -88,7 +89,7 @@ def run_reports(
 
 
 def sweep_entries(cache_dir: Path) -> List[str]:
-    return sorted(path.name for path in cache_dir.glob("sweep_results/*.npz"))
+    return sorted(path.name for path in cache_dir.glob(f"sweep_results/*{ENTRY_SUFFIX}"))
 
 
 def check_field(

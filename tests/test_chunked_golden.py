@@ -39,17 +39,6 @@ SMALL = ExperimentConfig(
 )
 
 
-@pytest.fixture
-def fresh_cache(tmp_path, monkeypatch):
-    """Isolated disk cache + clean memory tier for cache-sensitive tests."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    clear_stream_cache()
-    observability.reset_metrics()
-    yield tmp_path
-    clear_stream_cache()
-    observability.reset_metrics()
-
-
 def _cold_caches():
     """Drop the memory memo and the sweep-result tier.
 
@@ -125,7 +114,7 @@ class TestFigureStatisticsGolden:
     """Fig. 5 / Fig. 6 / Fig. 8 bucket statistics, chunked vs monolithic."""
 
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_fig5_one_level(self, fresh_cache, chunk_size):
+    def test_fig5_one_level(self, cache_dir, chunk_size):
         reference = runner.one_level_pattern_statistics(SMALL)
         _cold_caches()
         candidate = runner.one_level_pattern_statistics(
@@ -134,7 +123,7 @@ class TestFigureStatisticsGolden:
         _assert_statistics_identical(reference, candidate)
 
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_fig6_two_level(self, fresh_cache, chunk_size):
+    def test_fig6_two_level(self, cache_dir, chunk_size):
         reference = runner.two_level_pattern_statistics(
             SMALL, "pc", second_use_pc=True, second_use_bhr=True
         )
@@ -146,7 +135,7 @@ class TestFigureStatisticsGolden:
         _assert_statistics_identical(reference, candidate)
 
     @pytest.mark.parametrize("chunk_size", CHUNK_SIZES)
-    def test_fig8_counters(self, fresh_cache, chunk_size):
+    def test_fig8_counters(self, cache_dir, chunk_size):
         for build, kwargs in (
             (runner.resetting_counter_statistics, {"maximum": 8}),
             (runner.saturating_counter_statistics, {"maximum": 8}),
@@ -157,7 +146,7 @@ class TestFigureStatisticsGolden:
             _assert_statistics_identical(reference, candidate)
 
     @pytest.mark.parametrize("chunk_size", [1, 1024])
-    def test_static_branch_statistics(self, fresh_cache, chunk_size):
+    def test_static_branch_statistics(self, cache_dir, chunk_size):
         reference = runner.static_branch_statistics(SMALL)
         _cold_caches()
         candidate = runner.static_branch_statistics(
@@ -167,7 +156,7 @@ class TestFigureStatisticsGolden:
 
 
 class TestExperimentGolden:
-    def test_fig5_experiment_identical_curves(self, fresh_cache):
+    def test_fig5_experiment_identical_curves(self, cache_dir):
         from repro.experiments import get_experiment
 
         experiment = get_experiment("fig5")
@@ -183,7 +172,7 @@ class TestChunkDiskCache:
         history_bits=8, bhr_record_bits=8, gcir_bits=8,
     )
 
-    def test_cold_then_warm_identical_and_counted(self, fresh_cache):
+    def test_cold_then_warm_identical_and_counted(self, cache_dir):
         cold = list(iter_cached_stream_chunks(chunk_size=500, **self.REQUEST))
         assert observability.counter_value("stream_cache.chunk_sweeps") == 6
         assert observability.counter_value("stream_cache.chunk_stores") == 6
@@ -196,7 +185,7 @@ class TestChunkDiskCache:
             assert np.array_equal(before.bhrs, after.bhrs)
             assert np.array_equal(before.gcirs, after.gcirs)
 
-    def test_resume_after_partial_eviction(self, fresh_cache):
+    def test_resume_after_partial_eviction(self, cache_dir):
         cold = list(iter_cached_stream_chunks(chunk_size=500, **self.REQUEST))
         key = chunk_stream_key(
             self.REQUEST["benchmark"], 500, 2,
@@ -211,7 +200,7 @@ class TestChunkDiskCache:
         for before, after in zip(cold, resumed):
             assert np.array_equal(before.correct, after.correct)
 
-    def test_corrupt_chunk_entry_recomputed(self, fresh_cache):
+    def test_corrupt_chunk_entry_recomputed(self, cache_dir):
         list(iter_cached_stream_chunks(chunk_size=500, **self.REQUEST))
         key = chunk_stream_key(
             self.REQUEST["benchmark"], 500, 0,
@@ -223,7 +212,7 @@ class TestChunkDiskCache:
         assert observability.counter_value("stream_cache.chunk_corrupt") == 1
         assert not path.exists()  # dropped so the next run recomputes
 
-    def test_cached_streams_equal_across_tiers(self, fresh_cache):
+    def test_cached_streams_equal_across_tiers(self, cache_dir):
         mono = cached_predictor_streams(**self.REQUEST)
         clear_stream_cache()
         chunked = cached_predictor_streams(chunk_size=700, **self.REQUEST)

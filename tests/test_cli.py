@@ -1,5 +1,10 @@
 """Tests for the command-line interface."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
@@ -268,3 +273,23 @@ class TestCachePath:
         assert capsys.readouterr().out.strip() == str(root)
         assert main(["cache", "stats"]) == 0
         assert f"path:    {root}\n" in capsys.readouterr().out
+
+
+class TestClosedStdout:
+    def test_closed_pipe_exits_quietly(self, tmp_path):
+        # The reader is gone before the first write, as after ``| head``.
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = dict(os.environ, REPRO_CACHE_DIR=str(tmp_path))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro", "apps", "dual-path", "--json",
+                 "--benchmarks", "jpeg_play", "--length", "2000"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.stderr == b""
+        assert proc.returncode == 1

@@ -26,6 +26,7 @@ from repro.fabric.runtime import (
     write_plan_manifest,
 )
 from repro.sim.cache import clear_stream_cache
+from repro.sim.diskcache import ENTRY_SUFFIX
 
 #: fig10 reads the small-predictor geometry, so the plan's dependency
 #: wiring (not just the default-geometry path) is on the line.
@@ -236,7 +237,7 @@ def test_corrupt_report_is_recomputed_by_cli_and_refused_by_merge(fresh_cache, c
     shard = ["run-all", "--shards", "1", "--shard-id", "0", *config_flags, *fabric_flags]
     assert main(shard) == 0
     assert capsys.readouterr().out == golden
-    report = cache / "fabric" / "reports" / "fig5.npz"
+    report = cache / "fabric" / "reports" / f"fig5{ENTRY_SUFFIX}"
 
     report.write_bytes(report.read_bytes()[:100])  # truncated on disk
     assert main(shard) == 0

@@ -23,6 +23,7 @@ from repro.experiments.registry import run_all_reports
 from repro.experiments.runner import suite_streams
 from repro.sim.cache import cached_predictor_streams, clear_stream_cache
 from repro.sim.diskcache import (
+    ENTRY_SUFFIX,
     chunk_cache_dir,
     disk_cache_stats,
     stream_cache_dir,
@@ -276,7 +277,7 @@ class TestCrashConsistency:
         baseline = self._fault_free_baseline(monkeypatch)
         proc = self._crash_child(cache_dir)
         assert proc.returncode == faults.STORE_CRASH_EXIT_CODE, proc.stderr
-        assert list(stream_cache_dir().glob("*.npz")) == []
+        assert list(stream_cache_dir().glob(f"*{ENTRY_SUFFIX}")) == []
         assert len(list(stream_cache_dir().glob("*.tmp"))) == 1
         stats = disk_cache_stats()
         assert stats.entries == 0 and stats.stale_tmp == 1
@@ -286,13 +287,13 @@ class TestCrashConsistency:
         assert np.array_equal(streams.correct, baseline)
         assert observability.counter_value("stream_cache.sweeps") == 1
         assert observability.counter_value("stream_cache.disk_misses") == 1
-        assert len(list(stream_cache_dir().glob("*.npz"))) == 1
+        assert len(list(stream_cache_dir().glob(f"*{ENTRY_SUFFIX}"))) == 1
 
     def test_chunk_store_crash_recovers(self, cache_dir, monkeypatch):
         baseline = self._fault_free_baseline(monkeypatch)
         proc = self._crash_child(cache_dir, chunk_size=1000)
         assert proc.returncode == faults.STORE_CRASH_EXIT_CODE, proc.stderr
-        assert list(chunk_cache_dir().glob("*.npz")) == []
+        assert list(chunk_cache_dir().glob(f"*{ENTRY_SUFFIX}")) == []
         assert len(list(chunk_cache_dir().glob("*.tmp"))) == 1
         assert disk_cache_stats().stale_tmp == 1
         observability.reset_metrics()
@@ -301,7 +302,7 @@ class TestCrashConsistency:
         )
         assert np.array_equal(streams.correct, baseline)
         assert observability.counter_value("stream_cache.chunk_sweeps") == 3
-        assert len(list(chunk_cache_dir().glob("*.npz"))) == 3
+        assert len(list(chunk_cache_dir().glob(f"*{ENTRY_SUFFIX}"))) == 3
 
 
 class TestFaultedRunAll:

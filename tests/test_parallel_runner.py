@@ -16,17 +16,6 @@ from repro.sim.diskcache import disk_cache_stats
 CONFIG = ExperimentConfig(benchmarks=("jpeg_play", "gcc"), trace_length=3000)
 
 
-@pytest.fixture
-def cache_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
-    clear_stream_cache()
-    observability.reset_metrics()
-    yield tmp_path
-    clear_stream_cache()
-    observability.reset_metrics()
-
-
 class TestParallelSuiteStreams:
     def test_matches_serial(self, cache_dir):
         serial = suite_streams(CONFIG)

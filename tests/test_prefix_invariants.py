@@ -37,17 +37,6 @@ WORKLOADS = [(name, load_benchmark) for name in benchmark_names()] + [
 ]
 
 
-@pytest.fixture
-def cache_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
-    clear_stream_cache()
-    observability.reset_metrics()
-    yield tmp_path
-    clear_stream_cache()
-    observability.reset_metrics()
-
-
 def test_every_suite_workload_is_registered():
     assert len(benchmark_names()) == 8
     assert len(spec_benchmark_names()) == 4

@@ -2,8 +2,8 @@
 
 Whole-trace streams, stream chunks, sweep results and fabric reports are
 all entries of one store (:mod:`repro.sim.diskcache`).  Each family is
-damaged three ways: the file is truncated; one array value is edited in
-an otherwise valid archive that keeps the old meta record (only the
+damaged three ways: the file is truncated; one array value is edited and
+the entry rewritten through the store under its old checksum (only the
 checksum can tell); and another entry of the family is renamed over it
 (only the key check can tell).  Every damage must count exactly one
 corrupt drop, recompute, and leave the reports byte-identical.
@@ -12,22 +12,44 @@ The compact encodings get damage that a fresh checksum vouches for, so
 only decoding can tell: a sweep entry with a bucket position out of
 range, one whose positions and counts differ in length, and a stream
 entry whose array has a non-integer dtype.
+
+The frame itself gets damage only its parser can tell: a header that
+declares an 8-byte array as an object array, a body one byte longer
+than its arrays, a bad magic, and a header length past the end of the
+file.  A property test round-trips :func:`put`/:func:`get` over every
+dtype the store holds.
 """
 
 import json
+import string
+import struct
+import tempfile
+import zlib
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from repro import observability
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import run_all_reports
 from repro.fabric.runtime import FabricOptions, merge_reports_text, run_worker
+from repro.sim import diskcache
 from repro.sim.cache import clear_stream_cache
 from repro.sim.diskcache import (
-    _checksum,
+    ENTRY_MAGIC,
+    ENTRY_SUFFIX,
+    STREAMS,
+    EntryFamily,
     cache_root,
     chunk_cache_dir,
+    get,
+    put,
+    read_entry,
     stream_cache_dir,
     sweep_cache_dir,
 )
@@ -36,24 +58,26 @@ IDS = ["table1", "fig5"]
 CONFIG = ExperimentConfig(benchmarks=("jpeg_play", "gcc"), trace_length=2000)
 
 
+def _entries(directory):
+    return sorted(directory.glob(f"*{ENTRY_SUFFIX}"))
+
+
 def _truncate(victim, donor):
     victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2])
 
 
 def _edit_array(victim, donor):
-    with np.load(victim, allow_pickle=False) as archive:
-        arrays = {name: archive[name] for name in archive.files}
+    meta, arrays = read_entry(victim)
     # The largest array: editing it breaks no shape a decoder could check.
-    name = max((arrays[name].size, name) for name in arrays if name != "meta")[1]
+    name = max((arrays[name].size, name) for name in arrays)[1]
     value = arrays[name]
     if value.dtype.kind == "U":
         arrays[name] = np.array(str(value) + " ")
     else:
-        value = value.copy()
         value.flat[0] += 1
-        arrays[name] = value
-    with open(victim, "wb") as handle:
-        np.savez_compressed(handle, **arrays)
+    # Rewritten through the store, but signed with the old checksum.
+    with mock.patch.object(diskcache, "_checksum", return_value=meta["checksum"]):
+        put(STREAMS, victim, meta["key"], arrays, meta["fields"])
 
 
 def _rename_over(victim, donor):
@@ -61,18 +85,6 @@ def _rename_over(victim, donor):
 
 
 DAMAGES = {"truncated": _truncate, "edited-array": _edit_array, "renamed": _rename_over}
-
-
-@pytest.fixture
-def cache_dir(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
-    monkeypatch.delenv("REPRO_FAULT_SPEC", raising=False)
-    clear_stream_cache()
-    observability.reset_metrics()
-    yield tmp_path
-    clear_stream_cache()
-    observability.reset_metrics()
 
 
 def _report_text(config):
@@ -110,19 +122,14 @@ FAMILIES = {
 }
 
 
-@pytest.mark.parametrize("damage", sorted(DAMAGES))
-@pytest.mark.parametrize("family", sorted(FAMILIES))
-def test_damaged_entry_is_dropped_and_recomputed(family, damage, cache_dir):
-    config, run, directory, corrupt, recompute = FAMILIES[family]
-    golden = _report_text(config)
-    assert run(config) == golden
-    entries = sorted(directory().glob("*.npz"))
-    assert len(entries) >= 2
-    DAMAGES[damage](victim=entries[0], donor=entries[1])
+def _drop_grid_results(family):
     if family in ("streams", "chunks"):
         # Warm grid results would answer without reading any stream.
-        for entry in sweep_cache_dir().glob("*.npz"):
+        for entry in _entries(sweep_cache_dir()):
             entry.unlink()
+
+
+def _assert_dropped_and_recomputed(config, run, corrupt, recompute, golden):
     observability.reset_metrics()
     assert run(config) == golden
     assert observability.counter_value(corrupt) == 1
@@ -134,15 +141,24 @@ def test_damaged_entry_is_dropped_and_recomputed(family, damage, cache_dir):
     assert observability.counter_value(recompute) == 0
 
 
+@pytest.mark.parametrize("damage", sorted(DAMAGES))
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_damaged_entry_is_dropped_and_recomputed(family, damage, cache_dir):
+    config, run, directory, corrupt, recompute = FAMILIES[family]
+    golden = _report_text(config)
+    assert run(config) == golden
+    entries = _entries(directory())
+    assert len(entries) >= 2
+    DAMAGES[damage](victim=entries[0], donor=entries[1])
+    _drop_grid_results(family)
+    _assert_dropped_and_recomputed(config, run, corrupt, recompute, golden)
+
+
 def _rewrite_with_valid_checksum(entry, edit):
     """Apply ``edit`` to an entry's arrays and re-sign it, key unchanged."""
-    with np.load(entry, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["meta"]))
-        arrays = {name: archive[name] for name in archive.files if name != "meta"}
+    meta, arrays = read_entry(entry)
     edit(arrays)
-    meta["checksum"] = _checksum(arrays, meta["fields"])
-    with open(entry, "wb") as handle:
-        np.savez_compressed(handle, meta=np.array(json.dumps(meta, sort_keys=True)), **arrays)
+    put(STREAMS, entry, meta["key"], arrays, meta["fields"])
 
 
 def _index_out_of_range(arrays):
@@ -174,15 +190,113 @@ def test_resigned_damage_is_caught_by_decode(damage, cache_dir):
     family, edit = DECODE_DAMAGES[damage]
     config, run, directory, corrupt, recompute = FAMILIES[family]
     golden = _report_text(config)
-    entries = sorted(directory().glob("*.npz"))
-    _rewrite_with_valid_checksum(entries[0], edit)
-    if family == "streams":
-        for entry in sweep_cache_dir().glob("*.npz"):
-            entry.unlink()
-    observability.reset_metrics()
+    _rewrite_with_valid_checksum(_entries(directory())[0], edit)
+    _drop_grid_results(family)
+    _assert_dropped_and_recomputed(config, run, corrupt, recompute, golden)
+
+
+_HEADER_START = len(ENTRY_MAGIC) + 8
+
+
+def _split_frame(entry):
+    """An entry's header and decompressed body, by the documented layout."""
+    data = entry.read_bytes()
+    (length,) = struct.unpack_from("<Q", data, len(ENTRY_MAGIC))
+    header = json.loads(data[_HEADER_START : _HEADER_START + length])
+    return header, zlib.decompress(data[_HEADER_START + length :])
+
+
+def _write_frame(entry, header, body):
+    text = json.dumps(header, sort_keys=True).encode("utf-8")
+    entry.write_bytes(ENTRY_MAGIC + struct.pack("<Q", len(text)) + text + zlib.compress(body))
+
+
+def _object_dtype(entry):
+    # ``buckets`` is int64: declared as |O8, the sizes still add up.
+    header, body = _split_frame(entry)
+    for spec in header["arrays"]:
+        if spec[0] == "buckets":
+            spec[1] = "|O8"
+    _write_frame(entry, header, body)
+
+
+def _trailing_body_byte(entry):
+    # Every array and the checksum are intact; only the size check can tell.
+    header, body = _split_frame(entry)
+    _write_frame(entry, header, body + b"\0")
+
+
+def _bad_magic(entry):
+    data = bytearray(entry.read_bytes())
+    data[0] ^= 0xFF
+    entry.write_bytes(bytes(data))
+
+
+def _header_past_end(entry):
+    data = bytearray(entry.read_bytes())
+    struct.pack_into("<Q", data, len(ENTRY_MAGIC), len(data))
+    entry.write_bytes(bytes(data))
+
+
+#: damage -> (family, edit of the entry file)
+FRAME_DAMAGES = {
+    "object-dtype": ("sweeps", _object_dtype),
+    "trailing-body-byte": ("streams", _trailing_body_byte),
+    "bad-magic": ("chunks", _bad_magic),
+    "header-past-end": ("reports", _header_past_end),
+}
+
+
+@pytest.mark.parametrize("damage", sorted(FRAME_DAMAGES))
+def test_damaged_frame_is_dropped_and_recomputed(damage, cache_dir):
+    family, edit = FRAME_DAMAGES[damage]
+    config, run, directory, corrupt, recompute = FAMILIES[family]
+    golden = _report_text(config)
     assert run(config) == golden
-    assert observability.counter_value(corrupt) == 1
-    assert observability.counter_value(recompute) >= 1
-    observability.reset_metrics()
-    assert run(config) == golden
-    assert observability.counter_value(corrupt) == 0
+    edit(_entries(directory())[0])
+    _drop_grid_results(family)
+    _assert_dropped_and_recomputed(config, run, corrupt, recompute, golden)
+
+
+def test_read_entry_rejects_bytes_after_the_body(tmp_path):
+    entry = tmp_path / f"entry{ENTRY_SUFFIX}"
+    put(STREAMS, entry, {}, {"values": np.arange(5)}, {})
+    entry.write_bytes(entry.read_bytes() + b"\0")
+    with pytest.raises(ValueError):
+        read_entry(entry)
+
+
+ROUND_TRIP = EntryFamily("store_round_trip", "round_trip.hits", "round_trip.misses",
+                         "round_trip.corrupt", "round_trip.stores", "round_trip.store_errors")
+
+
+@st.composite
+def _stored_arrays(draw):
+    names = draw(st.lists(st.text(string.ascii_lowercase, min_size=1, max_size=6),
+                          unique=True, max_size=4))
+    arrays = {}
+    for name in names:
+        dtype = np.dtype(draw(st.sampled_from(["u1", "u2", "u4", "i8", "f8", "U5"])))
+        shape = draw(hnp.array_shapes(min_dims=0, max_dims=2, min_side=0, max_side=5))
+        elements = st.text(max_size=5) if dtype.kind == "U" else None
+        arrays[name] = draw(hnp.arrays(dtype, shape, elements=elements))
+    return arrays
+
+
+@settings(max_examples=60, deadline=None)
+@given(arrays=_stored_arrays(), text=st.text())
+def test_put_get_round_trip(arrays, text):
+    fields = {"text": text, "count": len(arrays)}
+    with tempfile.TemporaryDirectory() as directory:
+        entry = Path(directory) / f"entry{ENTRY_SUFFIX}"
+        assert put(ROUND_TRIP, entry, {"text": text}, arrays, fields) == entry
+        loaded, loaded_fields = get(
+            ROUND_TRIP, entry, {"text": text}, lambda arrays, fields: (arrays, fields)
+        )
+    assert loaded_fields == fields
+    assert list(loaded) == list(arrays)
+    for name, value in arrays.items():
+        assert loaded[name].dtype == value.dtype
+        assert loaded[name].shape == value.shape
+        assert loaded[name].tobytes() == value.tobytes()
+        assert loaded[name].flags.writeable

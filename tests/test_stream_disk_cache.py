@@ -1,11 +1,11 @@
 """Tests for the persistent predictor-stream cache (disk tier)."""
 
 import numpy as np
-import pytest
 
 from repro import observability
 from repro.sim.cache import cached_predictor_streams, clear_stream_cache
 from repro.sim.diskcache import (
+    ENTRY_SUFFIX,
     StreamKey,
     clear_disk_cache,
     disk_cache_stats,
@@ -16,18 +16,6 @@ from repro.sim.diskcache import (
 )
 from repro.sim.fast import predictor_streams
 from repro.workloads import load_benchmark
-
-
-@pytest.fixture
-def cache_dir(tmp_path, monkeypatch):
-    """Fresh, isolated cache directory plus clean memory tier and metrics."""
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
-    monkeypatch.delenv("REPRO_CACHE_DISABLE", raising=False)
-    clear_stream_cache()
-    observability.reset_metrics()
-    yield tmp_path
-    clear_stream_cache()
-    observability.reset_metrics()
 
 
 def _key(**overrides) -> StreamKey:
@@ -76,7 +64,7 @@ class TestRoundTrip:
         key = _key()
         streams = predictor_streams(load_benchmark("jpeg_play", 2000, 0))
         store_cached_streams(key, streams)
-        leftovers = [p for p in stream_cache_dir().iterdir() if p.suffix != ".npz"]
+        leftovers = [p for p in stream_cache_dir().iterdir() if p.suffix != ENTRY_SUFFIX]
         assert leftovers == []
 
 
@@ -106,13 +94,13 @@ class TestTwoTierLookup:
 class TestCorruption:
     def _warm_one_entry(self):
         cached_predictor_streams("jpeg_play", length=2000, seed=0)
-        (entry,) = list(stream_cache_dir().glob("*.npz"))
+        (entry,) = list(stream_cache_dir().glob(f"*{ENTRY_SUFFIX}"))
         return entry
 
     def test_garbage_entry_falls_back_to_recompute(self, cache_dir):
         reference = self._warm_one_entry()
         payload = reference.read_bytes()
-        reference.write_bytes(b"this is not an npz archive")
+        reference.write_bytes(b"this is not a store entry")
         clear_stream_cache()
         observability.reset_metrics()
         streams = cached_predictor_streams("jpeg_play", length=2000, seed=0)
@@ -172,3 +160,13 @@ class TestManagement:
         assert not disk_cache_stats().enabled
         assert disk_cache_stats().entries == 0
         assert observability.counter_value("stream_cache.stores") == 0
+
+    def test_format_3_leftovers_are_stale_and_cleared(self, cache_dir):
+        cached_predictor_streams("jpeg_play", length=2000, seed=0)
+        leftover = stream_cache_dir() / "jpeg_play-L2000-s0-0123456789abcdef.npz"
+        leftover.write_bytes(b"format 3 zip")
+        stats = disk_cache_stats()
+        assert (stats.entries, stats.stale_tmp) == (1, 1)
+        assert clear_disk_cache() == 1
+        assert not leftover.exists()
+        assert disk_cache_stats().stale_tmp == 0
