@@ -40,7 +40,7 @@ def test_smt_fetch_gating(run_once):
     print()
     print(report.format())
     assert report.gated_efficiency > report.ungated_efficiency
-    assert all(gain > -0.02 for gain in report.per_benchmark_gain.values())
+    assert all(gain > -0.02 for gain in report.per_benchmark.values())
 
 
 def test_reverser(run_once):

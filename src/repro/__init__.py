@@ -27,46 +27,53 @@ Quickstart
 True
 """
 
-from repro.analysis import (
-    BucketStatistics,
-    ConfidenceCurve,
-    Table1,
-    build_table1,
-    confidence_metrics,
-    equal_weight_combine,
-)
-from repro.api import (
-    confidence_curve,
-    list_experiments,
-    predictor_streams,
-    run_experiment,
-)
-from repro.core import (
-    CIR,
-    CIRTable,
-    ConfidenceEstimator,
-    ConfidenceSignal,
-    OneLevelConfidence,
-    ReducedEstimator,
-    ResettingCounterConfidence,
-    SaturatingCounterConfidence,
-    StaticProfileConfidence,
-    ThresholdConfidence,
-    TwoLevelConfidence,
-    make_index,
-)
-from repro.predictors import (
-    BimodalPredictor,
-    BranchPredictor,
-    GsharePredictor,
-    HybridPredictor,
-    LocalPredictor,
-    StaticPredictor,
-    make_paper_predictor,
-)
-from repro.sim import simulate
-from repro.traces import Trace, load_trace, save_trace
-from repro.workloads import benchmark_names, load_benchmark, load_suite
+from typing import TYPE_CHECKING, Any
+
+if TYPE_CHECKING:
+    from repro.analysis.curves import ConfidenceCurve
+
+#: Where each lazily imported public name lives.  Importing ``repro``
+#: loads nothing else, so a stdlib-only subpackage (``repro.analysis.lint``)
+#: starts without numpy; a name is imported on first access.
+_EXPORTS = {
+    **dict.fromkeys(
+        ("BucketStatistics", "ConfidenceCurve", "Table1", "build_table1",
+         "confidence_metrics", "equal_weight_combine"),
+        "repro.analysis",
+    ),
+    **dict.fromkeys(
+        ("confidence_curve", "list_experiments", "predictor_streams", "run_experiment"),
+        "repro.api",
+    ),
+    **dict.fromkeys(
+        ("CIR", "CIRTable", "ConfidenceEstimator", "ConfidenceSignal",
+         "OneLevelConfidence", "ReducedEstimator", "ResettingCounterConfidence",
+         "SaturatingCounterConfidence", "StaticProfileConfidence",
+         "ThresholdConfidence", "TwoLevelConfidence", "make_index"),
+        "repro.core",
+    ),
+    **dict.fromkeys(
+        ("BimodalPredictor", "BranchPredictor", "GsharePredictor", "HybridPredictor",
+         "LocalPredictor", "StaticPredictor", "make_paper_predictor"),
+        "repro.predictors",
+    ),
+    "simulate": "repro.sim",
+    **dict.fromkeys(("Trace", "load_trace", "save_trace"), "repro.traces"),
+    **dict.fromkeys(("benchmark_names", "load_benchmark", "load_suite"), "repro.workloads"),
+}
+
+
+def __getattr__(name: str) -> Any:
+    """Import a public name from its home module on first access (PEP 562)."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "1.0.0"
 
@@ -122,15 +129,19 @@ def quick_confidence_curve(
     benchmark: str = "jpeg_play",
     length: int = 50_000,
     seed: int = 0,
-) -> ConfidenceCurve:
+) -> "ConfidenceCurve":
     """One-call demo: the best one-level confidence curve for a benchmark.
 
     Runs the paper's large gshare over the named synthetic benchmark with
     a PC-xor-BHR one-level CIR table (ideal reduction) and returns the
     confidence curve.
     """
+    from repro.analysis.buckets import BucketStatistics
+    from repro.analysis.curves import ConfidenceCurve
+    from repro.core.indexing import make_index
     from repro.sim.fast import cir_pattern_stream, predictor_streams
     from repro.utils.bits import bit_mask
+    from repro.workloads.ibs import load_benchmark
 
     trace = load_benchmark(benchmark, length, seed)
     streams = predictor_streams(trace)

@@ -9,14 +9,38 @@ Table 1, computes the follow-on literature's confidence quality metrics,
 and renders ASCII plots / CSV exports.
 """
 
-from repro.analysis.buckets import BucketStatistics
-from repro.analysis.compare import CurveDelta, crossovers, dominates, sample_delta
-from repro.analysis.curves import ConfidenceCurve, CurvePoint
-from repro.analysis.export import curves_to_csv, table_to_csv
-from repro.analysis.metrics import ConfusionCounts, confidence_metrics
-from repro.analysis.plotting import ascii_curve_plot, format_curve_table
-from repro.analysis.table1 import Table1, Table1Row, build_table1
-from repro.analysis.weighting import concat_normalized, equal_weight_combine
+from typing import Any
+
+#: Where each public name lives.  Importing the package loads none of
+#: them, so ``repro.analysis.lint`` (stdlib only) starts without numpy; a
+#: name is imported on first access.
+_EXPORTS = {
+    "BucketStatistics": "repro.analysis.buckets",
+    **dict.fromkeys(
+        ("CurveDelta", "crossovers", "dominates", "sample_delta"), "repro.analysis.compare"
+    ),
+    **dict.fromkeys(("ConfidenceCurve", "CurvePoint"), "repro.analysis.curves"),
+    **dict.fromkeys(("curves_to_csv", "table_to_csv"), "repro.analysis.export"),
+    **dict.fromkeys(("ConfusionCounts", "confidence_metrics"), "repro.analysis.metrics"),
+    **dict.fromkeys(("ascii_curve_plot", "format_curve_table"), "repro.analysis.plotting"),
+    **dict.fromkeys(("Table1", "Table1Row", "build_table1"), "repro.analysis.table1"),
+    **dict.fromkeys(
+        ("concat_normalized", "equal_weight_combine"), "repro.analysis.weighting"
+    ),
+}
+
+
+def __getattr__(name: str) -> Any:
+    """Import a public name from its home module on first access (PEP 562)."""
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro.analysis' has no attribute {name!r}")
+    from importlib import import_module
+
+    value = getattr(import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __all__ = [
     "BucketStatistics",

@@ -1,14 +1,14 @@
 """R003 — worker-payload purity.
 
 ``resilient_map`` re-runs tasks after crashes and may finish a payload
-on the in-parent serial path, so a worker function must be (a) picklable
+on the in-parent serial path, so a task function must be (a) picklable
 — i.e. module-level, not a lambda, bound method, or closure — and
 (b) free of mutable module-global mutation: a retried task that already
 half-mutated a global produces different results on the retry, and the
 parent/worker split means the mutation may or may not be visible at all.
 
-Checked call sites: ``resilient_map(worker, ..., serial_worker=...)``
-and ``<pool>.submit(fn, ...)`` / ``<pool>.map(fn, ...)`` on
+Checked call sites: ``resilient_map(task, ...)`` and
+``<pool>.submit(fn, ...)`` / ``<pool>.map(fn, ...)`` on
 ``ProcessPoolExecutor``-like objects.
 """
 
@@ -41,10 +41,8 @@ def _worker_expressions(call: ast.Call) -> List[ast.expr]:
         if call.args:
             workers.append(call.args[0])
         keywords = call_keywords(call)
-        if "worker" in keywords:
-            workers.append(keywords["worker"])
-        if "serial_worker" in keywords:
-            workers.append(keywords["serial_worker"])
+        if "task" in keywords:
+            workers.append(keywords["task"])
     elif (
         name in _POOL_METHODS
         and isinstance(call.func, ast.Attribute)

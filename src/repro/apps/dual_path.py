@@ -22,7 +22,6 @@ from typing import Dict, Optional
 
 import numpy as np
 
-from repro.apps.report import deprecated_alias
 from repro.core.indexing import make_index
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
 from repro.experiments.runner import suite_streams
@@ -82,8 +81,6 @@ class DualPathReport:
             },
             "per_benchmark": dict(self.per_benchmark),
         }
-
-    per_benchmark_speedup = deprecated_alias("per_benchmark_speedup", "per_benchmark")
 
     __str__ = format
 

@@ -2,16 +2,19 @@
 
 Used by the CLI (``repro run fig5``) and the benchmark harness.  The
 registry is also the unit of parallelism for ``repro run-all --jobs N``:
-:func:`run_all_reports` fans whole experiments across a process pool and
-merges the formatted reports back in registration order, so the combined
-output is byte-identical to a serial run.
+:func:`run_all_reports` hands :func:`run_experiment_report` itself to
+:func:`repro.utils.resilient.resilient_map`, one task per experiment id
+(also the task's fault key), and the formatted reports come back in
+registration order, so the combined output is byte-identical to a
+serial run.  Only the report crosses the process boundary; result
+objects stay in the worker.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence
 
 from repro import observability
 from repro.experiments import (
@@ -207,40 +210,6 @@ def run_experiment_report(
     )
 
 
-def _report_worker(payload: Tuple[str, ExperimentConfig]):
-    """Process-pool entry point: run one experiment, return report + metrics.
-
-    Only the formatted report crosses the process boundary (result
-    objects stay in the worker), which keeps the merge trivially
-    deterministic: parent-side output depends only on report text and
-    registration order.
-    """
-    from repro.testing import faults
-
-    experiment_id, config = payload
-    observability.reset_metrics()
-    faults.inject_worker_faults(experiment_id)
-    report = run_experiment_report(experiment_id, config)
-    return report, observability.snapshot()
-
-
-def _serial_report(payload: Tuple[str, ExperimentConfig]) -> ExperimentReport:
-    """In-parent degraded path: the same experiment, pool-worker parity.
-
-    Runs under :func:`repro.utils.resilient.serial_task`, so the report's
-    metrics delta is isolated from the parent's counters and merged back
-    exactly once — a ``--profile`` snapshot from a degraded run matches a
-    pool run's accounting (parent counters never bleed into the report,
-    and the serial fault hooks still fire).
-    """
-    from repro.utils.resilient import serial_task
-
-    experiment_id, config = payload
-    return serial_task(
-        experiment_id, lambda: run_experiment_report(experiment_id, config)
-    )
-
-
 def run_all_reports(
     config: ExperimentConfig,
     experiment_ids: Optional[Sequence[str]] = None,
@@ -270,12 +239,11 @@ def run_all_reports(
     from repro.utils.resilient import resilient_map
 
     worker_config = config.scaled(jobs=1)
-    payloads = [(experiment_id, worker_config) for experiment_id in ids]
     return resilient_map(
-        _report_worker,
-        payloads,
+        run_experiment_report,
+        [(experiment_id, worker_config) for experiment_id in ids],
         jobs=min(jobs, len(ids)),
-        serial_worker=_serial_report,
+        keys=ids,
         max_retries=config.max_retries,
         task_timeout=config.task_timeout,
     )

@@ -30,17 +30,15 @@ from repro.sim.cache import (
     has_disk_entry,
     iter_cached_stream_chunks,
     load_sweep_results,
-    peek_cached_streams,
-    seed_memory_tier,
     store_sweep_results,
     sweep_result_key,
+    warm_stream_entries,
 )
 from repro.sim.chunked import StreamChunk
-from repro.sim.diskcache import SweepKey
+from repro.sim.diskcache import SweepKey, cache_enabled
 from repro.sim.fast import PredictorStreams
-from repro.testing import faults
 from repro.utils.bits import bit_mask
-from repro.utils.resilient import resilient_map, serial_task
+from repro.utils.resilient import resilient_map
 
 #: Initial CIR patterns by policy name, resolved per (entries, cir_bits).
 InitSpec = "int | np.ndarray"
@@ -59,57 +57,29 @@ def _stream_request(config: ExperimentConfig, benchmark: str) -> Dict:
     }
 
 
-def _stream_worker(payload: Dict):
-    """Process-pool entry point: run one sweep, report its metrics delta.
+def warm_streams(config: ExperimentConfig, requests: Sequence[Dict]) -> None:
+    """Sweep the cold stream requests into the store on the pool.
 
-    Workers share the persistent disk cache with the parent (and each
-    other), so whatever they compute is immediately reusable; the metrics
-    snapshot rides back so the parent can account fleet-wide totals.  The
-    payload carries the chunk size alongside the cache-key request, so a
-    ``jobs > 1`` run sweeps through the same per-chunk tier a serial
-    chunked run would.
+    With ``jobs > 1`` and the store enabled, every request without a
+    disk entry goes to :func:`repro.sim.cache.warm_stream_entries` in a
+    fault-tolerant pool, keyed by benchmark, when at least two are cold;
+    workers return nothing and callers then load the entries from disk.
+    Warm requests never pay pool start-up, and with the store disabled
+    there is nothing to share, so the caller sweeps in-process.
     """
-    observability.reset_metrics()
-    request = payload["request"]
-    faults.inject_worker_faults(request.get("benchmark", ""))
-    streams = cached_predictor_streams(chunk_size=payload["chunk_size"], **request)
-    return streams, observability.snapshot()
-
-
-def _serial_stream_worker(payload: Dict) -> PredictorStreams:
-    """In-parent degraded path: the same sweep, pool-worker parity.
-
-    Wrapped in :func:`repro.utils.resilient.serial_task` so the sweep's
-    metrics delta is isolated and merged exactly like a pool worker's
-    snapshot, and the serial fault hooks fire at task entry.
-    """
-    request = payload["request"]
-    return serial_task(
-        request.get("benchmark", ""),
-        lambda: cached_predictor_streams(
-            chunk_size=payload["chunk_size"], **request
-        ),
-    )
-
-
-def _parallel_streams(
-    requests: List[Dict], config: ExperimentConfig
-) -> List[PredictorStreams]:
-    """Fan sweep requests across a fault-tolerant pool, in request order.
-
-    Crashed workers, slow tasks, and failing tasks are retried / degraded
-    per :func:`repro.utils.resilient.resilient_map`; the returned streams
-    are byte-identical to a serial run regardless.
-    """
-    payloads = [
-        {"request": request, "chunk_size": config.chunk_size}
-        for request in requests
+    if config.jobs <= 1 or not cache_enabled():
+        return
+    cold = [
+        request for request in requests
+        if not has_disk_entry(chunk_size=config.chunk_size, **request)
     ]
-    return resilient_map(
-        _stream_worker,
-        payloads,
-        jobs=min(config.jobs, len(requests)),
-        serial_worker=_serial_stream_worker,
+    if len(cold) < 2:
+        return
+    resilient_map(
+        warm_stream_entries,
+        [(config.chunk_size, request) for request in cold],
+        jobs=min(config.jobs, len(cold)),
+        keys=[request["benchmark"] for request in cold],
         max_retries=config.max_retries,
         task_timeout=config.task_timeout,
     )
@@ -118,41 +88,19 @@ def _parallel_streams(
 def suite_streams(config: ExperimentConfig) -> Dict[str, PredictorStreams]:
     """Predictor streams for every benchmark in the config's suite.
 
-    With ``config.jobs > 1`` the cache-missing sweeps run in a
-    fault-tolerant process pool; results merge back in benchmark order,
-    so the returned mapping is identical to a serial run.  ``chunk_size``
-    composes with ``jobs``: workers (and the serial path) route disk
-    traffic through the per-chunk cache tier, sweeping with O(chunk)
-    memory.  Sweeps whose entries already sit on disk are loaded serially
-    — pool startup is only paid when something actually needs computing.
+    With ``config.jobs > 1`` the cold sweeps are warmed into the store
+    on the pool first (:func:`warm_streams`); every stream is then served
+    by the serial cache path, in benchmark order, so the returned mapping
+    is identical to a serial run.  ``chunk_size`` composes with ``jobs``:
+    workers and the parent route disk traffic through the per-chunk tier.
     """
     requests = [_stream_request(config, name) for name in config.benchmarks]
     with observability.timed("suite_streams.seconds"):
-        if config.jobs > 1 and len(requests) > 1:
-            results = [
-                peek_cached_streams(chunk_size=config.chunk_size, **request)
-                for request in requests
-            ]
-            missing = [i for i, streams in enumerate(results) if streams is None]
-            cold = [
-                i for i in missing
-                if not has_disk_entry(chunk_size=config.chunk_size, **requests[i])
-            ]
-            if len(cold) > 1:
-                fresh = _parallel_streams([requests[i] for i in cold], config)
-                for i, streams in zip(cold, fresh):
-                    seed_memory_tier(streams, **requests[i])
-                    results[i] = streams
-            for i in missing:
-                if results[i] is None:
-                    results[i] = cached_predictor_streams(
-                        chunk_size=config.chunk_size, **requests[i]
-                    )
-        else:
-            results = [
-                cached_predictor_streams(chunk_size=config.chunk_size, **request)
-                for request in requests
-            ]
+        warm_streams(config, requests)
+        results = [
+            cached_predictor_streams(chunk_size=config.chunk_size, **request)
+            for request in requests
+        ]
     return dict(zip(config.benchmarks, results))
 
 
@@ -318,9 +266,9 @@ def sweep_grid_prefixes(
     the sweep-result disk tier, so repeat runs skip both the sweep and
     the fold.  A benchmark with misses runs one :class:`GridObserver`
     over the stream chunks of its longest missing length and snapshots
-    the statistics at every shorter one; with ``jobs > 1`` the missing
-    benchmarks' streams are warmed through the pool
-    (:func:`suite_streams`) first.
+    the statistics at every shorter one; with ``jobs > 1`` the streams
+    of those longest lengths are warmed into the store on the pool
+    (:func:`warm_streams`) first.
     """
     specs = tuple(specs)
     lengths = sorted(set(lengths))
@@ -343,10 +291,10 @@ def sweep_grid_prefixes(
                 results[length][name] = cached
             else:
                 missing.setdefault(name, []).append(length)
-    if config.jobs > 1 and len(missing) > 1:
-        for longest in sorted({wanted[-1] for wanted in missing.values()}):
-            names = tuple(n for n, wanted in missing.items() if wanted[-1] == longest)
-            suite_streams(config.scaled(trace_length=longest, benchmarks=names))
+    warm_streams(config, [
+        _stream_request(config.scaled(trace_length=wanted[-1]), name)
+        for name, wanted in missing.items()
+    ])
     for name, wanted in missing.items():
         snapshots = _observe_prefixes(config, name, specs, wanted)
         for length in wanted:

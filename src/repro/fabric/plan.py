@@ -7,9 +7,11 @@ A ``repro run-all`` decomposes into two layers of cacheable work:
   chunk-to-chunk, so one benchmark's chunk range is a single sequential
   unit (chunk ``k`` cannot start before ``k-1``); the fleet-level
   parallelism is *across* benchmarks and geometries, exactly like the
-  in-process pool.  A stream unit is done when every chunk entry (or the
-  monolithic entry) exists in the shared disk cache — the same
-  ``has_disk_entry`` peek that keeps warm in-process runs pool-free.
+  in-process pool.  A unit is computed by
+  :func:`repro.sim.cache.warm_stream_entries`, the function pool workers
+  run too, and is done when every chunk entry (or the monolithic entry)
+  exists in the shared disk cache — the same ``has_disk_entry`` peek
+  that keeps warm in-process runs pool-free.
 * **Report units** — one per registered experiment.  Computing a report
   replays the (now warm) stream tiers and folds statistics; its artifact
   is a verified entry of the :mod:`repro.sim.diskcache` store in the
@@ -37,7 +39,6 @@ from repro.experiments.ablation_trace_length import DEFAULT_LENGTHS
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.extension_pipeline import PIPELINE_TRACE_LENGTH
 from repro.experiments.runner import _stream_request
-from repro.sim.cache import has_disk_entry
 
 #: Bump when the plan layout (unit naming, artifact layout) changes; the
 #: digest then changes, so mixed-version fleets never share a directory.
@@ -312,24 +313,3 @@ def static_partition(plan: FabricPlan, shards: int) -> Dict[str, int]:
             assignment[units[index].name] = shard
             loads[shard] += unit_weight(units[index])
     return assignment
-
-
-def stream_unit_done(config: ExperimentConfig, unit: WorkUnit) -> bool:
-    """True when every cache entry of a stream unit is already on disk."""
-    return has_disk_entry(chunk_size=config.chunk_size, **unit.request)
-
-
-def compute_stream_unit(config: ExperimentConfig, unit: WorkUnit) -> None:
-    """Sweep one stream unit into the shared disk cache.
-
-    Draining the unit's stream chunks sweeps and stores every missing
-    entry: a chunked config resumes after any warm prefix and holds one
-    chunk at a time, and a ``None`` chunk size is one whole-trace chunk
-    persisted exactly like a pool worker would.
-    """
-    from repro.sim.cache import iter_cached_stream_chunks
-
-    for _ in iter_cached_stream_chunks(
-        chunk_size=config.chunk_size, **unit.request
-    ):
-        pass

@@ -50,11 +50,10 @@ from repro.fabric.plan import (
     FabricPlan,
     WorkUnit,
     build_plan,
-    compute_stream_unit,
     plan_digest,
     static_partition,
-    stream_unit_done,
 )
+from repro.sim.cache import has_disk_entry, warm_stream_entries
 from repro.sim.diskcache import ENTRY_SUFFIX, EntryFamily, cache_root, get, publish, put
 from repro.utils.resilient import retry_call
 
@@ -139,13 +138,13 @@ def _publish_json(path: Path, payload: Dict[str, object]) -> None:
 
 def _unit_done(config: ExperimentConfig, digest: str, fabric_dir: Path, unit: WorkUnit) -> bool:
     if unit.kind == "stream":
-        return stream_unit_done(config, unit)
+        return has_disk_entry(chunk_size=config.chunk_size, **unit.request)
     return _load_report(fabric_dir, digest, unit.experiment_id) is not None
 
 
 def _compute_unit(config: ExperimentConfig, digest: str, fabric_dir: Path, unit: WorkUnit) -> None:
     if unit.kind == "stream":
-        compute_stream_unit(config, unit)
+        warm_stream_entries(config.chunk_size, unit.request)
         return
     from repro.experiments.registry import run_experiment_report
 

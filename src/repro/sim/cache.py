@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import dataclasses
 from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import observability
 from repro.sim.chunked import (
@@ -170,26 +170,13 @@ def stream_key(
     )
 
 
-def peek_cached_streams(
-    chunk_size: Optional[int] = None, **request
-) -> "PredictorStreams | None":
-    """Memory-tier-only lookup; never loads from disk or sweeps.
-
-    Lets callers (the parallel runner) find out what still needs
-    computing without triggering the computation themselves.  A prefix
-    of a longer memoized entry counts as a hit; ``chunk_size`` decides
-    whether it is persisted (see :func:`cached_predictor_streams`).
-    """
-    return _memory_lookup(stream_key(**request), chunk_size)
-
-
 def has_disk_entry(chunk_size: Optional[int] = None, **request) -> bool:
     """Cheap disk-tier existence peek (no load, no checksum verification).
 
-    Lets the parallel runner skip process-pool startup when every missing
-    sweep is already on disk; warm runs then load serially.  With
-    ``chunk_size`` set, the peek checks the per-chunk tier (every chunk
-    must be present).  A True answer may still turn into a recompute if
+    Lets the parallel runner skip process-pool startup when every
+    request is already on disk (warm runs then load serially), and is the
+    fabric's done-check for a stream unit.  With ``chunk_size`` set, the
+    peek checks the per-chunk tier (every chunk must be present).  A True answer may still turn into a recompute if
     the entry fails verification on the actual load — that path stays
     correct, just no longer pool-accelerated.
     """
@@ -205,11 +192,6 @@ def has_disk_entry(chunk_size: Optional[int] = None, **request) -> bool:
         ).exists()
         for index in range(num_chunks(length, step))
     )
-
-
-def seed_memory_tier(streams: PredictorStreams, **request) -> None:
-    """Insert externally-computed streams (e.g. from a worker) into the memo."""
-    _bounded_put(_memory, stream_key(**request), streams)
 
 
 def chunk_stream_key(
@@ -321,6 +303,20 @@ def iter_cached_stream_chunks(
         yield chunk
 
 
+def warm_stream_entries(chunk_size: Optional[int], request: Dict[str, Any]) -> None:
+    """Sweep one stream request into the store, skipping what it holds.
+
+    The one path that fills the store outside the process that reads it:
+    pool workers (:func:`repro.experiments.runner.warm_streams`) and
+    fabric stream units both call it.  Draining the request's chunks
+    sweeps and stores only what the store lacks: a chunked request
+    resumes after any warm prefix and holds one chunk at a time, and a
+    ``None`` chunk size is one whole-trace entry.
+    """
+    for _ in iter_cached_stream_chunks(chunk_size=chunk_size, **request):
+        pass
+
+
 def cached_predictor_streams(
     benchmark: str,
     length: int = DEFAULT_TRACE_LENGTH,
@@ -424,11 +420,6 @@ def store_sweep_results(
 ) -> None:
     """Publish one benchmark's grid statistics to the disk tier."""
     store_cached_sweep(key, statistics)
-
-
-def memory_tier_info() -> Dict[str, int]:
-    """Size/capacity of the in-process tier (for `repro cache stats`)."""
-    return {"entries": len(_memory), "maxsize": MEMORY_TIER_MAXSIZE}
 
 
 def clear_stream_cache() -> None:

@@ -1,12 +1,16 @@
 """Fault-tolerant process-pool mapping.
 
 :func:`resilient_map` is the execution layer under every parallel
-fan-out in the repo (predictor sweeps in
-:mod:`repro.experiments.runner`, whole experiments in
-:mod:`repro.experiments.registry`).  It preserves the deterministic
-contract of the plain ``pool.map`` it replaces — results come back in
-payload order, byte-identical to a serial run — while surviving the
-failure modes a long multi-benchmark run actually hits:
+fan-out in the repo: stream sweeps warmed into the store
+(:func:`repro.sim.cache.warm_stream_entries`, from
+:mod:`repro.experiments.runner`) and whole experiments
+(:func:`repro.experiments.registry.run_experiment_report`).  Every task
+has one shape, ``task(*payload)`` under a fault key, and one worker
+lifecycle (:func:`_pool_task`: clean metrics, fault hooks, the task,
+the snapshot); the in-parent degraded path runs the same task under
+:func:`serial_task`.  Results come back in payload order,
+byte-identical to a serial run, while the map survives the failure
+modes a long multi-benchmark run actually hits:
 
 * a **crashed worker** (``BrokenProcessPool``) rebuilds the pool and
   re-runs only the tasks that did not finish; repeated pool loss
@@ -104,23 +108,35 @@ def serial_task(task_key: str, run: Callable[[], T]) -> T:
             observability.merge_snapshot(delta)
 
 
+def _pool_task(task: Callable, key: str, payload: Sequence) -> "tuple[Any, Dict]":
+    """Pool-worker lifecycle of one task: clean metrics, fault hooks, run.
+
+    The returned snapshot is merged into the parent exactly once, so a
+    ``--profile`` export accounts every worker's counters.
+    """
+    observability.reset_metrics()
+    faults.inject_worker_faults(key)
+    result = task(*payload)
+    return result, observability.snapshot()
+
+
 def resilient_map(
-    worker: Callable,
-    payloads: Sequence,
+    task: Callable,
+    payloads: Sequence[Sequence],
     *,
     jobs: int,
-    serial_worker: Callable,
+    keys: Sequence[str],
     max_retries: int = 2,
     task_timeout: Optional[float] = None,
 ) -> List[Any]:
-    """Map ``worker`` over ``payloads`` on a process pool, tolerating faults.
+    """``[task(*payload) for payload in payloads]`` on a process pool.
 
-    ``worker`` is a picklable module-level function returning a
-    ``(result, metrics_snapshot)`` pair; snapshots of successful tasks
-    are merged into the parent registry exactly once.  ``serial_worker``
-    computes the same result in the parent process (no pool, no metrics
-    pair) and is the degraded path of last resort, so the returned list
-    always matches a serial run in content and order.
+    ``task`` is a picklable module-level function.  ``keys`` names each
+    payload's fault-injection site (:mod:`repro.testing.faults`), so a
+    ``REPRO_FAULT_SPEC`` schedule replays task for task.  The degraded
+    path runs the same ``task`` in the parent under :func:`serial_task`,
+    so the returned list always matches a serial run in content and
+    order.
     """
     results: List[Any] = [None] * len(payloads)
     done: List[bool] = [False] * len(payloads)
@@ -139,7 +155,9 @@ def resilient_map(
             # The pool keeps dying; compute the remainder in-process.
             observability.increment("degraded.serial_fallback", len(pending))
             for index in pending:
-                results[index] = serial_worker(payloads[index])
+                results[index] = serial_task(
+                    keys[index], lambda: task(*payloads[index])
+                )
                 done[index] = True
             break
         broken = False
@@ -151,7 +169,9 @@ def resilient_map(
             futures = []
             try:
                 for index in pending:
-                    futures.append((index, pool.submit(worker, payloads[index])))
+                    futures.append((index, pool.submit(
+                        _pool_task, task, keys[index], payloads[index]
+                    )))
             except BrokenProcessPool:
                 # A worker died before the last submit; drain what was
                 # submitted and leave the rest pending for the rebuild.
@@ -198,7 +218,9 @@ def resilient_map(
             elif last_failure[index] == "timeout":
                 # Slow is not wrong: the serial path has no deadline.
                 observability.increment("degraded.serial_fallback")
-                results[index] = serial_worker(payloads[index])
+                results[index] = serial_task(
+                    keys[index], lambda: task(*payloads[index])
+                )
                 done[index] = True
             else:
                 raise errors[index]

@@ -3,8 +3,8 @@
 _COUNTER = 0
 
 
-def resilient_map(worker, payloads, *, jobs, serial_worker):
-    return [worker(payload) for payload in payloads]
+def resilient_map(task, payloads, *, jobs, keys):
+    return [task(*payload) for payload in payloads]
 
 
 def impure_worker(payload):
@@ -14,9 +14,13 @@ def impure_worker(payload):
 
 
 def run(payloads):
-    return resilient_map(
+    keys = [str(payload) for payload in payloads]
+    doubled = resilient_map(
         lambda payload: payload * 2,  # lambdas cannot cross processes
-        payloads,
+        [(payload,) for payload in payloads],
         jobs=2,
-        serial_worker=impure_worker,
+        keys=keys,
+    )
+    return doubled, resilient_map(
+        impure_worker, [(payload,) for payload in payloads], jobs=2, keys=keys
     )

@@ -1,22 +1,18 @@
 """R003 negative fixture: module-level pure workers."""
 
 
-def resilient_map(worker, payloads, *, jobs, serial_worker):
-    return [worker(payload) for payload in payloads]
+def resilient_map(task, payloads, *, jobs, keys):
+    return [task(*payload) for payload in payloads]
 
 
 def pure_worker(payload):
     return payload * 2
 
 
-def serial_pure_worker(payload):
-    return payload * 2
-
-
 def run(payloads):
     return resilient_map(
         pure_worker,
-        payloads,
+        [(payload,) for payload in payloads],
         jobs=2,
-        serial_worker=serial_pure_worker,
+        keys=[str(payload) for payload in payloads],
     )

@@ -32,7 +32,6 @@ from repro.core import (
 from repro.core.indexing import ConcatIndex, GlobalCIRIndex, XorIndex, make_index
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import (
-    _serial_report,
     list_experiments,
     run_all_reports,
     run_experiment_report,
@@ -53,7 +52,7 @@ from repro.sim.fast import predictor_streams
 from repro.testing import faults
 from repro.traces import Trace
 from repro.utils.bits import bit_mask
-from repro.utils.resilient import serial_task
+from repro.utils.resilient import resilient_map, serial_task
 
 CONFIG = ExperimentConfig(benchmarks=("jpeg_play", "gcc"), trace_length=3000)
 
@@ -450,9 +449,18 @@ class TestReferenceEngineOracle:
 class TestSerialReportParity:
     """Satellite bugfix: the degraded serial path mirrors a pool worker."""
 
-    def test_serial_report_matches_direct_run(self, cache_dir):
+    def test_serial_report_matches_direct_run(self, cache_dir, monkeypatch):
+        # Every pool worker crashes, so the report comes from
+        # resilient_map's in-parent degraded path.
         config = CONFIG.scaled(benchmarks=("jpeg_play",), trace_length=1200)
-        report = _serial_report(("fig5", config))
+        monkeypatch.setenv(faults.FAULT_SPEC_ENV, "worker_crash=1.0")
+        faults.reset_fault_state()
+        [report] = resilient_map(
+            run_experiment_report, [("fig5", config)], jobs=2, keys=["fig5"]
+        )
+        assert observability.counter_value("degraded.serial_fallback") == 1
+        monkeypatch.delenv(faults.FAULT_SPEC_ENV)
+        faults.reset_fault_state()
         direct = run_experiment_report("fig5", config)
         assert report.text == direct.text
         assert report.experiment_id == "fig5"

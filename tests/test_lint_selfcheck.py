@@ -9,6 +9,9 @@ taxonomy by ``tests/test_taxonomy.py``, and the ``repro.api`` facade by
 ``tests/test_api_facade.py``.
 """
 
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -23,6 +26,19 @@ SRC_REPRO = REPO_ROOT / "src" / "repro"
 #: takes about 1.4 s on 2 vCPUs; blowing the budget means a rule has gone
 #: super-linear (e.g. re-parsing files per rule).
 LINT_WALL_LIMIT_SECONDS = 10.0
+
+
+def test_linter_imports_without_numpy():
+    # The lint package is stdlib-only; the package inits above it must
+    # not pull in the numeric stack (CI lints before installing numpy).
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(REPO_ROOT / "src") + os.pathsep + env.get("PYTHONPATH", "")
+    probe = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro.analysis.lint.cli; print('numpy' in sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60, check=True,
+    )
+    assert probe.stdout.strip() == "False"
 
 
 def test_reprolint_clean_on_src_repro():

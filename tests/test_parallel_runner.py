@@ -9,7 +9,8 @@ from repro import observability
 from repro.cli import main
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import run_all_reports, run_experiment_report
-from repro.experiments.runner import suite_streams
+from repro.experiments.runner import one_level_pattern_spec, suite_streams, sweep_grid
+from repro.sim import cache as stream_cache
 from repro.sim.cache import clear_stream_cache
 from repro.sim.diskcache import disk_cache_stats
 
@@ -44,6 +45,14 @@ class TestParallelSuiteStreams:
         assert observability.counter_value("stream_cache.sweeps") == len(
             CONFIG.benchmarks
         )
+
+    def test_parent_loads_what_the_workers_swept(self, cache_dir):
+        suite_streams(CONFIG.scaled(jobs=2))
+        # Each request is swept once, by a worker, and the parent reads
+        # every stream back from the store.
+        benchmarks = len(CONFIG.benchmarks)
+        assert observability.counter_value("stream_cache.sweeps") == benchmarks
+        assert observability.counter_value("stream_cache.disk_hits") == benchmarks
 
     def test_jobs_compose_with_chunk_size(self, cache_dir):
         """Regression: jobs > 1 used to silently drop config.chunk_size.
@@ -92,6 +101,30 @@ class TestParallelSuiteStreams:
         observability.reset_metrics()
         suite_streams(CONFIG.scaled(jobs=2, chunk_size=1024))
         assert observability.counter_value("pool.started") == 1
+
+
+class TestParallelSweepGrid:
+    def test_cold_chunked_grid_holds_no_stream_in_the_parent(
+        self, cache_dir, monkeypatch
+    ):
+        config = ExperimentConfig(
+            benchmarks=("jpeg_play", "gcc"), trace_length=4096, chunk_size=512
+        )
+        specs = [one_level_pattern_spec(config)]
+        parallel = sweep_grid(config.scaled(jobs=2), specs)
+        assert observability.counter_value("pool.started") == 1
+        # Workers fill the chunk tier; the parent folds chunk entries and
+        # never builds a whole stream.
+        assert len(stream_cache._memory) == 0
+        monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
+        clear_stream_cache()
+        serial = sweep_grid(config, specs)
+        for name in config.benchmarks:
+            assert parallel[0][name].counts.tolist() == serial[0][name].counts.tolist()
+            assert (
+                parallel[0][name].mispredicts.tolist()
+                == serial[0][name].mispredicts.tolist()
+            )
 
 
 class TestRunAllReports:

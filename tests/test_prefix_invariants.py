@@ -24,7 +24,6 @@ from repro.sim.batched import SweepSpec
 from repro.sim.cache import (
     cached_predictor_streams,
     clear_stream_cache,
-    peek_cached_streams,
     stream_key,
 )
 from repro.sim.diskcache import entry_path, load_cached_streams, stream_cache_dir
@@ -169,18 +168,20 @@ def test_memory_tier_serves_and_persists_a_prefix(cache_dir):
     _assert_streams_equal(load_cached_streams(key), short)
 
 
-def test_peek_serves_a_prefix_and_never_sweeps(cache_dir):
-    assert peek_cached_streams(benchmark="gcc", length=900, **REQUEST) is None
+def test_only_a_longer_entry_of_the_same_geometry_is_a_prefix(cache_dir):
     cached_predictor_streams("gcc", length=1800, **REQUEST)
     observability.reset_metrics()
-    short = peek_cached_streams(benchmark="gcc", length=900, **REQUEST)
+    short = cached_predictor_streams("gcc", length=900, **REQUEST)
     assert observability.counter_value("stream_cache.prefix_hits") == 1
     assert observability.counter_value("stream_cache.sweeps") == 0
     _assert_streams_equal(short, _fresh(900))
-    # Other geometries and longer lengths are not prefixes.
+    # Other geometries and longer lengths are not prefixes: each sweeps.
     other = dict(REQUEST, history_bits=10)
-    assert peek_cached_streams(benchmark="gcc", length=900, **other) is None
-    assert peek_cached_streams(benchmark="gcc", length=3600, **REQUEST) is None
+    for length, request in ((900, other), (3600, REQUEST)):
+        observability.reset_metrics()
+        cached_predictor_streams("gcc", length=length, **request)
+        assert observability.counter_value("stream_cache.prefix_hits") == 0
+        assert observability.counter_value("stream_cache.sweeps") == 1
 
 
 def test_chunked_prefix_is_served_but_not_persisted(cache_dir):
