@@ -26,6 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable
 
+import numpy as np
+
 from repro.analysis.buckets import BucketStatistics
 
 
@@ -83,6 +85,16 @@ class ConfusionCounts:
         return self.low_incorrect / low if low else 0.0
 
 
+def _sequential_sum(values: np.ndarray) -> float:
+    """``0.0 + values[0] + values[1] + ...`` added left to right.
+
+    ``np.sum`` adds pairwise, which rounds fractional (weighted)
+    statistics differently from a running total; an accumulate keeps
+    every bit of the bucket-order sum.
+    """
+    return float(np.cumsum(np.concatenate(([0.0], values)))[-1])
+
+
 def confidence_metrics(
     statistics: BucketStatistics, low_buckets: Iterable[int]
 ) -> ConfusionCounts:
@@ -96,18 +108,14 @@ def confidence_metrics(
     out_of_range = [b for b in low if not 0 <= b < statistics.num_buckets]
     if out_of_range:
         raise ValueError(f"low buckets out of range: {sorted(out_of_range)}")
-    low_correct = low_incorrect = 0.0
-    high_correct = high_incorrect = 0.0
-    for bucket in range(statistics.num_buckets):
-        executions = float(statistics.counts[bucket])
-        if executions == 0:
-            continue
-        mispredicts = float(statistics.mispredicts[bucket])
-        corrects = executions - mispredicts
-        if bucket in low:
-            low_correct += corrects
-            low_incorrect += mispredicts
-        else:
-            high_correct += corrects
-            high_incorrect += mispredicts
+    in_low = np.zeros(statistics.num_buckets, dtype=bool)
+    in_low[list(low)] = True
+    executed = statistics.counts != 0
+    corrects = statistics.counts - statistics.mispredicts
+    low_mask = executed & in_low
+    high_mask = executed & ~in_low
+    low_correct = _sequential_sum(corrects[low_mask])
+    low_incorrect = _sequential_sum(statistics.mispredicts[low_mask])
+    high_correct = _sequential_sum(corrects[high_mask])
+    high_incorrect = _sequential_sum(statistics.mispredicts[high_mask])
     return ConfusionCounts(high_correct, high_incorrect, low_correct, low_incorrect)

@@ -132,9 +132,9 @@ def run(config: ExperimentConfig = DEFAULT_CONFIG) -> CrossValidationResult:
         # Patterns the training data never produced get no minterm in the
         # designed logic: they default to the high-confidence side, i.e.
         # the end of the order.
-        unseen = np.setdiff1d(
-            np.arange(statistics.num_buckets, dtype=np.int64), design_order
-        )
+        seen = np.zeros(statistics.num_buckets, dtype=bool)
+        seen[design_order] = True
+        unseen = np.flatnonzero(~seen)
         full_order = np.concatenate((design_order, unseen))
         transferred_curve = ConfidenceCurve.from_statistics(
             statistics, order=full_order.tolist(), name=f"{held_out}:xval"

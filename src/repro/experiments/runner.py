@@ -319,8 +319,8 @@ def _observe_prefixes(
 
     ``lengths`` is ascending.  A chunk is split wherever a length falls
     inside it, and the statistics are taken at each boundary.  The
-    snapshot never changes afterwards: the observer replaces, never
-    mutates, its statistics objects.
+    snapshot never changes afterwards: the observer folds in place, but
+    ``statistics()`` returns copies of its running sums.
     """
     observer = GridObserver(specs)
     pending = list(lengths)

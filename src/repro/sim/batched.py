@@ -10,11 +10,12 @@ observer the experiments use: a single mechanism is a grid of one.
 
 * **One grouped CIR scan for all configurations.**  Each distinct index
   stream is offset into its own disjoint entry range and the
-  concatenation is stable-argsorted once
-  (:func:`repro.sim.chunked._flatten_and_group`), so one sort serves
-  every grid point sharing an index stream.  The shift-register history
-  is reconstructed once at the widest requested register; a ``w``-bit
-  configuration reads it through ``bit_mask(w)``.  This is exact:
+  concatenation is sorted once by a packed-key sort, key and position
+  in one int64 (:func:`repro.sim.chunked._flatten_and_group`), so one
+  sort serves every grid point sharing an index stream.  The
+  shift-register history is reconstructed once at the widest requested
+  register; a ``w``-bit configuration reads it through
+  ``bit_mask(w)``.  This is exact:
   history bit ``j`` is populated only when the in-group rank exceeds
   ``j``, which is width-independent.  Resetting counters and two-level
   level-2 indices derive from the patterns through the same helpers the
@@ -28,6 +29,10 @@ observer the experiments use: a single mechanism is a grid of one.
   are accumulated directly in the sorted domain (``np.bincount`` is
   order-invariant and the 0/1 float64 sums are exact integers), so no
   scatter back to time order is needed except for the two-level cascade.
+  Each spec's counts and mispredictions are running float64 arrays
+  updated in place; :meth:`GridObserver.statistics` copies them into
+  fresh :class:`~repro.analysis.buckets.BucketStatistics`, so a snapshot
+  is validated once and never changes afterwards.
 
 :class:`GridObserver` carries all per-entry state across chunk
 boundaries, so any chunking of the stream gives the same statistics.
@@ -204,10 +209,11 @@ def grid_digest(specs: Sequence[SweepSpec]) -> str:
 
 @dataclass
 class _SpecState:
-    """Mutable per-spec carry: tables and accumulated statistics."""
+    """Mutable per-spec carry: tables and the running bucket folds."""
 
     table: np.ndarray
-    statistics: BucketStatistics
+    counts: np.ndarray
+    mispredicts: np.ndarray
     level2_table: Optional[np.ndarray] = None
 
 
@@ -272,7 +278,8 @@ class GridObserver:
         )
         return _SpecState(
             table=table,
-            statistics=BucketStatistics.zeros(spec.num_buckets),
+            counts=np.zeros(spec.num_buckets, dtype=np.float64),
+            mispredicts=np.zeros(spec.num_buckets, dtype=np.float64),
             level2_table=level2,
         )
 
@@ -283,16 +290,16 @@ class GridObserver:
 
         ``np.bincount`` over 0/1 float64 weights sums exact integers, so
         accumulating in sorted order is bit-identical to a time-order
-        fold.
+        fold.  The running sums are updated in place.
         """
+        state = self._states[position]
         buckets = self.specs[position].num_buckets
-        counts = np.bincount(values, minlength=buckets).astype(np.float64)
-        mispredicts = np.bincount(
-            values, weights=incorrect.astype(np.float64), minlength=buckets
+        np.add(state.counts, np.bincount(values, minlength=buckets), out=state.counts)
+        np.add(
+            state.mispredicts,
+            np.bincount(values, weights=incorrect, minlength=buckets),
+            out=state.mispredicts,
         )
-        self._states[position].statistics = self._states[
-            position
-        ].statistics + BucketStatistics(counts, mispredicts)
 
     def observe(self, chunk: StreamChunk) -> None:
         """Advance every grid point through one chunk of predictor streams."""
@@ -429,5 +436,12 @@ class GridObserver:
             )
 
     def statistics(self) -> List[BucketStatistics]:
-        """Accumulated bucket statistics, one per spec, in spec order."""
-        return [state.statistics for state in self._states]
+        """Accumulated bucket statistics, one per spec, in spec order.
+
+        Each is built from copies of the running sums, so it is a
+        snapshot: later :meth:`observe` calls do not change it.
+        """
+        return [
+            BucketStatistics(state.counts.copy(), state.mispredicts.copy())
+            for state in self._states
+        ]

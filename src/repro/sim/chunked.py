@@ -18,9 +18,11 @@ Two kernels do all the work, and every other entry point in
   :meth:`_FlatGroups.pattern_segment`).  CIR tables are linear shift
   registers: the pattern an access reads is the last ``n`` incorrect
   bits recorded at its entry, shifted over the entry's initial pattern.
-  One stable argsort groups the accesses of one or several index
-  streams by entry, and ``n`` rank-guarded lagged shifts rebuild every
-  access's history at once.  :class:`repro.sim.batched.GridObserver`
+  One packed-key sort (:func:`_sort_groups`: each key carries its
+  position in its low bits, so a plain ``np.sort`` gives the stable
+  order) groups the accesses of one or several index streams by entry,
+  and ``n`` rank-guarded lagged shifts rebuild every access's history
+  at once.  :class:`repro.sim.batched.GridObserver`
   runs a whole grid through it; :func:`table_patterns` is its
   one-stream entry, behind :mod:`repro.sim.fast` and the chunk
   observers below.  Resetting counters (:func:`resetting_counts`) and
@@ -37,7 +39,8 @@ Two kernels do all the work, and every other entry point in
 
   so the per-entry prefix compositions reduce to a segmented
   Hillis-Steele scan — ``O(n log n)`` vectorized work instead of a
-  sequential Python loop.  The BHR stream the gshare sweep needs is a
+  sequential Python loop, each doubling pass composing slices in
+  place.  The BHR stream the gshare sweep needs is a
   lagged-shift reconstruction of the outcome bits (the register shifts
   in the *resolved outcome*, so it never depends on the predictions),
   which makes the per-branch table index fully vectorizable.
@@ -131,16 +134,29 @@ def initial_table(init_patterns: InitPatterns, table_entries: int) -> np.ndarray
 def _sort_groups(
     keys: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """One stable argsort of ``keys``, grouped by equal key.
+    """One packed-key sort of ``keys``, grouped by equal key.
+
+    Each key is shifted left past the bits of a position and the
+    position ORed in, so every packed value is unique and one plain
+    ``np.sort`` yields exactly the order a stable argsort would, with
+    the sorted keys and the order read back from the high and low bits.
+    Keys are table indices: non-negative and below ``streams * 2**30``
+    (index and register widths are at most 30 bits), so a packed value
+    fits in 63 bits unless ``keys`` holds about ``2**31`` accesses
+    (16 GiB of int64) — far beyond any chunk.
 
     Returns ``(order, sorted_keys, ranks, is_last)``: each sorted
     position's rank within its (contiguous) group, and a mask of each
     group's final access — the one whose post-update value the table
     keeps.
     """
-    order = np.argsort(keys, kind="stable")
-    sorted_keys = keys[order]
-    n = sorted_keys.shape[0]
+    n = keys.shape[0]
+    shift = max(n - 1, 1).bit_length()
+    packed = keys << shift
+    packed |= np.arange(n, dtype=np.int64)
+    packed.sort()
+    order = packed & np.int64(bit_mask(shift))
+    sorted_keys = packed >> shift
     if n == 0:
         return order, sorted_keys, np.zeros(0, dtype=np.int64), np.zeros(0, dtype=bool)
     boundary = sorted_keys[1:] != sorted_keys[:-1]
@@ -190,23 +206,19 @@ def _stacked_clamped_walk(
     max_rank = int(ranks.max())
     offset = 1
     while offset <= max_rank:
-        in_group = ranks >= offset
-        earlier_shift = np.empty_like(shift)
-        earlier_lower = np.empty_like(lower)
-        earlier_upper = np.empty_like(upper)
-        earlier_shift[offset:] = shift[:-offset]
-        earlier_lower[offset:] = lower[:-offset]
-        earlier_upper[offset:] = upper[:-offset]
-        earlier_shift[:offset] = 0
-        earlier_lower[:offset] = -_NO_CLAMP
-        earlier_upper[:offset] = _NO_CLAMP
-        # Compose (this ∘ earlier): the earlier window applies first.
-        composed_shift = earlier_shift + shift
-        composed_lower = np.maximum(lower, earlier_lower + shift)
-        composed_upper = np.minimum(upper, np.maximum(lower, earlier_upper + shift))
-        shift = np.where(in_group, composed_shift, shift)
-        lower = np.where(in_group, composed_lower, lower)
-        upper = np.where(in_group, composed_upper, upper)
+        # Compose (this ∘ earlier): the earlier window applies first.  The
+        # slices alias, so all three compositions are built before any
+        # position is overwritten.
+        shift_now, lower_now, upper_now = shift[offset:], lower[offset:], upper[offset:]
+        composed_shift = shift[:-offset] + shift_now
+        composed_lower = np.maximum(lower_now, lower[:-offset] + shift_now)
+        composed_upper = np.minimum(
+            upper_now, np.maximum(lower_now, upper[:-offset] + shift_now)
+        )
+        in_group = ranks[offset:] >= offset
+        np.copyto(shift_now, composed_shift, where=in_group)
+        np.copyto(lower_now, composed_lower, where=in_group)
+        np.copyto(upper_now, composed_upper, where=in_group)
         offset <<= 1
 
     pre = np.minimum(upper, np.maximum(lower, init_sorted + shift))
@@ -260,7 +272,7 @@ def segmented_clamped_walk(
 
 
 # --------------------------------------------------------------------------
-# The grouped CIR scan: one stable sort shared by every index stream
+# The grouped CIR scan: one packed-key sort shared by every index stream
 # --------------------------------------------------------------------------
 
 
@@ -269,7 +281,7 @@ class _FlatGroups:
     """Sorted flattened layout of several index streams over one chunk.
 
     Stream ``u`` of ``n`` accesses occupies flat positions
-    ``[u*n, (u+1)*n)`` before sorting; after the stable argsort its
+    ``[u*n, (u+1)*n)`` before sorting; after the packed-key sort its
     accesses occupy the *sorted* slice ``[u*n, (u+1)*n)`` as well,
     because the per-stream entry offsets are disjoint and cumulative.
     Within that slice, time order and group ranks are exactly those of a
@@ -326,7 +338,7 @@ def _flatten_and_group(
     incorrect: np.ndarray,
     history_width: int,
 ) -> _FlatGroups:
-    """One stable argsort + shared history over several index streams.
+    """One packed-key sort + shared history over several index streams.
 
     ``history_width`` is the widest shift register any consumer needs
     (0 skips the reconstruction entirely, e.g. a saturating-only grid).

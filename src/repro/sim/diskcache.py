@@ -144,8 +144,12 @@ class StreamKey:
     gcir_bits: int
 
     def describe(self) -> dict:
-        """The key as a plain dict, including the format version."""
-        payload = dataclasses.asdict(self)
+        """The key as a plain dict, including the format version.
+
+        Every field is a scalar, so a shallow dict is what
+        ``dataclasses.asdict`` would build, without its deep copies.
+        """
+        payload = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
         payload["format"] = STREAM_CACHE_FORMAT
         return payload
 

@@ -179,3 +179,35 @@ class TestConfidenceMetrics:
         counts = confidence_metrics(s, low_buckets=[])
         assert counts.low_fraction == 0.0
         assert counts.sensitivity == 0.0
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        buckets=st.integers(1, 300),
+        low_share=st.floats(0.0, 1.0),
+    )
+    def test_matches_bucket_order_loop_bit_for_bit(self, seed, buckets, low_share):
+        # Equal-weighted statistics are fractional, so the sums round and
+        # the order in which buckets are added shows in the last bits.
+        rng = np.random.default_rng(seed)
+        raw = rng.integers(0, 50, size=buckets) * (rng.random(buckets) < 0.7)
+        counts = raw / max(int(raw.sum()), 1) * 0.25
+        mispredicts = counts * rng.random(buckets)
+        statistics = stats(counts, mispredicts)
+        low = set(np.flatnonzero(rng.random(buckets) < low_share).tolist())
+
+        # The per-bucket loop the vectorized version replaced.
+        sums = {"hc": 0.0, "hi": 0.0, "lc": 0.0, "li": 0.0}
+        for bucket in range(buckets):
+            executions = float(counts[bucket])
+            if executions == 0:
+                continue
+            wrong = float(mispredicts[bucket])
+            side = "l" if bucket in low else "h"
+            sums[side + "c"] += executions - wrong
+            sums[side + "i"] += wrong
+
+        result = confidence_metrics(statistics, low)
+        assert result.high_correct.hex() == sums["hc"].hex()
+        assert result.high_incorrect.hex() == sums["hi"].hex()
+        assert result.low_correct.hex() == sums["lc"].hex()
+        assert result.low_incorrect.hex() == sums["li"].hex()

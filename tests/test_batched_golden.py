@@ -335,6 +335,32 @@ class TestRaggedGridProperty:
             assert np.array_equal(expected.mispredicts, split.mispredicts)
 
 
+def test_statistics_snapshot_survives_later_chunks():
+    """``statistics()`` copies: the running folds are updated in place."""
+    rng = np.random.RandomState(5)
+    n = 400
+    chunk = StreamChunk(
+        trace_name="snapshot",
+        start=0,
+        correct=rng.randint(0, 2, size=n).astype(np.uint8),
+        bhrs=rng.randint(0, 1 << 8, size=n).astype(np.int64),
+        pcs=(rng.randint(0, 1 << 10, size=n) << 2).astype(np.int64),
+        gcirs=rng.randint(0, 1 << 8, size=n).astype(np.int64),
+    )
+    first, second = _split_chunks(chunk, n // 2)
+    observer = GridObserver(_mixed_grid(CONFIG))
+    observer.observe(first)
+    snapshot = observer.statistics()
+    frozen = [(s.counts.copy(), s.mispredicts.copy()) for s in snapshot]
+    observer.observe(second)
+    for statistics, (counts, mispredicts), final in zip(
+        snapshot, frozen, observer.statistics()
+    ):
+        assert np.array_equal(statistics.counts, counts)
+        assert np.array_equal(statistics.mispredicts, mispredicts)
+        assert final.total > statistics.total
+
+
 def _random_trace(seed, n):
     """A small random trace over a few aligned branch sites."""
     rng = np.random.RandomState(seed)

@@ -4,8 +4,9 @@ A benchmark's trace of ``L`` branches is a byte prefix of its longer
 traces at the same seed, and the gshare sweep is causal, so shorter
 traces, their predictor streams and their confidence statistics can all
 be cut from a longer run.  These tests pin each step against a fresh
-computation at the shorter length, and pin the counters that show a
-cold run computes each prefix once.
+computation at the shorter length (down to the chunk-and-state carry at
+random chunk boundaries), and pin the counters that show a cold run
+computes each prefix once.
 """
 
 import numpy as np
@@ -20,14 +21,16 @@ from repro.experiments.config import ExperimentConfig
 from repro.experiments.runner import sweep_grid, sweep_grid_prefixes
 from repro.predictors import GsharePredictor
 from repro.sim import simulate
-from repro.sim.batched import SweepSpec
+from repro.sim.batched import GridObserver, SweepSpec
 from repro.sim.cache import (
     cached_predictor_streams,
     clear_stream_cache,
     stream_key,
 )
+from repro.sim.chunked import GshareState, sweep_chunk
 from repro.sim.diskcache import entry_path, load_cached_streams, stream_cache_dir
 from repro.sim.fast import predictor_streams
+from repro.traces import Trace
 from repro.workloads.ibs import benchmark_names, load_benchmark
 from repro.workloads.spec_like import load_spec_benchmark, spec_benchmark_names
 
@@ -90,6 +93,72 @@ def _grid(config):
         SweepSpec.saturating(make_index("bhr", bits), 3),
         SweepSpec.two_level(index, 4, second_use_pc=True),
     ]
+
+
+def _assert_statistics_equal(left, right):
+    assert len(left) == len(right)
+    for one, other in zip(left, right):
+        assert np.array_equal(one.counts, other.counts)
+        assert np.array_equal(one.mispredicts, other.mispredicts)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+    n=st.integers(min_value=1, max_value=400),
+    cuts=st.lists(st.integers(min_value=1, max_value=399), max_size=6),
+)
+def test_chunk_state_at_any_cut_is_the_state_of_the_prefix(seed, n, cuts):
+    """Cut the stream anywhere: the carry equals a monolithic run of the prefix.
+
+    The gshare sweep (its ``GshareState`` carry) and a mixed grid
+    observer are driven through chunks ending at random cut points.  At
+    every boundary the carried predictor state, the streams so far and
+    the grid statistics must equal those of one monolithic chunk over
+    the same prefix.
+    """
+    rng = np.random.RandomState(seed)
+    trace = Trace(
+        (rng.randint(0, 40, size=n) << 2).astype(np.uint64),
+        (rng.random_sample(n) < 0.7).astype(np.uint8),
+        name="cuts",
+    )
+    geometry = dict(history_bits=6, bhr_record_bits=8, gcir_bits=8, trace_name="cuts")
+    entries = 1 << 8
+    index = make_index("pc_xor_bhr", 6)
+    specs = [
+        SweepSpec.pattern(index, 8),
+        SweepSpec.pattern(XorIndex(6, use_pc=True, use_bhr=True, use_gcir=True), 5),
+        SweepSpec.resetting(index, 6),
+        SweepSpec.saturating(make_index("bhr", 6), 3),
+        SweepSpec.saturating(make_index("pc", 5), 7),
+        SweepSpec.two_level(index, 4, second_use_pc=True),
+    ]
+    bounds = [0] + sorted({cut for cut in cuts if cut < n}) + [n]
+
+    state = GshareState.fresh(entries)
+    observer = GridObserver(specs)
+    parts = []
+    for begin, end in zip(bounds, bounds[1:]):
+        chunk = sweep_chunk(
+            trace.pcs[begin:end], trace.outcomes[begin:end], state, **geometry
+        )
+        assert chunk.start == begin
+        parts.append(chunk)
+        observer.observe(chunk)
+
+        prefix_state = GshareState.fresh(entries)
+        prefix = sweep_chunk(trace.pcs[:end], trace.outcomes[:end], prefix_state, **geometry)
+        assert np.array_equal(state.table, prefix_state.table)
+        assert (state.bhr, state.gcir, state.position) == (
+            prefix_state.bhr, prefix_state.gcir, prefix_state.position,
+        )
+        for stream in ("correct", "bhrs", "pcs", "gcirs"):
+            joined = np.concatenate([getattr(part, stream) for part in parts])
+            assert np.array_equal(joined, getattr(prefix, stream)), stream
+        prefix_observer = GridObserver(specs)
+        prefix_observer.observe(prefix)
+        _assert_statistics_equal(observer.statistics(), prefix_observer.statistics())
 
 
 @pytest.mark.parametrize("chunk_size", [None, 1024, 3000])

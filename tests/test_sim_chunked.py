@@ -17,6 +17,8 @@ from repro.sim.chunked import (
     ResettingCounterObserver,
     SaturatingCounterObserver,
     TwoLevelObserver,
+    _sort_groups,
+    _stacked_clamped_walk,
     iter_trace_chunks,
     lagged_register_stream,
     num_chunks,
@@ -106,6 +108,97 @@ class TestSegmentedClampedWalk:
         ref_pre, ref_finals = _reference_walk(indices, deltas, 0, hi, init)
         assert np.array_equal(pre, ref_pre)
         assert np.array_equal(finals, ref_finals)
+
+
+#: Lengths at and around powers of two, where the packed-key shift and
+#: the number of doubling passes change.
+_EDGE_LENGTHS = sorted(
+    {0, 1} | {(1 << k) + d for k in range(1, 9) for d in (-1, 0, 1)}
+)
+
+
+class TestSortGroups:
+    """The packed-key sort against a plain stable argsort."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        n=st.one_of(st.sampled_from(_EDGE_LENGTHS), st.integers(0, 700)),
+        streams=st.integers(1, 3),
+        entries=st.sampled_from([1, 2, 5, 1 << 10, 1 << 30]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_stable_argsort(self, seed, n, streams, entries):
+        rng = np.random.default_rng(seed)
+        # Several index streams laid end to end over disjoint entry
+        # ranges, as ``_flatten_and_group`` builds them; few distinct
+        # values per stream, so most keys repeat.
+        distinct = rng.integers(0, entries, size=max(1, n // 4))
+        keys = np.concatenate(
+            [rng.choice(distinct, size=n) + u * entries for u in range(streams)]
+        ).astype(np.int64)
+
+        order, sorted_keys, ranks, is_last = _sort_groups(keys)
+
+        expected_order = np.argsort(keys, kind="stable")
+        expected_keys = keys[expected_order]
+        expected_ranks = np.zeros(keys.size, dtype=np.int64)
+        expected_last = np.ones(keys.size, dtype=bool)
+        for position in range(1, keys.size):
+            if expected_keys[position] == expected_keys[position - 1]:
+                expected_ranks[position] = expected_ranks[position - 1] + 1
+                expected_last[position - 1] = False
+        assert order.dtype == np.int64 and ranks.dtype == np.int64
+        assert np.array_equal(order, expected_order)
+        assert np.array_equal(sorted_keys, expected_keys)
+        assert np.array_equal(ranks, expected_ranks)
+        assert np.array_equal(is_last, expected_last)
+
+
+#: Group sizes straddling powers of two, where the doubling scan adds a pass.
+_GROUP_SIZES = st.sampled_from([1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 32, 33, 64, 65])
+
+
+class TestStackedClampedWalk:
+    """The stacked scan with per-position bounds against per-group walks."""
+
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        configs=st.lists(
+            st.tuples(st.integers(1, 7), st.lists(_GROUP_SIZES, min_size=1, max_size=6)),
+            min_size=1,
+            max_size=4,
+        ),
+        lo=st.sampled_from([0, -2]),
+    )
+    @settings(max_examples=80, deadline=None)
+    def test_matches_sequential_group_walks(self, seed, configs, lo):
+        rng = np.random.default_rng(seed)
+        ranks, deltas, upper, init = [], [], [], []
+        expected_pre, expected_post = [], []
+        # Each config stacks its groups with its own counter maximum, the
+        # layout ``GridObserver`` builds for a saturating grid.
+        for hi, sizes in configs:
+            for size in sizes:
+                steps = rng.integers(-2, 3, size=size)
+                start = int(rng.integers(lo, hi + 1))
+                value = start
+                for step in steps.tolist():
+                    expected_pre.append(value)
+                    value = min(hi, max(lo, value + step))
+                    expected_post.append(value)
+                ranks.append(np.arange(size))
+                deltas.append(steps)
+                upper.append(np.full(size, hi))
+                init.append(np.full(size, start))
+        pre, post = _stacked_clamped_walk(
+            np.concatenate(ranks).astype(np.int64),
+            np.concatenate(deltas).astype(np.int64),
+            lo,
+            np.concatenate(upper).astype(np.int64),
+            np.concatenate(init).astype(np.int64),
+        )
+        assert pre.tolist() == expected_pre
+        assert post.tolist() == expected_post
 
 
 def _reference_register(bits, carry, width):
