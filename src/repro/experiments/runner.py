@@ -31,11 +31,12 @@ from repro.sim.cache import (
     iter_cached_stream_chunks,
     load_sweep_results,
     store_sweep_results,
+    stream_key,
     sweep_result_key,
     warm_stream_entries,
 )
 from repro.sim.chunked import StreamChunk
-from repro.sim.diskcache import SweepKey, cache_enabled
+from repro.sim.diskcache import StreamKey, SweepKey, cache_enabled
 from repro.sim.fast import PredictorStreams
 from repro.utils.bits import bit_mask
 from repro.utils.resilient import resilient_map
@@ -55,6 +56,15 @@ def _stream_request(config: ExperimentConfig, benchmark: str) -> Dict:
         "bhr_record_bits": max(config.predictor_history_bits, config.ct_index_bits),
         "gcir_bits": config.ct_index_bits,
     }
+
+
+def suite_stream_keys(config: ExperimentConfig) -> List[StreamKey]:
+    """The stream keys :func:`suite_streams` reads, in benchmark order.
+
+    Building them loads nothing, so a result cached under these keys can
+    be looked up before any stream is swept or read.
+    """
+    return [stream_key(**_stream_request(config, name)) for name in config.benchmarks]
 
 
 def warm_streams(config: ExperimentConfig, requests: Sequence[Dict]) -> None:

@@ -3,8 +3,9 @@
 The predictor sweep is the only sequential-in-Python stage of the fast
 path; :mod:`repro.sim.cache` memoizes it per process, and this module
 persists whole-trace streams, stream chunks and grid results across
-processes as content-keyed entries.  The fabric's report artifacts use
-the same store.
+processes as content-keyed entries.  ``extension-pipeline`` results
+(in ``sweep_results/``) and the fabric's report artifacts use the same
+store.
 
 * **One put, one get.**  :func:`put` writes every entry: named arrays
   plus a header holding the key, scalar fields, and one SHA-256
@@ -36,7 +37,7 @@ the same store.
 The cache directory defaults to ``~/.cache/repro-branch-confidence``
 (respecting ``XDG_CACHE_HOME``) and is overridden with the
 ``REPRO_CACHE_DIR`` environment variable; setting ``REPRO_CACHE_DISABLE``
-to a non-empty value other than ``0`` turns the three cache families
+to a non-empty value other than ``0`` turns the four cache families
 off.  Fabric reports are outputs, not cache, so it does not touch them.
 """
 

@@ -7,6 +7,8 @@
 low-confidence streams.  For random traces, frontend geometries and
 low-confidence sets, every report field must be bit-for-bit equal to
 the object model driven by a live gshare predictor and confidence table.
+The experiment itself is checked the same way on a cold cache, and its
+stored result must replay bit for bit.
 """
 
 import numpy as np
@@ -14,6 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import observability
 from repro.core.counters import ResettingCounterConfidence
 from repro.core.indexing import make_index
 from repro.core.threshold import ThresholdConfidence
@@ -244,9 +247,18 @@ def object_model_pipeline(config, trace_length):
     ],
     ids=["default-geometry", "five-benchmarks-small-gshare"],
 )
-def test_experiment_equals_object_model_recomputation(config):
+def test_experiment_equals_object_model_recomputation(config, cache_dir):
+    # A private cold cache: the first call simulates, so the oracle
+    # compares the timing model, not an entry another test stored.
     length = 3000
     result = extension_pipeline.run(config, trace_length=length)
+    assert observability.counter_value("pipeline_cache.stores") == 1
     expected = object_model_pipeline(config, length)
     assert result == expected
     assert result.format() == expected.format()
+
+    # The second call is served by the stored entry, bit for bit.
+    observability.reset_metrics()
+    assert extension_pipeline.run(config, trace_length=length) == result
+    assert observability.counter_value("pipeline_cache.disk_hits") == 1
+    assert "pipeline.seconds" not in observability.snapshot()["timers"]

@@ -1,7 +1,7 @@
 """Every entry family of the artifact store survives every kind of damage.
 
-Whole-trace streams, stream chunks, sweep results and fabric reports are
-all entries of one store (:mod:`repro.sim.diskcache`).  Each family is
+Whole-trace streams, stream chunks, sweep results, pipeline results and
+fabric reports are all entries of one store (:mod:`repro.sim.diskcache`).  Each family is
 damaged three ways: the file is truncated; one array value is edited and
 the entry rewritten through the store under its old checksum (only the
 checksum can tell); and another entry of the family is renamed over it
@@ -10,8 +10,9 @@ corrupt drop, recompute, and leave the reports byte-identical.
 
 The compact encodings get damage that a fresh checksum vouches for, so
 only decoding can tell: a sweep entry with a bucket position out of
-range, one whose positions and counts differ in length, and a stream
-entry whose array has a non-integer dtype.
+range, one whose positions and counts differ in length, a stream entry
+whose array has a non-integer dtype, and a pipeline result with one
+IPC row more than it has benchmarks.
 
 The frame itself gets damage only its parser can tell: a header that
 declares an 8-byte array as an object array, a body one byte longer
@@ -35,6 +36,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro import observability
+from repro.experiments import extension_pipeline
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import run_all_reports
 from repro.fabric.runtime import FabricOptions, merge_reports_text, run_worker
@@ -58,8 +60,8 @@ IDS = ["table1", "fig5"]
 CONFIG = ExperimentConfig(benchmarks=("jpeg_play", "gcc"), trace_length=2000)
 
 
-def _entries(directory):
-    return sorted(directory.glob(f"*{ENTRY_SUFFIX}"))
+def _entries(directory, pattern="*"):
+    return sorted(directory.glob(f"{pattern}{ENTRY_SUFFIX}"))
 
 
 def _truncate(victim, donor):
@@ -101,25 +103,51 @@ def _fabric_text(config):
     return merge_reports_text(config, IDS, fabric_dir)
 
 
-#: family -> (config, run, entry directory, corrupt counter, recompute counter)
+#: Two short pipeline lengths, so the family has a donor entry to rename.
+PIPELINE_LENGTHS = (300, 500)
+
+
+def _pipeline_text(config):
+    clear_stream_cache()
+    return "".join(
+        extension_pipeline.run(config, trace_length=length).format() + "\n"
+        for length in PIPELINE_LENGTHS
+    )
+
+
+#: family -> (config, run, entry paths, corrupt counter, recompute counter)
 FAMILIES = {
     "streams": (
-        CONFIG, _report_text, stream_cache_dir,
+        CONFIG, _report_text, lambda: _entries(stream_cache_dir()),
         "stream_cache.disk_corrupt", "stream_cache.sweeps",
     ),
     "chunks": (
-        CONFIG.scaled(chunk_size=512), _report_text, chunk_cache_dir,
+        CONFIG.scaled(chunk_size=512), _report_text, lambda: _entries(chunk_cache_dir()),
         "stream_cache.chunk_corrupt", "stream_cache.chunk_sweeps",
     ),
     "sweeps": (
-        CONFIG, _report_text, sweep_cache_dir,
+        CONFIG, _report_text, lambda: _entries(sweep_cache_dir()),
         "sweep_cache.disk_corrupt", "batched.grid_sweeps",
     ),
+    "pipeline": (
+        # Pipeline results share sweep_results/ with the grid results.
+        CONFIG, _pipeline_text, lambda: _entries(sweep_cache_dir(), "pipeline-*"),
+        "pipeline_cache.disk_corrupt", "pipeline_cache.stores",
+    ),
     "reports": (
-        CONFIG, _fabric_text, lambda: cache_root() / "fabric" / "reports",
+        CONFIG, _fabric_text, lambda: _entries(cache_root() / "fabric" / "reports"),
         "fabric.report_corrupt", "fabric.report_stores",
     ),
 }
+
+
+def _reference_text(family, config):
+    """The reports of a cold run: the pipeline's with the store disabled."""
+    if family != "pipeline":
+        return _report_text(config)
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        monkeypatch.setenv("REPRO_CACHE_DISABLE", "1")
+        return _pipeline_text(config)
 
 
 def _drop_grid_results(family):
@@ -144,10 +172,10 @@ def _assert_dropped_and_recomputed(config, run, corrupt, recompute, golden):
 @pytest.mark.parametrize("damage", sorted(DAMAGES))
 @pytest.mark.parametrize("family", sorted(FAMILIES))
 def test_damaged_entry_is_dropped_and_recomputed(family, damage, cache_dir):
-    config, run, directory, corrupt, recompute = FAMILIES[family]
-    golden = _report_text(config)
+    config, run, entries, corrupt, recompute = FAMILIES[family]
+    golden = _reference_text(family, config)
     assert run(config) == golden
-    entries = _entries(directory())
+    entries = entries()
     assert len(entries) >= 2
     DAMAGES[damage](victim=entries[0], donor=entries[1])
     _drop_grid_results(family)
@@ -177,20 +205,28 @@ def _float_bhrs(arrays):
     arrays["bhrs"] = arrays["bhrs"].astype(np.float64)
 
 
+def _extra_pipeline_row(arrays):
+    # Pairing rows with benchmark names would drop the extra row silently.
+    rows = arrays["dual_path_ipc"]
+    arrays["dual_path_ipc"] = np.concatenate((rows, rows[:1]))
+
+
 #: damage -> (family, edit of the re-signed entry)
 DECODE_DAMAGES = {
     "sweep-index-out-of-range": ("sweeps", _index_out_of_range),
     "sweep-length-mismatch": ("sweeps", _counts_shorter_than_index),
     "stream-float-dtype": ("streams", _float_bhrs),
+    "pipeline-extra-row": ("pipeline", _extra_pipeline_row),
 }
 
 
 @pytest.mark.parametrize("damage", sorted(DECODE_DAMAGES))
 def test_resigned_damage_is_caught_by_decode(damage, cache_dir):
     family, edit = DECODE_DAMAGES[damage]
-    config, run, directory, corrupt, recompute = FAMILIES[family]
-    golden = _report_text(config)
-    _rewrite_with_valid_checksum(_entries(directory())[0], edit)
+    config, run, entries, corrupt, recompute = FAMILIES[family]
+    golden = _reference_text(family, config)
+    assert run(config) == golden
+    _rewrite_with_valid_checksum(entries()[0], edit)
     _drop_grid_results(family)
     _assert_dropped_and_recomputed(config, run, corrupt, recompute, golden)
 
@@ -250,10 +286,10 @@ FRAME_DAMAGES = {
 @pytest.mark.parametrize("damage", sorted(FRAME_DAMAGES))
 def test_damaged_frame_is_dropped_and_recomputed(damage, cache_dir):
     family, edit = FRAME_DAMAGES[damage]
-    config, run, directory, corrupt, recompute = FAMILIES[family]
-    golden = _report_text(config)
+    config, run, entries, corrupt, recompute = FAMILIES[family]
+    golden = _reference_text(family, config)
     assert run(config) == golden
-    edit(_entries(directory())[0])
+    edit(entries()[0])
     _drop_grid_results(family)
     _assert_dropped_and_recomputed(config, run, corrupt, recompute, golden)
 
