@@ -83,6 +83,10 @@ def main() -> int:
     }
     for name, value in taxonomy.items():
         print(f"{name} = {value}")
+    replayed = counters.get("report_cache.disk_hits", 0)
+    if replayed:
+        print(f"FAIL: the faulted run replayed {replayed} cached report(s)")
+        return 1
     if divergent:
         print(f"FAIL: {len(divergent)} report(s) diverged: {', '.join(divergent)}")
         return 1

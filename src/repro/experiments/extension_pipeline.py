@@ -40,8 +40,6 @@ stay out of the key.
 from __future__ import annotations
 
 import dataclasses
-import hashlib
-import json
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -53,7 +51,15 @@ from repro.core.indexing import make_index
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
 from repro.experiments.runner import suite_stream_keys, suite_streams
 from repro.pipeline import FrontendConfig, frontend_timing, smt_timing
-from repro.sim.diskcache import ENTRY_SUFFIX, EntryFamily, cache_enabled, get, put, sweep_cache_dir
+from repro.sim.diskcache import (
+    ENTRY_SUFFIX,
+    EntryFamily,
+    cache_enabled,
+    get,
+    key_digest,
+    put,
+    sweep_cache_dir,
+)
 from repro.sim.fast import PredictorStreams, resetting_counter_stream
 
 #: Default per-benchmark length for the (per-branch Python) timing loops.
@@ -172,8 +178,7 @@ def pipeline_key(config: ExperimentConfig, trace_length: int) -> Dict[str, Any]:
 
 def _entry_path(key: Dict[str, Any]) -> Path:
     """Store path of the result under ``key``."""
-    digest = hashlib.sha256(json.dumps(key, sort_keys=True).encode("utf-8")).hexdigest()
-    return sweep_cache_dir() / f"pipeline-{digest[:16]}{ENTRY_SUFFIX}"
+    return sweep_cache_dir() / f"pipeline-{key_digest(key)[:16]}{ENTRY_SUFFIX}"
 
 
 def _load_result(

@@ -8,13 +8,27 @@ registry is also the unit of parallelism for ``repro run-all --jobs N``:
 registration order, so the combined output is byte-identical to a
 serial run.  Only the report crosses the process boundary; result
 objects stay in the worker.
+
+Every report :func:`run_all_reports` computes is also a store entry
+(:mod:`repro.sim.diskcache`, ``sweep_results/report-<id>-<digest>.entry``)
+keyed by :func:`report_key`: the
+:func:`~repro.experiments.config.result_identity` of the config (which
+holds the program digest), the experiment id and
+:data:`REPORT_ENTRY_FORMAT`.  The parent looks every requested report
+up before any work and computes only the misses, so a warm run loads no
+stream, folds no statistic and starts no pool, and an edit to any
+source file misses every entry.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import time
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from pathlib import Path
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
+
+import numpy as np
 
 from repro import observability
 from repro.experiments import (
@@ -38,7 +52,28 @@ from repro.experiments import (
     fig9_benchmarks,
     table1_resetting,
 )
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, result_identity
+from repro.sim.diskcache import (
+    ENTRY_SUFFIX,
+    EntryFamily,
+    cache_enabled,
+    get,
+    key_digest,
+    put,
+    sweep_cache_dir,
+)
+
+T = TypeVar("T")
+
+#: Version of the cached report entry.  Bump it when the entry layout
+#: changes; edits to the code that formats a report already change the
+#: program digest in the key.
+REPORT_ENTRY_FORMAT = 1
+
+#: Counter names and crash-site label of cached reports.
+REPORT_CACHE = EntryFamily("store_report_cache", "report_cache.disk_hits",
+                           "report_cache.disk_misses", "report_cache.disk_corrupt",
+                           "report_cache.stores", "report_cache.store_errors")
 
 
 @dataclass(frozen=True)
@@ -193,21 +228,80 @@ class ExperimentReport:
     seconds: float
 
 
+def _timed_call(function: Callable[[], T]) -> Tuple[T, float]:
+    """``function()`` and the seconds it took.
+
+    Wall-time accounting only; the seconds never feed a report's text.
+    """
+    start = time.perf_counter()  # reprolint: disable=R001
+    value = function()
+    return value, time.perf_counter() - start  # reprolint: disable=R001
+
+
 def run_experiment_report(
     experiment_id: str, config: ExperimentConfig
 ) -> ExperimentReport:
     """Run one experiment and capture its formatted report and wall time."""
     experiment = get_experiment(experiment_id)
-    # Wall-time accounting only; never feeds the report's statistics.
-    start = time.perf_counter()  # reprolint: disable=R001
-    with observability.timed(f"experiment.{experiment_id}.seconds"):
-        result = experiment.run(config)
+
+    def report() -> str:
+        with observability.timed(f"experiment.{experiment_id}.seconds"):
+            result = experiment.run(config)
+        return result.format()
+
+    text, seconds = _timed_call(report)
     return ExperimentReport(
         experiment_id=experiment.id,
         description=experiment.description,
-        text=result.format(),
-        seconds=time.perf_counter() - start,  # reprolint: disable=R001
+        text=text,
+        seconds=seconds,
     )
+
+
+def report_key(experiment_id: str, config: ExperimentConfig) -> Dict[str, Any]:
+    """Store key of one cached report (see the module docstring)."""
+    key = result_identity(config)
+    key["experiment_id"] = experiment_id
+    key["format"] = REPORT_ENTRY_FORMAT
+    return key
+
+
+def _report_entry_path(key: Dict[str, Any]) -> Path:
+    """Store path of the report cached under ``key``."""
+    return sweep_cache_dir() / f"report-{key['experiment_id']}-{key_digest(key)[:16]}{ENTRY_SUFFIX}"
+
+
+def _load_report(
+    experiment_id: str, config: ExperimentConfig
+) -> Optional[ExperimentReport]:
+    """The stored report of ``experiment_id`` under ``config``, or None.
+
+    A hit's ``seconds`` is the time the load took, so it never claims
+    work that did not run.  An entry whose text is not one unicode
+    string, or whose stored id differs from the key's, is dropped as
+    corrupt.
+    """
+    key = report_key(experiment_id, config)
+
+    def decode(arrays: Dict[str, np.ndarray], fields: Dict[str, Any]) -> ExperimentReport:
+        text = arrays["text"]
+        if text.dtype.kind != "U" or text.shape != ():
+            raise ValueError(f"report entry text has dtype {text.dtype}, shape {text.shape}")
+        if fields["experiment_id"] != experiment_id:
+            raise ValueError("report entry id differs from its key")
+        return ExperimentReport(experiment_id, str(fields["description"]), str(text), 0.0)
+
+    report, seconds = _timed_call(
+        lambda: get(REPORT_CACHE, _report_entry_path(key), key, decode)
+    )
+    return None if report is None else dataclasses.replace(report, seconds=seconds)
+
+
+def _store_report(report: ExperimentReport, config: ExperimentConfig) -> Optional[Path]:
+    """Persist ``report`` under its key; the path, or None on failure."""
+    key = report_key(report.experiment_id, config)
+    fields = {"experiment_id": report.experiment_id, "description": report.description}
+    return put(REPORT_CACHE, _report_entry_path(key), key, {"text": np.array(report.text)}, fields)
 
 
 def run_all_reports(
@@ -217,12 +311,16 @@ def run_all_reports(
 ) -> List[ExperimentReport]:
     """Reports for several experiments, optionally over a process pool.
 
-    ``jobs`` defaults to ``config.jobs``.  Workers run with
-    ``config.jobs`` forced to 1 (the pool already provides the
-    parallelism) and populate the shared persistent stream cache; reports
-    come back in the requested order, byte-identical to a serial run.
-    The pool is fault-tolerant (:func:`repro.utils.resilient.resilient_map`):
-    crashed workers are re-run, slow ones time out and retry per
+    Every requested report is first looked up in the store (unless
+    ``REPRO_CACHE_DISABLE`` is set); only the misses are computed, and
+    the parent stores each computed report.  ``jobs`` defaults to
+    ``config.jobs``.  With two or more misses and ``jobs > 1`` they go
+    to a pool whose workers run with ``config.jobs`` forced to 1 (the
+    pool already provides the parallelism) and populate the shared
+    persistent stream cache; reports come back in the requested order,
+    byte-identical to a serial run.  The pool is fault-tolerant
+    (:func:`repro.utils.resilient.resilient_map`): crashed workers are
+    re-run, slow ones time out and retry per
     ``config.task_timeout``/``config.max_retries``, and repeated pool
     loss degrades to computing the remainder serially in the parent.
     """
@@ -233,17 +331,30 @@ def run_all_reports(
     )
     check_experiments(ids, config)  # pre-pool
     jobs = config.jobs if jobs is None else jobs
-    if jobs <= 1 or len(ids) <= 1:
-        return [run_experiment_report(experiment_id, config) for experiment_id in ids]
+    cached = cache_enabled()
+    reports: Dict[str, ExperimentReport] = {}
+    if cached:
+        for experiment_id in ids:
+            report = _load_report(experiment_id, config)
+            if report is not None:
+                reports[experiment_id] = report
+    missing = [experiment_id for experiment_id in ids if experiment_id not in reports]
+    if jobs <= 1 or len(missing) <= 1:
+        computed = [run_experiment_report(experiment_id, config) for experiment_id in missing]
+    else:
+        from repro.utils.resilient import resilient_map
 
-    from repro.utils.resilient import resilient_map
-
-    worker_config = config.scaled(jobs=1)
-    return resilient_map(
-        run_experiment_report,
-        [(experiment_id, worker_config) for experiment_id in ids],
-        jobs=min(jobs, len(ids)),
-        keys=ids,
-        max_retries=config.max_retries,
-        task_timeout=config.task_timeout,
-    )
+        worker_config = config.scaled(jobs=1)
+        computed = resilient_map(
+            run_experiment_report,
+            [(experiment_id, worker_config) for experiment_id in missing],
+            jobs=min(jobs, len(missing)),
+            keys=missing,
+            max_retries=config.max_retries,
+            task_timeout=config.task_timeout,
+        )
+    for report in computed:
+        if cached:
+            _store_report(report, config)
+        reports[report.experiment_id] = report
+    return [reports[experiment_id] for experiment_id in ids]

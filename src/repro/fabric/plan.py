@@ -24,19 +24,20 @@ exactly once fleet-wide" hold even under work stealing.
 
 The plan (unit list, dependency edges, unit order) is a pure function of
 ``(config, experiment ids)``; :func:`plan_digest` names the fabric
-directory so two different runs can never share leases or artifacts.
+directory after those and the program digest, so two different runs, or
+one run before and after a code edit, can never share leases or
+artifacts.
 """
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 from dataclasses import dataclass
 from typing import Any, Dict, List, Sequence, Tuple
 
 from repro.experiments.ablation_trace_length import DEFAULT_LENGTHS
-from repro.experiments.config import ExperimentConfig
+from repro.experiments.config import ExperimentConfig, result_identity
 from repro.experiments.extension_pipeline import PIPELINE_TRACE_LENGTH
 from repro.experiments.runner import _stream_request
 
@@ -235,15 +236,16 @@ def plan_digest(
 ) -> str:
     """Content digest naming the fabric directory of one plan.
 
-    Execution-only knobs that cannot change any artifact byte (jobs,
-    retry budget, timeouts) are excluded, so a 3-worker fleet
-    and a later ``--shards 1`` resume land in the same directory; every
+    Built on :func:`~repro.experiments.config.result_identity`.  The
+    execution knobs that cannot change any artifact byte (jobs, retry
+    budget, timeouts) are excluded, so a 3-worker fleet and a later
+    ``--shards 1`` resume land in the same directory; every
     result-relevant field (suite, lengths, seeds, geometry, chunk size)
-    is included, so nothing can alias.
+    and the program digest are included, so nothing can alias, and a
+    run after a code edit starts a fresh directory instead of merging
+    the old reports.
     """
-    payload = dataclasses.asdict(config)
-    for execution_knob in ("jobs", "max_retries", "task_timeout"):
-        del payload[execution_knob]
+    payload = result_identity(config)
     payload["experiment_ids"] = list(experiment_ids)
     payload["format"] = FABRIC_PLAN_FORMAT
     canonical = json.dumps(payload, sort_keys=True, default=str)

@@ -4,8 +4,8 @@ The predictor sweep is the only sequential-in-Python stage of the fast
 path; :mod:`repro.sim.cache` memoizes it per process, and this module
 persists whole-trace streams, stream chunks and grid results across
 processes as content-keyed entries.  ``extension-pipeline`` results
-(in ``sweep_results/``) and the fabric's report artifacts use the same
-store.
+and ``run-all``'s cached reports (both in ``sweep_results/``) and the
+fabric's report artifacts use the same store.
 
 * **One put, one get.**  :func:`put` writes every entry: named arrays
   plus a header holding the key, scalar fields, and one SHA-256
@@ -37,7 +37,7 @@ store.
 The cache directory defaults to ``~/.cache/repro-branch-confidence``
 (respecting ``XDG_CACHE_HOME``) and is overridden with the
 ``REPRO_CACHE_DIR`` environment variable; setting ``REPRO_CACHE_DISABLE``
-to a non-empty value other than ``0`` turns the four cache families
+to a non-empty value other than ``0`` turns the five cache families
 off.  Fabric reports are outputs, not cache, so it does not touch them.
 """
 
@@ -156,8 +156,7 @@ class StreamKey:
 
     def digest(self) -> str:
         """Stable content digest naming this key's cache entry."""
-        canonical = json.dumps(self.describe(), sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+        return key_digest(self.describe())
 
 
 @dataclass(frozen=True)
@@ -229,6 +228,11 @@ def publish(
             pass
         raise
     return path
+
+
+def key_digest(key: Dict[str, Any]) -> str:
+    """SHA-256 of a JSON key's canonical form; names the entry's file."""
+    return hashlib.sha256(json.dumps(key, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 def _checksum(arrays: Dict[str, np.ndarray], fields: Dict[str, Any]) -> str:

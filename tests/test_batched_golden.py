@@ -115,6 +115,7 @@ class TestRegistryGolden:
         """jobs=2 fans the reports over the pool; digests unchanged."""
         ids = ["fig8", "fig10"]
         reports = run_all_reports(CONFIG.scaled(jobs=2), experiment_ids=ids)
+        assert observability.counter_value("pool.started") == 1
         assert {r.experiment_id: _digest(r.text) for r in reports} == {
             experiment_id: DIGESTS[experiment_id] for experiment_id in ids
         }

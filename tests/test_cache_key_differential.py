@@ -12,8 +12,12 @@ checks that by running the code instead of reading it:
   cache filled by the base config must print the same reports as a
   cold run of the perturbed config (a mismatch is a stale replay);
 * a perturbation that leaves every report unchanged (an execution knob
-  such as ``jobs``) must not add ``sweep_results/`` entries to the warm
-  cache (a key that fragments the cache).
+  such as ``jobs``) must not add grid results to ``sweep_results/`` in
+  the warm cache (a key that fragments the cache).
+
+The warm copy holds no cached report: those would answer before any
+stream or grid entry is read, and ``tests/test_report_entry_key.py``
+covers their key.
 
 A self-check pins ``seed=0`` inside the key builders and asserts that
 the checker then flags ``seed``.
@@ -28,6 +32,7 @@ from typing import Dict, List, Tuple
 
 import pytest
 
+from repro import observability
 from repro.experiments import runner
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import run_all_reports
@@ -89,7 +94,12 @@ def run_reports(
 
 
 def sweep_entries(cache_dir: Path) -> List[str]:
-    return sorted(path.name for path in cache_dir.glob(f"sweep_results/*{ENTRY_SUFFIX}"))
+    """The grid results of ``sweep_results/``, without cached reports."""
+    return sorted(
+        path.name
+        for path in cache_dir.glob(f"sweep_results/*{ENTRY_SUFFIX}")
+        if not path.name.startswith("report-")
+    )
 
 
 def check_field(
@@ -105,10 +115,15 @@ def check_field(
     cold = run_reports(config, workdir / "cold", monkeypatch)
     warm_cache = workdir / "warm"
     shutil.copytree(base_cache, warm_cache)
+    for report in warm_cache.glob(f"sweep_results/report-*{ENTRY_SUFFIX}"):
+        report.unlink()
     entries_before = sweep_entries(warm_cache)
+    observability.reset_metrics()
     warm = run_reports(config, warm_cache, monkeypatch)
 
     problems = []
+    if observability.counter_value("report_cache.disk_hits"):
+        problems.append(f"{name}: the warm run replayed cached reports")
     if warm != cold:
         problems.append(
             f"{name}: a warm run over the base config's cache differs from a "

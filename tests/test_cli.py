@@ -121,7 +121,10 @@ class TestTrace:
 
 
 class TestRunAll:
-    def test_run_all_small(self, capsys):
+    def test_run_all_small(self, cache_dir, capsys):
+        from repro import observability
+        from repro.experiments import EXPERIMENTS
+
         code = main([
             "run-all",
             "--length", "4000",
@@ -129,9 +132,9 @@ class TestRunAll:
         ])
         assert code == 0
         output = capsys.readouterr().out
-        # Every registered experiment reported.
-        from repro.experiments import EXPERIMENTS
-
+        # Every registered experiment computed (a private cache holds no
+        # report entry) and reported.
+        assert observability.counter_value("report_cache.stores") == len(EXPERIMENTS)
         for experiment_id in EXPERIMENTS:
             assert f"=== {experiment_id}:" in output
 

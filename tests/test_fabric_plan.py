@@ -1,5 +1,6 @@
 """Plan construction: unit identity, dependency wiring, static partition."""
 
+from repro.experiments import config as config_module
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.extension_pipeline import PIPELINE_TRACE_LENGTH
 from repro.experiments.registry import list_experiments
@@ -82,14 +83,23 @@ def test_pipeline_waits_on_the_fixed_length_streams_it_reads():
     assert set(alone.report_units[0].deps) == expected
 
 
-def test_plan_digest_ignores_execution_knobs_only():
+def test_plan_digest_ignores_execution_knobs_only(monkeypatch):
     base = plan_digest(CONFIG, IDS)
     assert plan_digest(CONFIG.scaled(jobs=8), IDS) == base
     assert plan_digest(CONFIG.scaled(max_retries=5), IDS) == base
+    assert plan_digest(CONFIG.scaled(task_timeout=30.0), IDS) == base
     assert plan_digest(CONFIG.scaled(trace_length=4000), IDS) != base
     assert plan_digest(CONFIG.scaled(chunk_size=None), IDS) != base
     assert plan_digest(CONFIG.scaled(seed=CONFIG.seed + 1), IDS) != base
     assert plan_digest(CONFIG, IDS + ["fig6"]) != base
+    # An edit to any source file names a new fabric directory, so a
+    # resumed fabric never merges the reports of the old program.
+    monkeypatch.setattr(config_module, "program_digest", lambda: "edited")
+    edited = plan_digest(CONFIG, IDS)
+    assert edited != base
+    assert plan_digest(CONFIG.scaled(jobs=8), IDS) == edited
+    assert plan_digest(CONFIG.scaled(max_retries=5), IDS) == edited
+    assert plan_digest(CONFIG.scaled(task_timeout=30.0), IDS) == edited
 
 
 def test_full_registry_plan_is_buildable():

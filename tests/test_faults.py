@@ -320,6 +320,9 @@ class TestFaultedRunAll:
             experiment_ids=self.IDS,
             jobs=2,
         )
+        # The chunk size keys the cached reports, so neither is replayed.
+        assert observability.counter_value("report_cache.disk_hits") == 0
+        assert observability.counter_value("pool.started") >= 1
         assert [r.experiment_id for r in serial] == [r.experiment_id for r in faulted]
         assert [r.text for r in serial] == [r.text for r in faulted]
 

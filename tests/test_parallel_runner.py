@@ -12,7 +12,7 @@ from repro.experiments.registry import run_all_reports, run_experiment_report
 from repro.experiments.runner import one_level_pattern_spec, suite_streams, sweep_grid
 from repro.sim import cache as stream_cache
 from repro.sim.cache import clear_stream_cache
-from repro.sim.diskcache import disk_cache_stats
+from repro.sim.diskcache import disk_cache_stats, sweep_cache_dir
 
 CONFIG = ExperimentConfig(benchmarks=("jpeg_play", "gcc"), trace_length=3000)
 
@@ -132,7 +132,13 @@ class TestRunAllReports:
 
     def test_parallel_reports_byte_identical(self, cache_dir):
         serial = run_all_reports(CONFIG, experiment_ids=self.IDS, jobs=1)
+        # Cached reports would answer without a pool.
+        for entry in sweep_cache_dir().glob("report-*"):
+            entry.unlink()
+        observability.reset_metrics()
         parallel = run_all_reports(CONFIG, experiment_ids=self.IDS, jobs=2)
+        assert observability.counter_value("pool.started") == 1
+        assert observability.counter_value("report_cache.disk_hits") == 0
         assert [r.experiment_id for r in serial] == [r.experiment_id for r in parallel]
         assert [r.text for r in serial] == [r.text for r in parallel]
 

@@ -1,18 +1,23 @@
 """Every entry family of the artifact store survives every kind of damage.
 
-Whole-trace streams, stream chunks, sweep results, pipeline results and
-fabric reports are all entries of one store (:mod:`repro.sim.diskcache`).  Each family is
+Whole-trace streams, stream chunks, sweep results, pipeline results,
+cached reports and fabric reports are all entries of one store
+(:mod:`repro.sim.diskcache`).  Each family is
 damaged three ways: the file is truncated; one array value is edited and
 the entry rewritten through the store under its old checksum (only the
 checksum can tell); and another entry of the family is renamed over it
 (only the key check can tell).  Every damage must count exactly one
-corrupt drop, recompute, and leave the reports byte-identical.
+corrupt drop, recompute, and leave the reports byte-identical.  Cached
+reports and grid results would answer before a damaged stream or grid
+entry is read, so the stream, chunk and sweep families drop them before
+each run.
 
 The compact encodings get damage that a fresh checksum vouches for, so
 only decoding can tell: a sweep entry with a bucket position out of
 range, one whose positions and counts differ in length, a stream entry
-whose array has a non-integer dtype, and a pipeline result with one
-IPC row more than it has benchmarks.
+whose array has a non-integer dtype, a pipeline result with one
+IPC row more than it has benchmarks, and a cached report whose stored
+id or text dtype differs from what its key names.
 
 The frame itself gets damage only its parser can tell: a header that
 declares an 8-byte array as an object array, a body one byte longer
@@ -115,6 +120,12 @@ def _pipeline_text(config):
     )
 
 
+def _grid_entries():
+    """The grid results of ``sweep_results/``, without cached reports."""
+    return [entry for entry in _entries(sweep_cache_dir())
+            if not entry.name.startswith("report-")]
+
+
 #: family -> (config, run, entry paths, corrupt counter, recompute counter)
 FAMILIES = {
     "streams": (
@@ -126,13 +137,18 @@ FAMILIES = {
         "stream_cache.chunk_corrupt", "stream_cache.chunk_sweeps",
     ),
     "sweeps": (
-        CONFIG, _report_text, lambda: _entries(sweep_cache_dir()),
+        CONFIG, _report_text, _grid_entries,
         "sweep_cache.disk_corrupt", "batched.grid_sweeps",
     ),
     "pipeline": (
         # Pipeline results share sweep_results/ with the grid results.
         CONFIG, _pipeline_text, lambda: _entries(sweep_cache_dir(), "pipeline-*"),
         "pipeline_cache.disk_corrupt", "pipeline_cache.stores",
+    ),
+    "report-cache": (
+        # Cached reports share sweep_results/ with the grid results.
+        CONFIG, _report_text, lambda: _entries(sweep_cache_dir(), "report-*"),
+        "report_cache.disk_corrupt", "report_cache.stores",
     ),
     "reports": (
         CONFIG, _fabric_text, lambda: _entries(cache_root() / "fabric" / "reports"),
@@ -152,17 +168,23 @@ def _reference_text(family, config):
 
 def _drop_grid_results(family):
     if family in ("streams", "chunks"):
-        # Warm grid results would answer without reading any stream.
+        # Warm grid results and reports would answer without reading any stream.
         for entry in _entries(sweep_cache_dir()):
+            entry.unlink()
+    elif family == "sweeps":
+        # Warm reports would answer without reading any grid result.
+        for entry in _entries(sweep_cache_dir(), "report-*"):
             entry.unlink()
 
 
-def _assert_dropped_and_recomputed(config, run, corrupt, recompute, golden):
+def _assert_dropped_and_recomputed(family, config, run, corrupt, recompute, golden):
+    _drop_grid_results(family)
     observability.reset_metrics()
     assert run(config) == golden
     assert observability.counter_value(corrupt) == 1
     assert observability.counter_value(recompute) >= 1
     # The recomputed entry replaced the damaged one: a warm rerun is clean.
+    _drop_grid_results(family)
     observability.reset_metrics()
     assert run(config) == golden
     assert observability.counter_value(corrupt) == 0
@@ -178,37 +200,45 @@ def test_damaged_entry_is_dropped_and_recomputed(family, damage, cache_dir):
     entries = entries()
     assert len(entries) >= 2
     DAMAGES[damage](victim=entries[0], donor=entries[1])
-    _drop_grid_results(family)
-    _assert_dropped_and_recomputed(config, run, corrupt, recompute, golden)
+    _assert_dropped_and_recomputed(family, config, run, corrupt, recompute, golden)
 
 
 def _rewrite_with_valid_checksum(entry, edit):
     """Apply ``edit`` to an entry's arrays and re-sign it, key unchanged."""
     meta, arrays = read_entry(entry)
-    edit(arrays)
+    edit(arrays, meta["fields"])
     put(STREAMS, entry, meta["key"], arrays, meta["fields"])
 
 
-def _index_out_of_range(arrays):
+def _index_out_of_range(arrays, fields):
     # NumPy would read -1 as the last bucket without a range check.
     arrays["index"] = arrays["index"].astype(np.int64)
     arrays["index"][0] = -1
 
 
-def _counts_shorter_than_index(arrays):
+def _counts_shorter_than_index(arrays, fields):
     # One count would broadcast over every position without a length check.
     arrays["counts"] = arrays["counts"][:1]
     arrays["mispredicts"] = arrays["mispredicts"][:1]
 
 
-def _float_bhrs(arrays):
+def _float_bhrs(arrays, fields):
     arrays["bhrs"] = arrays["bhrs"].astype(np.float64)
 
 
-def _extra_pipeline_row(arrays):
+def _extra_pipeline_row(arrays, fields):
     # Pairing rows with benchmark names would drop the extra row silently.
     rows = arrays["dual_path_ipc"]
     arrays["dual_path_ipc"] = np.concatenate((rows, rows[:1]))
+
+
+def _other_report_id(arrays, fields):
+    # Key and checksum agree; only decode's id check sees the mismatch.
+    fields["experiment_id"] = "fig2"
+
+
+def _encoded_report_text(arrays, fields):
+    arrays["text"] = np.frombuffer(str(arrays["text"]).encode("utf-8"), dtype=np.uint8)
 
 
 #: damage -> (family, edit of the re-signed entry)
@@ -217,6 +247,8 @@ DECODE_DAMAGES = {
     "sweep-length-mismatch": ("sweeps", _counts_shorter_than_index),
     "stream-float-dtype": ("streams", _float_bhrs),
     "pipeline-extra-row": ("pipeline", _extra_pipeline_row),
+    "report-id-mismatch": ("report-cache", _other_report_id),
+    "report-text-bytes": ("report-cache", _encoded_report_text),
 }
 
 
@@ -227,8 +259,7 @@ def test_resigned_damage_is_caught_by_decode(damage, cache_dir):
     golden = _reference_text(family, config)
     assert run(config) == golden
     _rewrite_with_valid_checksum(entries()[0], edit)
-    _drop_grid_results(family)
-    _assert_dropped_and_recomputed(config, run, corrupt, recompute, golden)
+    _assert_dropped_and_recomputed(family, config, run, corrupt, recompute, golden)
 
 
 _HEADER_START = len(ENTRY_MAGIC) + 8
@@ -290,8 +321,7 @@ def test_damaged_frame_is_dropped_and_recomputed(damage, cache_dir):
     golden = _reference_text(family, config)
     assert run(config) == golden
     edit(entries()[0])
-    _drop_grid_results(family)
-    _assert_dropped_and_recomputed(config, run, corrupt, recompute, golden)
+    _assert_dropped_and_recomputed(family, config, run, corrupt, recompute, golden)
 
 
 def test_read_entry_rejects_bytes_after_the_body(tmp_path):
