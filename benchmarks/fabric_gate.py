@@ -128,8 +128,10 @@ def main() -> int:
                 )
                 shard_walls[phase][f"shard{shard_id}"] = worker["seconds"]
 
+        # The workers' report entries live in the fabric cache's store.
+        os.environ["REPRO_CACHE_DIR"] = fabric_cache
         merge_started = time.perf_counter()
-        merged = merge_reports_text(config, ids, fabric_dir)
+        merged = merge_reports_text(config, ids)
         merge_seconds = time.perf_counter() - merge_started
 
         computed: "Counter[str]" = Counter()

@@ -160,7 +160,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="restrict this worker pass to one unit kind",
     )
     merge_parser = fabric_subparsers.add_parser(
-        "merge", help="fold published report artifacts, print the serial text"
+        "merge", help="fold published report entries, print the serial text"
     )
     status_parser = fabric_subparsers.add_parser(
         "status", help="per-unit fabric state: done / leased / pending"
@@ -419,16 +419,15 @@ def _command_run_all(args: argparse.Namespace) -> int:
         # worker that observes the completed plan prints the merge, so a
         # one-shard fabric run is byte-identical to the serial path.
         from repro.fabric import merge_reports_text, run_worker
-        from repro.fabric.runtime import default_fabric_dir, fabric_complete
+        from repro.fabric.runtime import fabric_complete
 
         options = _fabric_options(args)
         try:
             run_worker(config, ids, options)
         except (TimeoutError, ValueError) as error:
             raise SystemExit(str(error)) from None
-        fabric_dir = options.fabric_dir or default_fabric_dir(config, ids)
-        if fabric_complete(config, ids, fabric_dir):
-            print(merge_reports_text(config, ids, fabric_dir), end="")
+        if fabric_complete(config, ids):
+            print(merge_reports_text(config, ids), end="")
         _maybe_write_profile(args, config)
         return 0
     for report in run_all_reports(config, experiment_ids=ids):
@@ -480,7 +479,7 @@ def _command_fabric(args: argparse.Namespace) -> int:
         return 0
     if args.fabric_action == "merge":
         try:
-            print(merge_reports_text(config, ids, fabric_dir), end="")
+            print(merge_reports_text(config, ids), end="")
         except FileNotFoundError as error:
             raise SystemExit(str(error)) from None
         return 0

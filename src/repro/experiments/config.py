@@ -7,21 +7,20 @@ deviate (Fig. 10's 4K predictor and small tables, Fig. 11's
 initializations) derive modified copies.
 
 :func:`result_identity` names everything a report depends on: the
-config fields that can change a report byte, plus
-:func:`program_digest`.  Cached reports and the fabric's plan digest
-are both keyed by it, so neither outlives an edit to the code or to a
-workload definition.
+config fields that can change a report byte, plus the
+:func:`~repro.sim.diskcache.program_digest` that keys every store
+entry.  Report entries and the fabric's plan digest are both keyed by
+it, so neither outlives an edit to the code or to a workload
+definition.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
-import hashlib
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Dict, Optional, Tuple
 
+from repro.sim import diskcache
 from repro.workloads.ibs import DEFAULT_TRACE_LENGTH, benchmark_names
 from repro.workloads.spec_like import spec_benchmark_names
 
@@ -115,38 +114,17 @@ class ExperimentConfig:
 EXECUTION_KNOBS = ("jobs", "max_retries", "task_timeout")
 
 
-@functools.lru_cache(maxsize=None)
-def program_digest() -> str:
-    """SHA-256 over numpy's version and every ``*.py`` file of ``repro``.
-
-    Each file contributes its path relative to the package root and its
-    bytes, in path order, so any edit to the code or to a workload
-    definition (``workloads/ibs.py``) changes the digest.  Computed once
-    per process.
-    """
-    import numpy as np
-
-    root = Path(__file__).resolve().parents[1]
-    digest = hashlib.sha256(f"numpy {np.__version__}\n".encode("utf-8"))
-    for path in sorted(root.rglob("*.py"), key=lambda item: item.relative_to(root).as_posix()):
-        relative = path.relative_to(root).as_posix().encode("utf-8")
-        source = path.read_bytes()
-        digest.update(b"%d:%s%d:" % (len(relative), relative, len(source)))
-        digest.update(source)
-    return digest.hexdigest()
-
-
 def result_identity(config: ExperimentConfig) -> Dict[str, Any]:
     """Everything a report of ``config`` depends on, as plain JSON data.
 
     The config without :data:`EXECUTION_KNOBS`, plus the
-    :func:`program_digest` under ``"program"``.
+    :func:`~repro.sim.diskcache.program_digest` under ``"program"``.
     """
     identity = dataclasses.asdict(config)
     for knob in EXECUTION_KNOBS:
         del identity[knob]
     identity["benchmarks"] = list(config.benchmarks)
-    identity["program"] = program_digest()
+    identity["program"] = diskcache.program_digest()
     return identity
 
 

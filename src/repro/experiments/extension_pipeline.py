@@ -29,17 +29,16 @@ insensitive to length.
 
 The result is a store entry (:mod:`repro.sim.diskcache`, under
 ``sweep_results/``), keyed by the ``describe()`` of every input
-:class:`~repro.sim.diskcache.StreamKey` plus the frontend geometry, both
-confidence-index widths, the module constants and
-:data:`PIPELINE_RESULT_FORMAT`.  A warm run reads that entry and returns
-before any stream is loaded or any timing loop runs; execution knobs
-(``jobs``, ``chunk_size``, retries, timeouts) and ``headline_percent``
-stay out of the key.
+:class:`~repro.sim.diskcache.StreamKey` and both confidence-index
+widths.  Each ``describe()`` holds the program digest, which covers the
+frontend geometry, the timing model and this module's constants.  A
+warm run reads that entry and returns before any stream is loaded or
+any timing loop runs; execution knobs (``jobs``, ``chunk_size``,
+retries, timeouts) and ``headline_percent`` stay out of the key.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Optional
@@ -77,11 +76,6 @@ SMT_THREADS = 4
 
 #: Saturation value of the resetting counters behind both signals.
 COUNTER_MAXIMUM = 16
-
-#: Version of the cached result.  Bump it whenever
-#: :mod:`repro.pipeline.timing` (or how this module drives it) changes,
-#: so entries computed by the old model miss instead of being replayed.
-PIPELINE_RESULT_FORMAT = 1
 
 #: Counter names and crash-site label of cached pipeline results.
 PIPELINE = EntryFamily("store_pipeline", "pipeline_cache.disk_hits", "pipeline_cache.disk_misses",
@@ -160,19 +154,18 @@ def _smt_config(config: ExperimentConfig, trace_length: int) -> ExperimentConfig
 
 
 def pipeline_key(config: ExperimentConfig, trace_length: int) -> Dict[str, Any]:
-    """Everything the result depends on, as plain JSON-ready data."""
+    """Everything the result depends on, as plain JSON-ready data.
+
+    The source constants (frontend geometry, low-counter sets, thread
+    count, counter maximum) reach it through the program digest in each
+    stream key's ``describe()``.
+    """
     pipeline_config = config.scaled(trace_length=trace_length)
     smt_config = _smt_config(config, trace_length)
     return {
         "dual_path": [key.describe() for key in suite_stream_keys(pipeline_config)],
         "smt": [key.describe() for key in suite_stream_keys(smt_config)],
-        "frontend": dataclasses.asdict(FrontendConfig()),
         "ct_index_bits": [config.ct_index_bits, smt_config.ct_index_bits],
-        "low_counter_values": list(LOW_COUNTER_VALUES),
-        "smt_low_counter_values": list(SMT_LOW_COUNTER_VALUES),
-        "smt_threads": SMT_THREADS,
-        "counter_maximum": COUNTER_MAXIMUM,
-        "format": PIPELINE_RESULT_FORMAT,
     }
 
 

@@ -13,11 +13,13 @@ Every report :func:`run_all_reports` computes is also a store entry
 (:mod:`repro.sim.diskcache`, ``sweep_results/report-<id>-<digest>.entry``)
 keyed by :func:`report_key`: the
 :func:`~repro.experiments.config.result_identity` of the config (which
-holds the program digest), the experiment id and
-:data:`REPORT_ENTRY_FORMAT`.  The parent looks every requested report
-up before any work and computes only the misses, so a warm run loads no
-stream, folds no statistic and starts no pool, and an edit to any
-source file misses every entry.
+holds the program digest) and the experiment id.  The parent looks every
+requested report up before any work and computes only the misses, so a
+warm run loads no stream, folds no statistic and starts no pool, and an
+edit to any source file misses every entry.  The fabric's report units
+publish and read the same entries through :func:`load_report` and
+:func:`store_report`, so serial and sharded runs replay each other's
+reports.
 """
 
 from __future__ import annotations
@@ -65,12 +67,7 @@ from repro.sim.diskcache import (
 
 T = TypeVar("T")
 
-#: Version of the cached report entry.  Bump it when the entry layout
-#: changes; edits to the code that formats a report already change the
-#: program digest in the key.
-REPORT_ENTRY_FORMAT = 1
-
-#: Counter names and crash-site label of cached reports.
+#: Counter names and crash-site label of report entries.
 REPORT_CACHE = EntryFamily("store_report_cache", "report_cache.disk_hits",
                            "report_cache.disk_misses", "report_cache.disk_corrupt",
                            "report_cache.stores", "report_cache.store_errors")
@@ -262,24 +259,24 @@ def report_key(experiment_id: str, config: ExperimentConfig) -> Dict[str, Any]:
     """Store key of one cached report (see the module docstring)."""
     key = result_identity(config)
     key["experiment_id"] = experiment_id
-    key["format"] = REPORT_ENTRY_FORMAT
     return key
 
 
 def _report_entry_path(key: Dict[str, Any]) -> Path:
-    """Store path of the report cached under ``key``."""
+    """Store path of the report stored under ``key``."""
     return sweep_cache_dir() / f"report-{key['experiment_id']}-{key_digest(key)[:16]}{ENTRY_SUFFIX}"
 
 
-def _load_report(
+def load_report(
     experiment_id: str, config: ExperimentConfig
 ) -> Optional[ExperimentReport]:
     """The stored report of ``experiment_id`` under ``config``, or None.
 
-    A hit's ``seconds`` is the time the load took, so it never claims
-    work that did not run.  An entry whose text is not one unicode
-    string, or whose stored id differs from the key's, is dropped as
-    corrupt.
+    Reads the store even when ``REPRO_CACHE_DISABLE`` is set; deciding
+    whether to look is the caller's job.  A hit's ``seconds`` is the
+    time the load took, so it never claims work that did not run.  An
+    entry whose text is not one unicode string, or whose stored id
+    differs from the key's, is dropped as corrupt.
     """
     key = report_key(experiment_id, config)
 
@@ -297,8 +294,12 @@ def _load_report(
     return None if report is None else dataclasses.replace(report, seconds=seconds)
 
 
-def _store_report(report: ExperimentReport, config: ExperimentConfig) -> Optional[Path]:
-    """Persist ``report`` under its key; the path, or None on failure."""
+def store_report(report: ExperimentReport, config: ExperimentConfig) -> Optional[Path]:
+    """Persist ``report`` under its key; the path, or None on failure.
+
+    Writes even when ``REPRO_CACHE_DISABLE`` is set (see
+    :func:`load_report`).
+    """
     key = report_key(report.experiment_id, config)
     fields = {"experiment_id": report.experiment_id, "description": report.description}
     return put(REPORT_CACHE, _report_entry_path(key), key, {"text": np.array(report.text)}, fields)
@@ -311,13 +312,14 @@ def run_all_reports(
 ) -> List[ExperimentReport]:
     """Reports for several experiments, optionally over a process pool.
 
-    Every requested report is first looked up in the store (unless
-    ``REPRO_CACHE_DISABLE`` is set); only the misses are computed, and
-    the parent stores each computed report.  ``jobs`` defaults to
-    ``config.jobs``.  With two or more misses and ``jobs > 1`` they go
-    to a pool whose workers run with ``config.jobs`` forced to 1 (the
-    pool already provides the parallelism) and populate the shared
-    persistent stream cache; reports come back in the requested order,
+    Every requested report is first looked up in the store; only the
+    misses are computed, and the parent stores each computed report.
+    With ``REPRO_CACHE_DISABLE`` set it neither reads nor writes a
+    report entry.  ``jobs`` defaults to ``config.jobs``.  With two or
+    more misses and ``jobs > 1`` they go to a pool whose workers run
+    with ``config.jobs`` forced to 1 (the pool already provides the
+    parallelism) and populate the shared persistent stream cache;
+    reports come back in the requested order,
     byte-identical to a serial run.  The pool is fault-tolerant
     (:func:`repro.utils.resilient.resilient_map`): crashed workers are
     re-run, slow ones time out and retry per
@@ -335,7 +337,7 @@ def run_all_reports(
     reports: Dict[str, ExperimentReport] = {}
     if cached:
         for experiment_id in ids:
-            report = _load_report(experiment_id, config)
+            report = load_report(experiment_id, config)
             if report is not None:
                 reports[experiment_id] = report
     missing = [experiment_id for experiment_id in ids if experiment_id not in reports]
@@ -355,6 +357,6 @@ def run_all_reports(
         )
     for report in computed:
         if cached:
-            _store_report(report, config)
+            store_report(report, config)
         reports[report.experiment_id] = report
     return [reports[experiment_id] for experiment_id in ids]

@@ -8,13 +8,14 @@ they already share:
 * the **content-keyed disk cache** (:mod:`repro.sim.diskcache`) is the
   artifact store: a work unit is *done* exactly when its cache entries
   exist (the same cheap peek the parallel runner uses) or its report
-  artifact loads and verifies, so warm units are skipped fleet-wide;
+  entry, the one serial ``run-all`` writes too, loads and verifies, so
+  warm units are skipped fleet-wide;
 * **atomic lease files** (:mod:`repro.fabric.leases`) make cold units
   exclusive: a worker claims a unit by ``O_EXCL``-creating its lease, and
   a straggler's abandoned lease is taken over by any peer once its
   heartbeat goes stale (work stealing);
 * the **merge** (:mod:`repro.fabric.runtime`) folds per-experiment
-  report artifacts in registry order, so the combined output is
+  report entries in registry order, so the combined output is
   byte-identical to a serial ``repro run-all`` at any shard count.
 
 The package splits into :mod:`~repro.fabric.leases` (claim protocol),

@@ -14,8 +14,10 @@ A ``repro run-all`` decomposes into two layers of cacheable work:
   that keeps warm in-process runs pool-free.
 * **Report units** — one per registered experiment.  Computing a report
   replays the (now warm) stream tiers and folds statistics; its artifact
-  is a verified entry of the :mod:`repro.sim.diskcache` store in the
-  fabric directory, keyed by the plan digest and the experiment id.
+  is the report entry serial ``run-all`` writes too
+  (:func:`repro.experiments.registry.store_report`, keyed by the
+  config's result identity and the experiment id), so a fabric over a
+  cache a serial run filled computes no report.
 
 Report units depend on the stream units of the geometry they read, so
 the claim scheduler never starts an experiment whose streams another
@@ -25,8 +27,7 @@ exactly once fleet-wide" hold even under work stealing.
 The plan (unit list, dependency edges, unit order) is a pure function of
 ``(config, experiment ids)``; :func:`plan_digest` names the fabric
 directory after those and the program digest, so two different runs, or
-one run before and after a code edit, can never share leases or
-artifacts.
+one run before and after a code edit, can never share leases.
 """
 
 from __future__ import annotations
@@ -40,10 +41,6 @@ from repro.experiments.ablation_trace_length import DEFAULT_LENGTHS
 from repro.experiments.config import ExperimentConfig, result_identity
 from repro.experiments.extension_pipeline import PIPELINE_TRACE_LENGTH
 from repro.experiments.runner import _stream_request
-
-#: Bump when the plan layout (unit naming, artifact layout) changes; the
-#: digest then changes, so mixed-version fleets never share a directory.
-FABRIC_PLAN_FORMAT = 4
 
 #: Experiments that read the Section 5.3 small-predictor geometry in
 #: addition to / instead of the default one.  Kept as data here (rather
@@ -242,12 +239,11 @@ def plan_digest(
     ``--shards 1`` resume land in the same directory; every
     result-relevant field (suite, lengths, seeds, geometry, chunk size)
     and the program digest are included, so nothing can alias, and a
-    run after a code edit starts a fresh directory instead of merging
-    the old reports.
+    run after a code edit (a new plan layout included) starts a fresh
+    directory.
     """
     payload = result_identity(config)
     payload["experiment_ids"] = list(experiment_ids)
-    payload["format"] = FABRIC_PLAN_FORMAT
     canonical = json.dumps(payload, sort_keys=True, default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()[:16]
 

@@ -4,10 +4,10 @@ A worker is one process running :func:`run_worker` over the shared plan.
 It repeatedly walks the unit list (rotated by shard id so shards start
 their scans at different units), and for each unit either
 
-* observes it **done** — its cache entries exist, or its report
-  artifact loads and verifies, published by this fleet or any earlier
-  run (``fabric.warm_skips`` when someone else did the work; a corrupt
-  report is dropped and the unit is claimed again);
+* observes it **done** — its cache entries exist, or its report entry
+  loads and verifies, published by this fleet, an earlier fleet or a
+  serial ``run-all`` (``fabric.warm_skips`` when someone else did the
+  work; a corrupt report is dropped and the unit is claimed again);
 * observes its **deps unmet** and moves on;
 * **claims** it through :func:`repro.fabric.leases.try_acquire_lease`
   and computes it under a heartbeat, with
@@ -17,11 +17,14 @@ When a pass over the list neither completes nor claims anything, the
 worker sleeps ``poll_seconds`` and rescans — that is how it waits for a
 peer to finish a dependency, and how it eventually takes over a stale
 lease.  Workers produce *only* filesystem artifacts (cache entries,
-report entries in the :mod:`repro.sim.diskcache` store, a metrics
-snapshot); stdout is reserved for the merge.
+the report entries of :func:`repro.experiments.registry.store_report`,
+a metrics snapshot); stdout is reserved for the merge.  Report entries
+are the fabric's outputs, so they are read and written even when
+``REPRO_CACHE_DISABLE`` is set.  The fabric directory holds only
+leases, metrics snapshots and the plan manifest.
 
 The merge (:func:`merge_reports_text`) folds the per-experiment report
-artifacts in registry order into exactly the byte stream the serial
+entries in registry order into exactly the byte stream the serial
 ``repro run-all`` prints, at any shard count.
 """
 
@@ -34,12 +37,11 @@ import sys
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
-
-import numpy as np
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from repro import observability
 from repro.experiments.config import ExperimentConfig
+from repro.experiments.registry import load_report, run_experiment_report, store_report
 from repro.fabric.leases import (
     DEFAULT_HEARTBEAT_SECONDS,
     DEFAULT_LEASE_TTL_SECONDS,
@@ -54,15 +56,8 @@ from repro.fabric.plan import (
     static_partition,
 )
 from repro.sim.cache import has_disk_entry, warm_stream_entries
-from repro.sim.diskcache import ENTRY_SUFFIX, EntryFamily, cache_root, get, publish, put
+from repro.sim.diskcache import fabric_cache_dir, publish
 from repro.utils.resilient import retry_call
-
-#: Version stamp of the on-disk fabric directory layout.
-FABRIC_FORMAT = "repro-fabric/2"
-
-#: Counter names and crash-site label of report artifacts in the store.
-REPORTS = EntryFamily("store_report", "fabric.report_hits", "fabric.report_misses",
-                      "fabric.report_corrupt", "fabric.report_stores", "fabric.report_store_errors")
 
 #: Default seconds between rescans while waiting on peers.
 DEFAULT_POLL_SECONDS = 0.2
@@ -108,27 +103,11 @@ class WorkerResult:
 
 def default_fabric_dir(config: ExperimentConfig, experiment_ids: Sequence[str]) -> Path:
     """Per-plan fabric directory under the shared cache root."""
-    return cache_root() / "fabric" / plan_digest(config, experiment_ids)
+    return fabric_cache_dir() / plan_digest(config, experiment_ids)
 
 
 def _leases_dir(fabric_dir: Path) -> Path:
     return fabric_dir / "leases"
-
-
-def _report_entry(
-    fabric_dir: Path, digest: str, experiment_id: str
-) -> Tuple[Path, Dict[str, str]]:
-    """Store path and key of one report artifact."""
-    path = fabric_dir / "reports" / f"{experiment_id}{ENTRY_SUFFIX}"
-    return path, {"plan": digest, "experiment_id": experiment_id}
-
-
-def _load_report(
-    fabric_dir: Path, digest: str, experiment_id: str
-) -> Optional[Dict[str, Any]]:
-    """The verified report artifact, or None when missing or corrupt."""
-    path, key = _report_entry(fabric_dir, digest, experiment_id)
-    return get(REPORTS, path, key, lambda arrays, fields: dict(fields, text=str(arrays["text"])))
 
 
 def _publish_json(path: Path, payload: Dict[str, object]) -> None:
@@ -136,24 +115,19 @@ def _publish_json(path: Path, payload: Dict[str, object]) -> None:
     publish(path, lambda handle: handle.write(text.encode("utf-8")))
 
 
-def _unit_done(config: ExperimentConfig, digest: str, fabric_dir: Path, unit: WorkUnit) -> bool:
+def _unit_done(config: ExperimentConfig, unit: WorkUnit) -> bool:
     if unit.kind == "stream":
         return has_disk_entry(chunk_size=config.chunk_size, **unit.request)
-    return _load_report(fabric_dir, digest, unit.experiment_id) is not None
+    return load_report(unit.experiment_id, config) is not None
 
 
-def _compute_unit(config: ExperimentConfig, digest: str, fabric_dir: Path, unit: WorkUnit) -> None:
+def _compute_unit(config: ExperimentConfig, unit: WorkUnit) -> None:
     if unit.kind == "stream":
         warm_stream_entries(config.chunk_size, unit.request)
         return
-    from repro.experiments.registry import run_experiment_report
-
     report = run_experiment_report(unit.experiment_id, config)
-    path, key = _report_entry(fabric_dir, digest, unit.experiment_id)
-    fields = {"experiment_id": report.experiment_id,
-              "description": report.description, "seconds": report.seconds}
-    if put(REPORTS, path, key, {"text": np.array(report.text)}, fields) is None:
-        raise OSError(f"could not publish report artifact {path}")
+    if store_report(report, config) is None:
+        raise OSError(f"could not publish the report entry of {unit.experiment_id!r}")
 
 
 def _rotated(units: Sequence[WorkUnit], shard_id: int) -> List[WorkUnit]:
@@ -190,7 +164,6 @@ def run_worker(
     if not (0 <= options.shard_id < options.shards):
         raise ValueError("--shard-id must be in [0, --shards)")
     plan = build_plan(config, experiment_ids)
-    digest = plan_digest(config, experiment_ids)
     fabric_dir = options.fabric_dir or default_fabric_dir(config, experiment_ids)
     fabric_dir.mkdir(parents=True, exist_ok=True)
     owner = options.resolved_owner()
@@ -209,7 +182,7 @@ def run_worker(
         for dep in unit.deps:
             if dep in done:
                 continue
-            if _unit_done(config, digest, fabric_dir, plan.unit(dep)):
+            if _unit_done(config, plan.unit(dep)):
                 done.add(dep)
                 continue
             return False
@@ -226,7 +199,7 @@ def run_worker(
         progressed = False
         remaining: List[WorkUnit] = []
         for unit in pending:
-            if _unit_done(config, digest, fabric_dir, unit):
+            if _unit_done(config, unit):
                 done.add(unit.name)
                 if unit.name not in result.computed:
                     observability.increment("fabric.warm_skips")
@@ -253,13 +226,13 @@ def run_worker(
             with lease:
                 # The previous owner may have published and released
                 # between our done-check and the claim.
-                if _unit_done(config, digest, fabric_dir, unit):
+                if _unit_done(config, unit):
                     done.add(unit.name)
                     observability.increment("fabric.warm_skips")
                     result.skipped_warm.append(unit.name)
                 else:
                     retry_call(
-                        lambda: _compute_unit(config, digest, fabric_dir, unit),
+                        lambda: _compute_unit(config, unit),
                         max_retries=config.max_retries,
                     )
                     done.add(unit.name)
@@ -301,7 +274,6 @@ def run_worker(
     _publish_json(
         fabric_dir / "metrics" / metrics_name,
         {
-            "format": FABRIC_FORMAT,
             "owner": owner,
             "shard_id": options.shard_id,
             "shards": options.shards,
@@ -315,48 +287,36 @@ def run_worker(
     return result
 
 
-def fabric_complete(
-    config: ExperimentConfig,
-    experiment_ids: Sequence[str],
-    fabric_dir: Path,
-) -> bool:
-    """True when every report artifact of the plan is published and verifies.
+def fabric_complete(config: ExperimentConfig, experiment_ids: Sequence[str]) -> bool:
+    """True when every report entry of the plan is published and verifies.
 
-    A corrupt artifact is dropped on the way, so the plan reads as
+    A corrupt entry is dropped on the way, so the plan reads as
     incomplete until a worker recomputes it.
     """
-    digest = plan_digest(config, experiment_ids)
     return all(
-        _load_report(fabric_dir, digest, experiment_id) is not None
+        load_report(experiment_id, config) is not None
         for experiment_id in experiment_ids
     )
 
 
-def merge_reports_text(
-    config: ExperimentConfig, experiment_ids: Sequence[str], fabric_dir: Path
-) -> str:
-    """Fold report artifacts in registry order, byte-identical to serial.
+def merge_reports_text(config: ExperimentConfig, experiment_ids: Sequence[str]) -> str:
+    """Fold report entries in registry order, byte-identical to serial.
 
     The serial ``repro run-all`` prints, per report, a header line, the
     report text, and a blank line; this reproduces that stream exactly,
     so ``diff`` against a serial golden is the fabric's equivalence
-    oracle.  Every artifact is verified first; a missing or corrupt one
+    oracle.  Every entry is verified first; a missing or corrupt one
     (corrupt ones are dropped) raises ``FileNotFoundError``.
     """
-    digest = plan_digest(config, experiment_ids)
     pieces: List[str] = []
     for experiment_id in experiment_ids:
-        payload = _load_report(fabric_dir, digest, experiment_id)
-        if payload is None:
+        report = load_report(experiment_id, config)
+        if report is None:
             raise FileNotFoundError(
-                f"fabric merge: report artifact missing or corrupt for "
-                f"'{experiment_id}' ({_report_entry(fabric_dir, digest, experiment_id)[0]}); "
+                f"fabric merge: report entry missing or corrupt for '{experiment_id}'; "
                 f"run more workers or `repro fabric status` to see what is pending"
             )
-        pieces.append(
-            f"=== {payload['experiment_id']}: {payload['description']}\n"
-            f"{payload['text']}\n\n"
-        )
+        pieces.append(f"=== {report.experiment_id}: {report.description}\n{report.text}\n\n")
     return "".join(pieces)
 
 
@@ -372,7 +332,7 @@ def fabric_status(
     lines = [f"fabric {digest} at {directory}"]
     done = 0
     for unit in plan.units:
-        if _unit_done(config, digest, directory, unit):
+        if _unit_done(config, unit):
             state = "done"
             done += 1
         else:
@@ -396,7 +356,6 @@ def write_plan_manifest(
 ) -> Path:
     """Persist the plan inputs so spawned workers rebuild it bit-identically."""
     payload = {
-        "format": FABRIC_FORMAT,
         "digest": plan_digest(config, experiment_ids),
         "config": dataclasses.asdict(config),
         "experiment_ids": list(experiment_ids),
@@ -484,9 +443,9 @@ def launch_fabric(
                 f"shard {shard_id} exited {proc.returncode}:\n  "
                 + "\n  ".join(tail)
             )
-    if failures and not fabric_complete(config, experiment_ids, directory):
+    if failures and not fabric_complete(config, experiment_ids):
         raise RuntimeError(
             "fabric launch failed and the plan is incomplete:\n"
             + "\n".join(failures)
         )
-    return merge_reports_text(config, experiment_ids, directory)
+    return merge_reports_text(config, experiment_ids)

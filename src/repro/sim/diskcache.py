@@ -4,8 +4,8 @@ The predictor sweep is the only sequential-in-Python stage of the fast
 path; :mod:`repro.sim.cache` memoizes it per process, and this module
 persists whole-trace streams, stream chunks and grid results across
 processes as content-keyed entries.  ``extension-pipeline`` results
-and ``run-all``'s cached reports (both in ``sweep_results/``) and the
-fabric's report artifacts use the same store.
+and the experiment reports (both in ``sweep_results/``) use the same
+store; serial ``run-all`` and the fabric share the report entries.
 
 * **One put, one get.**  :func:`put` writes every entry: named arrays
   plus a header holding the key, scalar fields, and one SHA-256
@@ -20,9 +20,14 @@ fabric's report artifacts use the same store.
   integer, float and unicode dtypes are accepted, and the declared
   sizes must add up to the decompressed body exactly, so nothing read
   from the store can unpickle or over-read.
-* **Content keys.**  :class:`StreamKey` captures everything the sweep
-  depends on plus :data:`STREAM_CACHE_FORMAT`; its digest names the
-  file, so format bumps and config changes can never alias.
+* **One staleness rule.**  Every key holds :func:`program_digest`, a
+  digest of numpy's version and every source file of ``repro``.
+  :class:`StreamKey` (and the chunk, sweep and pipeline keys built on
+  its ``describe()``) captures everything the sweep depends on plus
+  that digest, and its digest names the file, so neither a config
+  change nor an edit to the code or a workload definition can alias.
+  After any source edit every entry misses; the old ones stay on disk
+  until ``repro cache clear``.
 * **Compact arrays.**  Streams, chunks and carried predictor tables
   store their int64 arrays at the smallest unsigned dtype that holds
   them and widen them back on decode; sweep results store only their
@@ -37,17 +42,22 @@ fabric's report artifacts use the same store.
 The cache directory defaults to ``~/.cache/repro-branch-confidence``
 (respecting ``XDG_CACHE_HOME``) and is overridden with the
 ``REPRO_CACHE_DIR`` environment variable; setting ``REPRO_CACHE_DISABLE``
-to a non-empty value other than ``0`` turns the five cache families
-off.  Fabric reports are outputs, not cache, so it does not touch them.
+to a non-empty value other than ``0`` turns the cache off: serial runs
+then neither read nor write any entry.  Fabric report units still read
+and write their report entries, because the reports are the fabric's
+outputs.  ``repro cache stats`` and ``clear`` also cover the fabric's
+lease, metrics and plan files under ``fabric/``.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
 import json
 import math
 import os
+import shutil
 import struct
 import tempfile
 import time
@@ -68,14 +78,12 @@ if TYPE_CHECKING:  # analysis imports sim; keep the runtime edge one-way
 
 T = TypeVar("T")
 
-#: Bump when the on-disk layout or the sweep semantics change; old
-#: entries then simply miss (different digest) instead of being misread.
-STREAM_CACHE_FORMAT = 4
-
 #: First bytes of every entry file; the last byte is the frame version.
+#: It rejects files that are not entries; staleness is the program
+#: digest's job.
 ENTRY_MAGIC = b"REPROST\x04"
 
-#: File suffix of every entry, in each cache tier and the fabric's reports.
+#: File suffix of every entry, in each cache tier.
 ENTRY_SUFFIX = ".entry"
 
 #: Suffix of the zip-container entries of store format 3; leftovers are
@@ -102,6 +110,7 @@ CACHE_DISABLE_ENV = "REPRO_CACHE_DISABLE"
 _STREAMS_SUBDIR = "predictor_streams"
 _CHUNKS_SUBDIR = "stream_chunks"
 _SWEEPS_SUBDIR = "sweep_results"
+_FABRIC_SUBDIR = "fabric"
 
 #: Store attempts retried on OSError before the write is given up.
 STORE_RETRIES = 2
@@ -145,13 +154,13 @@ class StreamKey:
     gcir_bits: int
 
     def describe(self) -> dict:
-        """The key as a plain dict, including the format version.
+        """The key as a plain dict, including the program digest.
 
         Every field is a scalar, so a shallow dict is what
         ``dataclasses.asdict`` would build, without its deep copies.
         """
         payload = {f.name: getattr(self, f.name) for f in dataclasses.fields(self)}
-        payload["format"] = STREAM_CACHE_FORMAT
+        payload["program"] = program_digest()
         return payload
 
     def digest(self) -> str:
@@ -233,6 +242,25 @@ def publish(
 def key_digest(key: Dict[str, Any]) -> str:
     """SHA-256 of a JSON key's canonical form; names the entry's file."""
     return hashlib.sha256(json.dumps(key, sort_keys=True).encode("utf-8")).hexdigest()
+
+
+@functools.lru_cache(maxsize=None)
+def program_digest() -> str:
+    """SHA-256 over numpy's version and every ``*.py`` file of ``repro``.
+
+    Each file contributes its path relative to the package root and its
+    bytes, in path order, so any edit to the code or to a workload
+    definition (``workloads/ibs.py``) changes the digest.  Computed once
+    per process.
+    """
+    root = Path(__file__).resolve().parents[1]
+    digest = hashlib.sha256(f"numpy {np.__version__}\n".encode("utf-8"))
+    for path in sorted(root.rglob("*.py"), key=lambda item: item.relative_to(root).as_posix()):
+        relative = path.relative_to(root).as_posix().encode("utf-8")
+        source = path.read_bytes()
+        digest.update(b"%d:%s%d:" % (len(relative), relative, len(source)))
+        digest.update(source)
+    return digest.hexdigest()
 
 
 def _checksum(arrays: Dict[str, np.ndarray], fields: Dict[str, Any]) -> str:
@@ -589,12 +617,18 @@ def load_cached_sweep(key: SweepKey) -> "Optional[List[BucketStatistics]]":
     return get(SWEEPS, sweep_entry_path(key), key.describe(), decode)
 
 
+def fabric_cache_dir() -> Path:
+    """Directory holding one fabric directory per plan (leases, metrics, plan)."""
+    return cache_root() / _FABRIC_SUBDIR
+
+
 def _tier_directories() -> "Tuple[Tuple[str, Path], ...]":
-    """The three cache tiers, in storage-layout order, with their names."""
+    """The four cache tiers, in storage-layout order, with their names."""
     return (
         (_STREAMS_SUBDIR, stream_cache_dir()),
         (_CHUNKS_SUBDIR, chunk_cache_dir()),
         (_SWEEPS_SUBDIR, sweep_cache_dir()),
+        (_FABRIC_SUBDIR, fabric_cache_dir()),
     )
 
 
@@ -623,7 +657,8 @@ class DiskCacheStats:
     #: format-3 ``.npz`` entries; invisible to lookups but reclaimed by
     #: ``repro cache clear``.
     stale_tmp: int = 0
-    #: Per-tier breakdown (streams, chunks, sweep results), in layout order.
+    #: Per-tier breakdown (streams, chunks, sweep results, fabric), in
+    #: layout order.
     tiers: "Tuple[TierStats, ...]" = ()
 
     def format(self) -> str:
@@ -645,13 +680,24 @@ class DiskCacheStats:
 
 
 def _tier_files(directory: Path) -> List[Path]:
-    """The published entries, stray temp files and legacy entries of one tier."""
+    """The published entries, stray temp files and legacy entries of one tier.
+
+    The fabric tier holds one directory per plan; every file in it (a
+    lease, a metrics snapshot, the plan manifest) is one of its entries.
+    """
     if not directory.is_dir():
         return []
+    if directory.name == _FABRIC_SUBDIR:
+        return [item for item in directory.rglob("*") if item.is_file()]
     return [
         item for item in directory.iterdir()
         if item.suffix in (ENTRY_SUFFIX, ".tmp", _LEGACY_SUFFIX)
     ]
+
+
+def _is_stale(item: Path) -> bool:
+    """True for a stray temp file or a format-3 leftover."""
+    return item.suffix in (".tmp", _LEGACY_SUFFIX)
 
 
 def _scan_tier(name: str, directory: Path) -> TierStats:
@@ -661,13 +707,14 @@ def _scan_tier(name: str, directory: Path) -> TierStats:
             total_bytes += item.stat().st_size
         except OSError:
             continue
-        entries += item.suffix == ENTRY_SUFFIX
-        stale_tmp += item.suffix != ENTRY_SUFFIX
+        stale = _is_stale(item)
+        stale_tmp += stale
+        entries += not stale
     return TierStats(name, entries, total_bytes, stale_tmp)
 
 
 def disk_cache_stats() -> DiskCacheStats:
-    """Entry count and footprint across all cache tiers (full + chunk + sweep).
+    """Entry count and footprint across all cache tiers (full + chunk + sweep + fabric).
 
     ``.tmp`` leftovers and format-3 ``.npz`` entries are counted
     separately as ``stale_tmp`` (and included in the total footprint), so ``repro cache stats`` reports exactly what ``clear``
@@ -692,7 +739,7 @@ def clear_disk_cache_by_tier() -> "Dict[str, int]":
 
     Returns a mapping of tier name to the number of *entries* removed
     (temp and format-3 leftovers are reclaimed too but not counted as
-    entries).
+    entries).  The emptied fabric directories go too.
     """
     removed: "Dict[str, int]" = {}
     for name, directory in _tier_directories():
@@ -702,7 +749,8 @@ def clear_disk_cache_by_tier() -> "Dict[str, int]":
                 item.unlink()
             except OSError:
                 continue
-            removed[name] += item.suffix == ENTRY_SUFFIX
+            removed[name] += not _is_stale(item)
+    shutil.rmtree(fabric_cache_dir(), ignore_errors=True)
     return removed
 
 

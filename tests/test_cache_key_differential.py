@@ -19,6 +19,12 @@ The warm copy holds no cached report: those would answer before any
 stream or grid entry is read, and ``tests/test_report_entry_key.py``
 covers their key.
 
+Every entry is also keyed by the program digest, so an edit to the code
+or to a workload definition reaches every family: with the digest
+changed, a warm run over a cache holding stream, chunk, sweep, pipeline
+and report entries hits none of them (its hits are those a cold run
+makes on what it wrote itself) and prints the cold reports.
+
 A self-check pins ``seed=0`` inside the key builders and asserts that
 the checker then flags ``seed``.
 """
@@ -33,10 +39,10 @@ from typing import Dict, List, Tuple
 import pytest
 
 from repro import observability
-from repro.experiments import runner
+from repro.experiments import extension_pipeline, runner
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import run_all_reports
-from repro.sim import cache
+from repro.sim import cache, diskcache
 from repro.sim.cache import clear_stream_cache
 from repro.sim.diskcache import ENTRY_SUFFIX
 
@@ -201,3 +207,54 @@ def test_checker_flags_a_key_that_ignores_seed(check, monkeypatch):
     )
     problems = check("seed")
     assert any("seed: a warm run" in problem for problem in problems), problems
+
+
+#: A short pipeline run, so the digest case has a pipeline entry.
+PIPELINE_LENGTH = 400
+
+#: The entry files of every family, by its counter prefix.
+FAMILIES = {
+    "stream_cache.disk": "predictor_streams/*",
+    "stream_cache.chunk": "stream_chunks/*",
+    "sweep_cache.disk": "sweep_results/*-g*",
+    "pipeline_cache.disk": "sweep_results/pipeline-*",
+    "report_cache.disk": "sweep_results/report-*",
+}
+
+
+def every_family(
+    cache_dir: Path, monkeypatch: pytest.MonkeyPatch
+) -> "Tuple[Tuple[str, ...], Dict[str, int]]":
+    """Reports read through every family, and each family's disk hits.
+
+    The base run reads the chunk tier; ``fig2``, whose grid the base run
+    does not sweep, reads the whole-trace tier.  Each part starts with an
+    empty stream memo, as a fresh process would.
+    """
+    observability.reset_metrics()
+    reports = run_reports(BASE, cache_dir, monkeypatch)
+    clear_stream_cache()
+    reports += tuple(report.text for report in run_all_reports(
+        BASE.scaled(chunk_size=None), experiment_ids=("fig2",)))
+    clear_stream_cache()
+    reports += (extension_pipeline.run(BASE, trace_length=PIPELINE_LENGTH).format(),)
+    counters = observability.snapshot()["counters"]
+    hits = {family: counters.get(f"{family}_hits", 0) for family in FAMILIES}
+    return reports, hits
+
+
+def test_program_digest_reaches_every_family(base_run, tmp_path, monkeypatch):
+    base_cache, _ = base_run
+    cold, cold_hits = every_family(tmp_path / "cold", monkeypatch)
+    warm_cache = tmp_path / "warm"
+    shutil.copytree(base_cache, warm_cache)
+    assert every_family(warm_cache, monkeypatch)[0] == cold
+    for pattern in FAMILIES.values():
+        assert list(warm_cache.glob(pattern + ENTRY_SUFFIX)), pattern
+
+    monkeypatch.setattr(diskcache, "program_digest", lambda: "edited")
+    edited, edited_hits = every_family(warm_cache, monkeypatch)
+    assert edited == cold
+    # A cold run reads back what it wrote itself; beyond that, no entry
+    # of the old program is hit.
+    assert edited_hits == cold_hits

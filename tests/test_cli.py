@@ -278,6 +278,26 @@ class TestCachePath:
         assert f"path:    {root}\n" in capsys.readouterr().out
 
 
+class TestCacheClearFabric:
+    """``cache stats`` counts a fabric run's directory; ``clear`` removes it."""
+
+    def test_clear_removes_the_fabric_directory(self, cache_dir, capsys):
+        assert main([
+            "run-all", "--benchmarks", "gcc", "--length", "2000",
+            "--experiments", "fig2", "table1", "--shards", "1", "--shard-id", "0",
+        ]) == 0
+        fabric = cache_dir / "fabric"
+        files = [path for path in fabric.rglob("*") if path.is_file()]
+        assert [path.name for path in files] == ["shard0.json"]
+        capsys.readouterr()
+        assert main(["cache", "stats"]) == 0
+        assert "tier fabric: 1 entries" in capsys.readouterr().out
+        assert main(["cache", "clear"]) == 0
+        assert "  fabric: 1\n" in capsys.readouterr().out
+        assert not fabric.exists()
+        assert not [path for path in cache_dir.rglob("*") if path.is_file()]
+
+
 class TestClosedStdout:
     def test_closed_pipe_exits_quietly(self, tmp_path):
         # The reader is gone before the first write, as after ``| head``.

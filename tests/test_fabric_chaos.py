@@ -36,7 +36,7 @@ CORRUPT_COUNTERS = (
     "stream_cache.disk_corrupt",
     "stream_cache.chunk_corrupt",
     "sweep_cache.disk_corrupt",
-    "fabric.report_corrupt",
+    "report_cache.disk_corrupt",
 )
 TTL_SECONDS = 1.0
 
@@ -101,7 +101,7 @@ def test_killed_worker_and_corrupt_entries_leave_a_golden_merge(tmp_path, monkey
         clear_stream_cache()
         observability.reset_metrics()
 
-    assert merge_reports_text(CONFIG, IDS, fabric_dir) == golden
+    assert merge_reports_text(CONFIG, IDS) == golden
     units = len(build_plan(CONFIG, IDS).units)
     assert f"{units}/{units} units done" in fabric_status(CONFIG, IDS, fabric_dir)
     assert len(result.computed) == len(set(result.computed))

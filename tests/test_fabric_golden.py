@@ -5,10 +5,13 @@ is the same byte stream whether it was produced serially, by a single
 ``--shards 1`` worker, or by a multi-worker fleet — at every chunk-size
 regime (per-branch chunks, the default 1024, and monolithic full-stream
 entries) — and that a cold fleet computes every work unit exactly once.
+Serial and sharded runs share one family of report entries, so each
+replays the other's reports.
 """
 
 import json
 import multiprocessing
+from pathlib import Path
 
 import pytest
 
@@ -19,6 +22,7 @@ from repro.experiments.registry import run_all_reports
 from repro.fabric.plan import build_plan
 from repro.fabric.runtime import (
     FabricOptions,
+    default_fabric_dir,
     fabric_complete,
     fabric_status,
     merge_reports_text,
@@ -26,7 +30,7 @@ from repro.fabric.runtime import (
     write_plan_manifest,
 )
 from repro.sim.cache import clear_stream_cache
-from repro.sim.diskcache import ENTRY_SUFFIX
+from repro.sim.diskcache import ENTRY_SUFFIX, sweep_cache_dir
 
 #: fig10 reads the small-predictor geometry, so the plan's dependency
 #: wiring (not just the default-geometry path) is on the line.
@@ -36,6 +40,16 @@ IDS = ["table1", "fig5", "fig10"]
 #: per-branch chunk entries, the default chunk size, and monolithic
 #: full-stream entries.
 REGIMES = [(1, 400), (1024, 2000), (None, 2000)]
+
+#: ``run-all`` flags of the CLI tests.
+CONFIG_FLAGS = [
+    "--benchmarks", "jpeg_play", "gcc",
+    "--length", "2000",
+    "--experiments", *IDS,
+]
+
+#: One fabric shard over :data:`CONFIG_FLAGS`.
+SHARD = ["run-all", "--shards", "1", "--shard-id", "0", *CONFIG_FLAGS]
 
 
 def make_config(chunk_size, length):
@@ -80,8 +94,8 @@ def test_single_shard_matches_serial(chunk_size, length, fresh_cache):
     result = run_worker(
         config, IDS, FabricOptions(shards=1, fabric_dir=fabric_dir)
     )
-    assert fabric_complete(config, IDS, fabric_dir)
-    assert merge_reports_text(config, IDS, fabric_dir) == golden
+    assert fabric_complete(config, IDS)
+    assert merge_reports_text(config, IDS) == golden
     # A cold single shard computes everything and warm-skips nothing.
     plan = build_plan(config, IDS)
     assert sorted(result.computed) == sorted(u.name for u in plan.units)
@@ -114,7 +128,7 @@ def test_three_worker_fleet_matches_serial(chunk_size, length, fresh_cache):
                 ),
             )
             computed.extend(result.computed)
-    assert merge_reports_text(config, IDS, fabric_dir) == golden
+    assert merge_reports_text(config, IDS) == golden
     # Exactly once fleet-wide: no unit computed twice, none missed.
     assert sorted(computed) == sorted(u.name for u in plan.units)
 
@@ -179,7 +193,7 @@ def test_two_concurrent_stealing_workers_compute_each_unit_once(fresh_cache):
     fleet = computed[0] + computed[1]
     assert len(fleet) == len(set(fleet)), "a unit was computed twice"
     assert sorted(fleet) == sorted(u.name for u in plan.units)
-    assert merge_reports_text(config, IDS, fabric_dir) == golden
+    assert merge_reports_text(config, IDS) == golden
 
 
 def rerun_a_finished_fabric(tmp_path, monkeypatch=None):
@@ -208,45 +222,70 @@ def test_warm_fabric_pass_is_pool_free_and_computes_nothing(fresh_cache):
 
 
 def test_run_all_shards_cli_matches_serial(fresh_cache, capsys):
-    config_flags = [
-        "--benchmarks", "jpeg_play", "gcc",
-        "--length", "2000",
-        "--experiments", *IDS,
-    ]
     fresh_cache("serial")
-    assert main(["run-all", *config_flags]) == 0
+    assert main(["run-all", *CONFIG_FLAGS]) == 0
     golden = capsys.readouterr().out
 
     fresh_cache("sharded")
-    assert main(["run-all", "--shards", "1", *config_flags]) == 0
+    assert main(["run-all", "--shards", "1", *CONFIG_FLAGS]) == 0
     assert capsys.readouterr().out == golden
 
 
+def test_fabric_over_a_serial_cache_computes_no_report(fresh_cache, capsys):
+    fresh_cache("shared")
+    assert main(["run-all", *CONFIG_FLAGS]) == 0
+    golden = capsys.readouterr().out
+
+    observability.reset_metrics()
+    clear_stream_cache()
+    assert main(SHARD) == 0
+    assert capsys.readouterr().out == golden
+    config = make_config(None, 2000)
+    metrics = default_fabric_dir(config, IDS) / "metrics" / "shard0.json"
+    computed = json.loads(metrics.read_text())["computed"]
+    assert not [name for name in computed if name.startswith("report-")], computed
+    assert observability.counter_value("report_cache.stores") == 0
+
+
+def test_serial_run_replays_a_fabric_run(fresh_cache, capsys):
+    fresh_cache("shared")
+    assert main(SHARD) == 0
+    sharded = capsys.readouterr().out
+
+    observability.reset_metrics()
+    clear_stream_cache()
+    assert main(["run-all", *CONFIG_FLAGS]) == 0
+    assert capsys.readouterr().out == sharded
+    assert observability.counter_value("report_cache.disk_hits") == len(IDS)
+    assert observability.counter_value("report_cache.stores") == 0
+
+
+def _report_entry(experiment_id: str) -> Path:
+    (entry,) = sweep_cache_dir().glob(f"report-{experiment_id}-*{ENTRY_SUFFIX}")
+    return entry
+
+
 def test_corrupt_report_is_recomputed_by_cli_and_refused_by_merge(fresh_cache, capsys):
-    config_flags = [
-        "--benchmarks", "jpeg_play", "gcc",
-        "--length", "2000",
-        "--experiments", *IDS,
-    ]
     fresh_cache("serial")
-    assert main(["run-all", *config_flags]) == 0
+    assert main(["run-all", *CONFIG_FLAGS]) == 0
     golden = capsys.readouterr().out
 
     cache = fresh_cache("sharded")
     fabric_flags = ["--fabric-dir", str(cache / "fabric")]
-    shard = ["run-all", "--shards", "1", "--shard-id", "0", *config_flags, *fabric_flags]
+    shard = [*SHARD, *fabric_flags]
     assert main(shard) == 0
     assert capsys.readouterr().out == golden
-    report = cache / "fabric" / "reports" / f"fig5{ENTRY_SUFFIX}"
+    report = _report_entry("fig5")
 
     report.write_bytes(report.read_bytes()[:100])  # truncated on disk
     assert main(shard) == 0
     assert capsys.readouterr().out == golden
-    assert observability.counter_value("fabric.report_corrupt") == 1
+    assert observability.counter_value("report_cache.disk_corrupt") == 1
 
+    report = _report_entry("fig5")
     report.write_bytes(b"not a report")
     with pytest.raises(SystemExit) as exit_info:
-        main(["fabric", "merge", *config_flags, *fabric_flags])
+        main(["fabric", "merge", *CONFIG_FLAGS, *fabric_flags])
     message = str(exit_info.value.code)
     assert "'fig5'" in message and "\n" not in message
     assert capsys.readouterr().out == ""

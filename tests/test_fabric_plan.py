@@ -1,6 +1,5 @@
 """Plan construction: unit identity, dependency wiring, static partition."""
 
-from repro.experiments import config as config_module
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.extension_pipeline import PIPELINE_TRACE_LENGTH
 from repro.experiments.registry import list_experiments
@@ -11,6 +10,7 @@ from repro.fabric.plan import (
     static_partition,
     unit_weight,
 )
+from repro.sim import diskcache
 
 CONFIG = ExperimentConfig(
     benchmarks=("jpeg_play", "gcc"), trace_length=2000, chunk_size=1024
@@ -94,7 +94,7 @@ def test_plan_digest_ignores_execution_knobs_only(monkeypatch):
     assert plan_digest(CONFIG, IDS + ["fig6"]) != base
     # An edit to any source file names a new fabric directory, so a
     # resumed fabric never merges the reports of the old program.
-    monkeypatch.setattr(config_module, "program_digest", lambda: "edited")
+    monkeypatch.setattr(diskcache, "program_digest", lambda: "edited")
     edited = plan_digest(CONFIG, IDS)
     assert edited != base
     assert plan_digest(CONFIG.scaled(jobs=8), IDS) == edited

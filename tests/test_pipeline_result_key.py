@@ -6,27 +6,35 @@ key misses would replay another configuration's result on a warm run,
 and a knob the key holds needlessly would fragment the store.  So, by
 running the experiment over a cache filled by a base run:
 
-* every :class:`~repro.pipeline.FrontendConfig` field, each module
-  constant behind the signals, the trace length and every result-changing
+* a changed program digest, the trace length and every result-changing
   :class:`ExperimentConfig` field must miss the base entry (a new field
   without a perturbation fails the test);
 * every other :class:`ExperimentConfig` field must hit it, and the hit
   must equal a recomputation with the store disabled.
+
+Every :class:`~repro.pipeline.FrontendConfig` field and each module
+constant behind the signals reach the key through the program digest:
+each is one literal line of a source file, so editing it in a copy of
+the package changes the key.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import hashlib
+import re
+import shutil
+import sys
 from pathlib import Path
-from typing import Dict, Tuple
+from types import ModuleType
+from typing import Any, Dict, Tuple
 
 import pytest
 
 from repro import observability
 from repro.experiments import extension_pipeline
 from repro.experiments.config import ExperimentConfig
-from repro.pipeline import FrontendConfig, timing
+from repro.pipeline import FrontendConfig
+from repro.sim import diskcache
 from repro.sim.cache import clear_stream_cache
 
 BASE = ExperimentConfig(benchmarks=("jpeg_play", "gcc"), trace_length=1_000)
@@ -69,11 +77,6 @@ CONFIG_PERTURBATIONS: Dict[str, Tuple[object, bool]] = {
     "task_timeout": (60.0, False),
 }
 
-#: The result format and the SHA-256 of the ``repro/pipeline/timing.py``
-#: it was pinned with.
-TIMING_SOURCE = (1, "d28e17a47a4817e8f672ffd29f5ea3b7430b85439046c850c2bd60b611a631d0")
-
-
 @pytest.fixture
 def base_cache(cache_dir):
     """A cache holding the base run's entry; counters zeroed after it."""
@@ -99,21 +102,47 @@ def test_every_field_and_constant_has_a_perturbation():
         assert getattr(extension_pipeline, name) != value
 
 
-@pytest.mark.parametrize("name", sorted(FRONTEND_PERTURBATIONS))
-def test_frontend_field_reaches_the_key(name, base_cache, monkeypatch):
-    perturbed = dataclasses.replace(
-        FrontendConfig(), **{name: FRONTEND_PERTURBATIONS[name]}
+def key_over_edited_source(
+    module: ModuleType, pattern: str, value: object, tmp_path: Path,
+    monkeypatch: pytest.MonkeyPatch,
+) -> Dict[str, Any]:
+    """The base run's key over a copy of the package whose ``module``
+    source has the value on its one line matching ``pattern`` replaced."""
+    package = Path(diskcache.__file__).resolve().parents[1]
+    copy = tmp_path / "repro"
+    shutil.copytree(package, copy, ignore=shutil.ignore_patterns("__pycache__"))
+    source = copy / Path(str(module.__file__)).resolve().relative_to(package)
+    text, count = re.subn(
+        pattern, lambda match: f"{match.group(1)}{value!r}", source.read_text(),
+        flags=re.MULTILINE,
     )
-    monkeypatch.setattr(extension_pipeline, "FrontendConfig", lambda: perturbed)
-    extension_pipeline.run(BASE, trace_length=LENGTH)
-    assert_miss()
+    assert count == 1, f"{pattern!r} is not one line of {source.name}"
+    source.write_text(text)
+    monkeypatch.setattr(diskcache, "__file__", str(copy / "sim" / "diskcache.py"))
+    diskcache.program_digest.cache_clear()
+    try:
+        return extension_pipeline.pipeline_key(BASE, LENGTH)
+    finally:
+        # The next caller recomputes the real package's digest.
+        diskcache.program_digest.cache_clear()
+
+
+@pytest.mark.parametrize("name", sorted(FRONTEND_PERTURBATIONS))
+def test_frontend_field_reaches_the_key(name, tmp_path, monkeypatch):
+    base = extension_pipeline.pipeline_key(BASE, LENGTH)
+    machine = sys.modules[FrontendConfig.__module__]
+    pattern = rf"^(    {name}: \w+ = ).*$"
+    value = FRONTEND_PERTURBATIONS[name]
+    assert key_over_edited_source(machine, pattern, value, tmp_path, monkeypatch) != base
 
 
 @pytest.mark.parametrize("name", sorted(CONSTANT_PERTURBATIONS))
-def test_module_constant_reaches_the_key(name, base_cache, monkeypatch):
-    monkeypatch.setattr(extension_pipeline, name, CONSTANT_PERTURBATIONS[name])
-    extension_pipeline.run(BASE, trace_length=LENGTH)
-    assert_miss()
+def test_module_constant_reaches_the_key(name, tmp_path, monkeypatch):
+    base = extension_pipeline.pipeline_key(BASE, LENGTH)
+    pattern = rf"^({name} = ).*$"
+    value = CONSTANT_PERTURBATIONS[name]
+    edited = key_over_edited_source(extension_pipeline, pattern, value, tmp_path, monkeypatch)
+    assert edited != base
 
 
 def test_trace_length_reaches_the_key(base_cache):
@@ -121,12 +150,8 @@ def test_trace_length_reaches_the_key(base_cache):
     assert_miss()
 
 
-def test_result_format_reaches_the_key(base_cache, monkeypatch):
-    monkeypatch.setattr(
-        extension_pipeline,
-        "PIPELINE_RESULT_FORMAT",
-        extension_pipeline.PIPELINE_RESULT_FORMAT + 1,
-    )
+def test_program_digest_reaches_the_key(base_cache, monkeypatch):
+    monkeypatch.setattr(diskcache, "program_digest", lambda: "edited")
     extension_pipeline.run(BASE, trace_length=LENGTH)
     assert_miss()
 
@@ -146,17 +171,3 @@ def test_config_field(name, base_cache, monkeypatch):
     clear_stream_cache()
     assert result == extension_pipeline.run(config, trace_length=LENGTH)
     assert result.headline_percent == config.headline_percent
-
-
-def test_timing_model_change_bumps_the_result_format():
-    """Editing the timing model must come with a new result format.
-
-    Entries stored by the old model would otherwise replay.  After a
-    change to ``repro/pipeline/timing.py``, bump
-    ``PIPELINE_RESULT_FORMAT`` and re-pin the digest here.
-    """
-    source = Path(timing.__file__).read_bytes()
-    assert (
-        extension_pipeline.PIPELINE_RESULT_FORMAT,
-        hashlib.sha256(source).hexdigest(),
-    ) == TIMING_SOURCE

@@ -27,9 +27,9 @@ from typing import Dict, List, Sequence, Tuple
 import pytest
 
 from repro import observability
-from repro.experiments import config as config_module
 from repro.experiments.config import EXECUTION_KNOBS, ExperimentConfig
 from repro.experiments.registry import run_all_reports
+from repro.sim import diskcache
 from repro.sim.cache import clear_stream_cache
 from repro.sim.diskcache import ENTRY_SUFFIX
 
@@ -139,11 +139,13 @@ def test_config_field(name, base_cache):
 
 
 def test_program_digest_reaches_the_key(base_cache, monkeypatch):
-    monkeypatch.setattr(config_module, "program_digest", lambda: "edited")
+    monkeypatch.setattr(diskcache, "program_digest", lambda: "edited")
     warm = texts(BASE)
     assert counter("report_cache.disk_hits") == 0
     assert counter("report_cache.disk_misses") == len(IDS)
-    assert counter("batched.grid_sweeps") == 0  # the sweep tier still answers
+    # Every stream and grid entry is keyed by the digest too.
+    assert counter("sweep_cache.disk_hits") == 0
+    assert counter("batched.grid_sweeps") > 0
     assert warm == recomputed(BASE)
 
 
@@ -151,15 +153,14 @@ def test_program_digest_covers_every_source_file(tmp_path, monkeypatch):
     """Any ``*.py`` under the package, at any depth, changes the digest."""
     package = tmp_path / "repro"
     (package / "workloads").mkdir(parents=True)
-    (package / "experiments").mkdir()
-    for relative in ("__init__.py", "workloads/ibs.py", "experiments/config.py"):
+    (package / "sim").mkdir()
+    for relative in ("__init__.py", "workloads/ibs.py", "sim/diskcache.py"):
         (package / relative).write_text("VALUE = 1\n")
-    fake_config = package / "experiments" / "config.py"
-    monkeypatch.setattr(config_module, "__file__", str(fake_config))
+    monkeypatch.setattr(diskcache, "__file__", str(package / "sim" / "diskcache.py"))
 
     def digest() -> str:
-        config_module.program_digest.cache_clear()
-        return config_module.program_digest()
+        diskcache.program_digest.cache_clear()
+        return diskcache.program_digest()
 
     try:
         base = digest()
@@ -169,7 +170,7 @@ def test_program_digest_covers_every_source_file(tmp_path, monkeypatch):
         assert digest() == edited
     finally:
         # The next caller recomputes the real package's digest.
-        config_module.program_digest.cache_clear()
+        diskcache.program_digest.cache_clear()
     assert edited != base
 
 

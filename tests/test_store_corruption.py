@@ -1,8 +1,9 @@
 """Every entry family of the artifact store survives every kind of damage.
 
-Whole-trace streams, stream chunks, sweep results, pipeline results,
-cached reports and fabric reports are all entries of one store
-(:mod:`repro.sim.diskcache`).  Each family is
+Whole-trace streams, stream chunks, sweep results, pipeline results
+and reports are all entries of one store (:mod:`repro.sim.diskcache`);
+serial runs and fabric runs read and write the same report entries, so
+the report family is damaged under both.  Each family is
 damaged three ways: the file is truncated; one array value is edited and
 the entry rewritten through the store under its old checksum (only the
 checksum can tell); and another entry of the family is renamed over it
@@ -105,7 +106,7 @@ def _report_text(config):
 def _fabric_text(config):
     fabric_dir = cache_root() / "fabric"
     run_worker(config, IDS, FabricOptions(shards=1, fabric_dir=fabric_dir))
-    return merge_reports_text(config, IDS, fabric_dir)
+    return merge_reports_text(config, IDS)
 
 
 #: Two short pipeline lengths, so the family has a donor entry to rename.
@@ -151,8 +152,9 @@ FAMILIES = {
         "report_cache.disk_corrupt", "report_cache.stores",
     ),
     "reports": (
-        CONFIG, _fabric_text, lambda: _entries(cache_root() / "fabric" / "reports"),
-        "fabric.report_corrupt", "fabric.report_stores",
+        # The fabric's report units publish the same entries.
+        CONFIG, _fabric_text, lambda: _entries(sweep_cache_dir(), "report-*"),
+        "report_cache.disk_corrupt", "report_cache.stores",
     ),
 }
 
