@@ -27,14 +27,17 @@ Quickstart
 True
 """
 
-from typing import TYPE_CHECKING, Any
+from typing import TYPE_CHECKING
+
+from repro._exports import lazy_exports
 
 if TYPE_CHECKING:
     from repro.analysis.curves import ConfidenceCurve
 
-#: Where each lazily imported public name lives.  Importing ``repro``
-#: loads nothing else, so a stdlib-only subpackage (``repro.analysis.lint``)
-#: starts without numpy; a name is imported on first access.
+#: Where each lazily imported public name lives (:mod:`repro._exports`).
+#: Importing ``repro`` loads nothing else, so a stdlib-only subpackage
+#: (``repro.analysis.lint``) starts without numpy; a name is imported on
+#: first access.
 _EXPORTS = {
     **dict.fromkeys(
         ("BucketStatistics", "ConfidenceCurve", "Table1", "build_table1",
@@ -62,17 +65,7 @@ _EXPORTS = {
     **dict.fromkeys(("benchmark_names", "load_benchmark", "load_suite"), "repro.workloads"),
 }
 
-
-def __getattr__(name: str) -> Any:
-    """Import a public name from its home module on first access (PEP 562)."""
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module 'repro' has no attribute {name!r}")
-    from importlib import import_module
-
-    value = getattr(import_module(module), name)
-    globals()[name] = value
-    return value
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
 
 __version__ = "1.0.0"

@@ -9,11 +9,11 @@ Table 1, computes the follow-on literature's confidence quality metrics,
 and renders ASCII plots / CSV exports.
 """
 
-from typing import Any
+from repro._exports import lazy_exports
 
-#: Where each public name lives.  Importing the package loads none of
-#: them, so ``repro.analysis.lint`` (stdlib only) starts without numpy; a
-#: name is imported on first access.
+#: Where each public name lives (:mod:`repro._exports`).  Importing the
+#: package loads none of them, so ``repro.analysis.lint`` (stdlib only)
+#: starts without numpy; a name is imported on first access.
 _EXPORTS = {
     "BucketStatistics": "repro.analysis.buckets",
     **dict.fromkeys(
@@ -29,36 +29,6 @@ _EXPORTS = {
     ),
 }
 
+__getattr__ = lazy_exports(__name__, _EXPORTS)
 
-def __getattr__(name: str) -> Any:
-    """Import a public name from its home module on first access (PEP 562)."""
-    module = _EXPORTS.get(name)
-    if module is None:
-        raise AttributeError(f"module 'repro.analysis' has no attribute {name!r}")
-    from importlib import import_module
-
-    value = getattr(import_module(module), name)
-    globals()[name] = value
-    return value
-
-
-__all__ = [
-    "BucketStatistics",
-    "ConfidenceCurve",
-    "CurvePoint",
-    "equal_weight_combine",
-    "concat_normalized",
-    "Table1",
-    "Table1Row",
-    "build_table1",
-    "ConfusionCounts",
-    "confidence_metrics",
-    "CurveDelta",
-    "sample_delta",
-    "dominates",
-    "crossovers",
-    "ascii_curve_plot",
-    "format_curve_table",
-    "curves_to_csv",
-    "table_to_csv",
-]
+__all__ = list(_EXPORTS)

@@ -177,6 +177,8 @@ def _build_parser() -> argparse.ArgumentParser:
             "--experiments", nargs="+", default=None, metavar="ID",
             help="subset of experiment ids (default: every registered one)",
         )
+    # The merge reads report entries from the store, never the fabric dir.
+    for fabric_sub in (launch_parser, worker_parser, status_parser):
         fabric_sub.add_argument(
             "--fabric-dir", default=None,
             help="shared fabric directory (default: derived from the plan "
@@ -416,18 +418,20 @@ def _command_run_all(args: argparse.Namespace) -> int:
     _check_output_paths(args, "--profile")
     if args.shards is not None or args.shard_id is not None:
         # Fabric mode: compute through the shared-cache claim loop; any
-        # worker that observes the completed plan prints the merge, so a
-        # one-shard fabric run is byte-identical to the serial path.
+        # worker that finds every report entry published prints the
+        # merge, so a one-shard fabric run is byte-identical to the
+        # serial path.  A missing entry means a peer is still working.
         from repro.fabric import merge_reports_text, run_worker
-        from repro.fabric.runtime import fabric_complete
 
         options = _fabric_options(args)
         try:
             run_worker(config, ids, options)
         except (TimeoutError, ValueError) as error:
             raise SystemExit(str(error)) from None
-        if fabric_complete(config, ids):
+        try:
             print(merge_reports_text(config, ids), end="")
+        except FileNotFoundError:
+            pass
         _maybe_write_profile(args, config)
         return 0
     for report in run_all_reports(config, experiment_ids=ids):
@@ -456,6 +460,12 @@ def _command_fabric(args: argparse.Namespace) -> int:
     else:
         config = _config_from_args(args)
         ids = _experiment_ids(args)
+    if args.fabric_action == "merge":
+        try:
+            print(merge_reports_text(config, ids), end="")
+        except FileNotFoundError as error:
+            raise SystemExit(str(error)) from None
+        return 0
     options = _fabric_options(args)
     fabric_dir = options.fabric_dir or default_fabric_dir(config, ids)
     if args.fabric_action == "launch":
@@ -475,12 +485,6 @@ def _command_fabric(args: argparse.Namespace) -> int:
         try:
             run_worker(config, ids, options)
         except (TimeoutError, ValueError) as error:
-            raise SystemExit(str(error)) from None
-        return 0
-    if args.fabric_action == "merge":
-        try:
-            print(merge_reports_text(config, ids), end="")
-        except FileNotFoundError as error:
             raise SystemExit(str(error)) from None
         return 0
     if args.fabric_action == "status":

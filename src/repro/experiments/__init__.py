@@ -11,23 +11,20 @@ All experiments share :class:`~repro.experiments.config.ExperimentConfig`
 helpers in :mod:`repro.experiments.runner`.
 """
 
-from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
-from repro.experiments.registry import (
-    EXPERIMENTS,
-    ExperimentReport,
-    get_experiment,
-    list_experiments,
-    run_all_reports,
-    run_experiment_report,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "ExperimentConfig",
-    "DEFAULT_CONFIG",
-    "EXPERIMENTS",
-    "ExperimentReport",
-    "get_experiment",
-    "list_experiments",
-    "run_all_reports",
-    "run_experiment_report",
-]
+#: Where each public name lives (:mod:`repro._exports`).  Importing the
+#: package loads no experiment module; the registry imports one when its
+#: ``run`` is first used.
+_EXPORTS = {
+    **dict.fromkeys(("DEFAULT_CONFIG", "ExperimentConfig"), "repro.experiments.config"),
+    **dict.fromkeys(
+        ("EXPERIMENTS", "ExperimentReport", "get_experiment", "list_experiments",
+         "run_all_reports", "run_experiment_report"),
+        "repro.experiments.registry",
+    ),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

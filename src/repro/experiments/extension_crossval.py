@@ -33,6 +33,7 @@ from repro.analysis.buckets import BucketStatistics
 from repro.analysis.curves import ConfidenceCurve
 from repro.analysis.weighting import equal_weight_combine
 from repro.experiments.config import DEFAULT_CONFIG, ExperimentConfig
+from repro.experiments.registry import check_experiments
 from repro.experiments.runner import one_level_pattern_statistics
 
 
@@ -96,20 +97,11 @@ def _empirical_order(statistics: BucketStatistics) -> np.ndarray:
     return occupied[np.lexsort((occupied, -rates[occupied]))]
 
 
-def check_config(config: ExperimentConfig) -> None:
-    """Reject suites too small to hold one benchmark out of."""
-    if len(config.benchmarks) < 2:
-        raise ValueError(
-            "extension-crossval: leave-one-out cross-validation needs at "
-            "least two benchmarks"
-        )
-
-
 def run(config: ExperimentConfig = DEFAULT_CONFIG) -> CrossValidationResult:
     """Leave-one-out evaluation of the ideal reduction's pattern order."""
     from repro.core.reduction import ResettingCountReduction
 
-    check_config(config)
+    check_experiments(["extension-crossval"], config)
     per_benchmark = one_level_pattern_statistics(config, "pc_xor_bhr")
     reduction = ResettingCountReduction(config.cir_bits)
     reduction_lut = reduction.vectorized(

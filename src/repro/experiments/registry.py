@@ -1,7 +1,14 @@
-"""Experiment registry: id -> (runner, description).
+"""Experiment registry: id -> (description, module).
 
-Used by the CLI (``repro run fig5``) and the benchmark harness.  The
-registry is also the unit of parallelism for ``repro run-all --jobs N``:
+Used by the CLI (``repro run fig5``) and the benchmark harness.  Each
+entry names its experiment's module, which is imported the first time
+the entry's ``run`` is used; the "at least two benchmarks" rule of
+``extension-crossval`` is registry data too.  So ``repro list``, the
+up-front config checks and a run that replays stored reports import no
+experiment module, and (report entries being read without numpy) no
+numpy.
+
+The registry is also the unit of parallelism for ``repro run-all --jobs N``:
 :func:`run_all_reports` hands :func:`run_experiment_report` itself to
 :func:`repro.utils.resilient.resilient_map`, one task per experiment id
 (also the task's fault key), and the formatted reports come back in
@@ -27,33 +34,11 @@ from __future__ import annotations
 import dataclasses
 import time
 from dataclasses import dataclass
+from importlib import import_module
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-import numpy as np
-
 from repro import observability
-from repro.experiments import (
-    ablation_context_switch,
-    ablation_counter_width,
-    ablation_indexing,
-    ablation_suite_seed,
-    ablation_trace_length,
-    extension_cost,
-    extension_crossval,
-    extension_metrics,
-    extension_multilevel,
-    extension_pipeline,
-    fig10_small_tables,
-    fig11_initialization,
-    fig2_static,
-    fig5_one_level,
-    fig6_two_level,
-    fig7_comparison,
-    fig8_reductions,
-    fig9_benchmarks,
-    table1_resetting,
-)
 from repro.experiments.config import ExperimentConfig, result_identity
 from repro.sim.diskcache import (
     ENTRY_SUFFIX,
@@ -75,114 +60,104 @@ REPORT_CACHE = EntryFamily("store_report_cache", "report_cache.disk_hits",
 
 @dataclass(frozen=True)
 class Experiment:
-    """A registered experiment."""
+    """A registered experiment.
+
+    ``module`` names the experiment's module under ``repro.experiments``;
+    it is imported the first time :attr:`run` is used, so listing,
+    checking and replaying stored reports import no experiment code.
+    """
 
     id: str
     description: str
-    run: Callable
-    #: Raises ``ValueError`` for a config this experiment cannot run (see
-    #: :func:`check_experiments`).
-    check: Optional[Callable[[ExperimentConfig], None]] = None
+    module: str
+    #: Fewest benchmarks a config must hold, and the reason quoted when
+    #: it holds fewer (see :func:`check_experiments`).
+    min_benchmarks: int = 1
+    min_benchmarks_reason: str = ""
+
+    @property
+    def run(self) -> Callable[[ExperimentConfig], Any]:
+        """The module's ``run(config)``, imported on first use."""
+        return import_module(f"repro.experiments.{self.module}").run
 
 
 EXPERIMENTS: Dict[str, Experiment] = {
     experiment.id: experiment
     for experiment in [
-        Experiment(
-            "fig2",
-            "static (profile) confidence curve",
-            fig2_static.run,
-        ),
+        Experiment("fig2", "static (profile) confidence curve", "fig2_static"),
         Experiment(
             "fig5",
             "one-level dynamic methods: PC / BHR / PCxorBHR vs static",
-            fig5_one_level.run,
+            "fig5_one_level",
         ),
+        Experiment("fig6", "two-level dynamic methods", "fig6_two_level"),
         Experiment(
-            "fig6",
-            "two-level dynamic methods",
-            fig6_two_level.run,
-        ),
-        Experiment(
-            "fig7",
-            "best one-level vs best two-level vs static",
-            fig7_comparison.run,
+            "fig7", "best one-level vs best two-level vs static", "fig7_comparison"
         ),
         Experiment(
             "fig8",
             "reduction functions: ideal / ones count / saturating / resetting",
-            fig8_reductions.run,
+            "fig8_reductions",
         ),
+        Experiment("table1", "resetting counter value statistics", "table1_resetting"),
+        Experiment("fig9", "per-benchmark variation (best vs worst)", "fig9_benchmarks"),
         Experiment(
-            "table1",
-            "resetting counter value statistics",
-            table1_resetting.run,
+            "fig10", "small confidence tables on the 4K predictor", "fig10_small_tables"
         ),
-        Experiment(
-            "fig9",
-            "per-benchmark variation (best vs worst)",
-            fig9_benchmarks.run,
-        ),
-        Experiment(
-            "fig10",
-            "small confidence tables on the 4K predictor",
-            fig10_small_tables.run,
-        ),
-        Experiment(
-            "fig11",
-            "CT initialization policies",
-            fig11_initialization.run,
-        ),
+        Experiment("fig11", "CT initialization policies", "fig11_initialization"),
         Experiment(
             "ablation-indexing",
             "XOR vs concatenation vs global-CIR index formation",
-            ablation_indexing.run,
+            "ablation_indexing",
         ),
         Experiment(
             "ablation-counter-width",
             "resetting counter width sweep",
-            ablation_counter_width.run,
+            "ablation_counter_width",
         ),
         Experiment(
             "ablation-context-switch",
             "CT state across context switches (lastbit conjecture)",
-            ablation_context_switch.run,
+            "ablation_context_switch",
         ),
         Experiment(
             "ablation-suite-seed",
             "robustness: SPEC-like suite comparison + seed sweep",
-            ablation_suite_seed.run,
+            "ablation_suite_seed",
         ),
         Experiment(
             "ablation-trace-length",
             "warmup sensitivity: key quantities vs trace length",
-            ablation_trace_length.run,
+            "ablation_trace_length",
         ),
         Experiment(
             "extension-cost",
             "storage cost vs capture for the main mechanisms (paper §5.3)",
-            extension_cost.run,
+            "extension_cost",
         ),
         Experiment(
             "extension-multilevel",
             "multi-level confidence classes (the paper's unpursued generalization)",
-            extension_multilevel.run,
+            "extension_multilevel",
         ),
         Experiment(
             "extension-metrics",
             "SENS/SPEC/PVP/PVN quality metrics across mechanisms",
-            extension_metrics.run,
+            "extension_metrics",
         ),
         Experiment(
             "extension-pipeline",
             "dual-path and SMT gating on the pipeline timing model",
-            extension_pipeline.run,
+            "extension_pipeline",
         ),
         Experiment(
             "extension-crossval",
             "leave-one-out generalization of the profile-designed reduction",
-            extension_crossval.run,
-            check=extension_crossval.check_config,
+            "extension_crossval",
+            min_benchmarks=2,
+            min_benchmarks_reason=(
+                "leave-one-out cross-validation needs at least two benchmarks"
+            ),
         ),
     ]
 }
@@ -210,9 +185,9 @@ def check_experiments(
     """Fail fast, before any work: unknown ids raise ``KeyError``, and a
     config an experiment cannot run raises its ``ValueError``."""
     for experiment_id in experiment_ids:
-        check = get_experiment(experiment_id).check
-        if check is not None:
-            check(config)
+        experiment = get_experiment(experiment_id)
+        if len(config.benchmarks) < experiment.min_benchmarks:
+            raise ValueError(f"{experiment.id}: {experiment.min_benchmarks_reason}")
 
 
 @dataclass(frozen=True)
@@ -274,19 +249,20 @@ def load_report(
 
     Reads the store even when ``REPRO_CACHE_DISABLE`` is set; deciding
     whether to look is the caller's job.  A hit's ``seconds`` is the
-    time the load took, so it never claims work that did not run.  An
-    entry whose text is not one unicode string, or whose stored id
-    differs from the key's, is dropped as corrupt.
+    time the load took, so it never claims work that did not run.  The
+    entry holds no arrays: its text is a header field, so a load needs
+    no numpy.  An entry whose text is not one string, or whose stored
+    id differs from the key's, is dropped as corrupt.
     """
     key = report_key(experiment_id, config)
 
-    def decode(arrays: Dict[str, np.ndarray], fields: Dict[str, Any]) -> ExperimentReport:
-        text = arrays["text"]
-        if text.dtype.kind != "U" or text.shape != ():
-            raise ValueError(f"report entry text has dtype {text.dtype}, shape {text.shape}")
+    def decode(arrays: Dict[str, Any], fields: Dict[str, Any]) -> ExperimentReport:
+        text = fields["text"]
+        if arrays or not isinstance(text, str):
+            raise ValueError("report entry text is not one string")
         if fields["experiment_id"] != experiment_id:
             raise ValueError("report entry id differs from its key")
-        return ExperimentReport(experiment_id, str(fields["description"]), str(text), 0.0)
+        return ExperimentReport(experiment_id, str(fields["description"]), text, 0.0)
 
     report, seconds = _timed_call(
         lambda: get(REPORT_CACHE, _report_entry_path(key), key, decode)
@@ -301,8 +277,9 @@ def store_report(report: ExperimentReport, config: ExperimentConfig) -> Optional
     :func:`load_report`).
     """
     key = report_key(report.experiment_id, config)
-    fields = {"experiment_id": report.experiment_id, "description": report.description}
-    return put(REPORT_CACHE, _report_entry_path(key), key, {"text": np.array(report.text)}, fields)
+    fields = {"experiment_id": report.experiment_id, "description": report.description,
+              "text": report.text}
+    return put(REPORT_CACHE, _report_entry_path(key), key, {}, fields)
 
 
 def run_all_reports(
@@ -346,6 +323,10 @@ def run_all_reports(
     else:
         from repro.utils.resilient import resilient_map
 
+        # Workers are forked: import each missing experiment's module here
+        # once, so no worker imports numpy and the experiment code itself.
+        for experiment_id in missing:
+            import_module(f"repro.experiments.{get_experiment(experiment_id).module}")
         worker_config = config.scaled(jobs=1)
         computed = resilient_map(
             run_experiment_report,

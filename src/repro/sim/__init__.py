@@ -13,41 +13,25 @@ Two engines compute identical statistics:
   assert exact equivalence with the reference engine.
 """
 
-from repro.sim.cache import cached_predictor_streams, clear_stream_cache
-from repro.sim.diskcache import (
-    StreamKey,
-    clear_disk_cache,
-    disk_cache_stats,
-    load_cached_streams,
-    store_cached_streams,
-    stream_cache_dir,
-)
-from repro.sim.engine import EstimatorRun, SimulationResult, simulate
-from repro.sim.fast import (
-    PredictorStreams,
-    cir_pattern_stream,
-    predictor_streams,
-    resetting_counter_stream,
-    saturating_counter_stream,
-    two_level_pattern_stream,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "simulate",
-    "SimulationResult",
-    "EstimatorRun",
-    "predictor_streams",
-    "PredictorStreams",
-    "cir_pattern_stream",
-    "two_level_pattern_stream",
-    "saturating_counter_stream",
-    "resetting_counter_stream",
-    "cached_predictor_streams",
-    "clear_stream_cache",
-    "StreamKey",
-    "stream_cache_dir",
-    "store_cached_streams",
-    "load_cached_streams",
-    "disk_cache_stats",
-    "clear_disk_cache",
-]
+#: Where each public name lives (:mod:`repro._exports`).
+_EXPORTS = {
+    **dict.fromkeys(("cached_predictor_streams", "clear_stream_cache"), "repro.sim.cache"),
+    **dict.fromkeys(
+        ("StreamKey", "clear_disk_cache", "disk_cache_stats", "load_cached_streams",
+         "store_cached_streams", "stream_cache_dir"),
+        "repro.sim.diskcache",
+    ),
+    **dict.fromkeys(("EstimatorRun", "SimulationResult", "simulate"), "repro.sim.engine"),
+    **dict.fromkeys(
+        ("PredictorStreams", "cir_pattern_stream", "predictor_streams",
+         "resetting_counter_stream", "saturating_counter_stream",
+         "two_level_pattern_stream"),
+        "repro.sim.fast",
+    ),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -19,9 +19,12 @@ store; serial ``run-all`` and the fabric share the report entries.
   stream of every array's C-order bytes in header order.  Only bool,
   integer, float and unicode dtypes are accepted, and the declared
   sizes must add up to the decompressed body exactly, so nothing read
-  from the store can unpickle or over-read.
+  from the store can unpickle or over-read.  An entry may hold no
+  arrays (a report keeps its text in a header field); it is written,
+  read and verified without importing numpy, as is the digest, so a
+  run that only replays reports never loads numpy.
 * **One staleness rule.**  Every key holds :func:`program_digest`, a
-  digest of numpy's version and every source file of ``repro``.
+  digest of numpy's ``version.py`` and every source file of ``repro``.
   :class:`StreamKey` (and the chunk, sweep and pipeline keys built on
   its ``describe()``) captures everything the sweep depends on plus
   that digest, and its digest names the file, so neither a config
@@ -54,6 +57,7 @@ from __future__ import annotations
 import dataclasses
 import functools
 import hashlib
+import importlib.util
 import json
 import math
 import os
@@ -66,15 +70,15 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple, TypeVar
 
-import numpy as np
-
 from repro import observability
-from repro.sim.chunked import GshareState, StreamChunk
-from repro.sim.fast import PredictorStreams
 from repro.testing import faults
 
 if TYPE_CHECKING:  # analysis imports sim; keep the runtime edge one-way
+    import numpy as np
+
     from repro.analysis.buckets import BucketStatistics
+    from repro.sim.chunked import GshareState, StreamChunk
+    from repro.sim.fast import PredictorStreams
 
 T = TypeVar("T")
 
@@ -246,15 +250,20 @@ def key_digest(key: Dict[str, Any]) -> str:
 
 @functools.lru_cache(maxsize=None)
 def program_digest() -> str:
-    """SHA-256 over numpy's version and every ``*.py`` file of ``repro``.
+    """SHA-256 over numpy's ``version.py`` and every ``*.py`` file of ``repro``.
 
     Each file contributes its path relative to the package root and its
     bytes, in path order, so any edit to the code or to a workload
-    definition (``workloads/ibs.py``) changes the digest.  Computed once
-    per process.
+    definition (``workloads/ibs.py``) changes the digest.  numpy's
+    ``version.py`` (its version string and git revision) is found
+    without importing numpy, so a run that only replays report entries
+    never loads it.  Computed once per process.
     """
     root = Path(__file__).resolve().parents[1]
-    digest = hashlib.sha256(f"numpy {np.__version__}\n".encode("utf-8"))
+    numpy_dir = importlib.util.find_spec("numpy").submodule_search_locations[0]
+    numpy_version = (Path(numpy_dir) / "version.py").read_bytes()
+    digest = hashlib.sha256(b"numpy %d:" % len(numpy_version))
+    digest.update(numpy_version)
     for path in sorted(root.rglob("*.py"), key=lambda item: item.relative_to(root).as_posix()):
         relative = path.relative_to(root).as_posix().encode("utf-8")
         source = path.read_bytes()
@@ -264,8 +273,13 @@ def program_digest() -> str:
 
 
 def _checksum(arrays: Dict[str, np.ndarray], fields: Dict[str, Any]) -> str:
-    """SHA-256 over the canonical JSON of ``fields`` and every named array."""
+    """SHA-256 over the canonical JSON of ``fields`` and every named array.
+
+    An entry with no arrays (a report) is checked without numpy.
+    """
     digest = hashlib.sha256(json.dumps(fields, sort_keys=True).encode("utf-8"))
+    if arrays:
+        import numpy as np
     for name in sorted(arrays):
         array = np.ascontiguousarray(arrays[name])
         digest.update(f"|{name}|{array.dtype}|{array.shape}|".encode("utf-8"))
@@ -290,7 +304,8 @@ def _decode_entry(data: bytes) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
     """The header and arrays of one frame; ValueError if it is malformed.
 
     Checks the frame only; the key, checksum and decode checks are
-    :func:`get`'s.  The arrays share one writable buffer.
+    :func:`get`'s.  The arrays share one writable buffer; a frame that
+    declares none is read without numpy.
     """
     if data[: len(ENTRY_MAGIC)] != ENTRY_MAGIC:
         raise ValueError("not a store entry")
@@ -301,6 +316,8 @@ def _decode_entry(data: bytes) -> Tuple[Dict[str, Any], Dict[str, np.ndarray]]:
     if length > len(data) - start:
         raise ValueError("store entry header runs past the end of the file")
     header = json.loads(data[start : start + length].decode("utf-8"))
+    if header["arrays"]:
+        import numpy as np
     layout = []
     total = 0
     for name, dtype_str, shape in header["arrays"]:
@@ -411,6 +428,8 @@ def _narrow(values: np.ndarray) -> np.ndarray:
     Arrays with a negative value keep their dtype; :func:`_widen` takes
     any integer dtype back.
     """
+    import numpy as np
+
     if values.size and int(values.min()) < 0:
         return values
     top = int(values.max()) if values.size else 0
@@ -421,7 +440,7 @@ def _widen(values: np.ndarray) -> np.ndarray:
     """A stored integer array back at int64; any other dtype is damage."""
     if values.ndim != 1 or values.dtype.kind not in "ui":
         raise ValueError(f"store entry array has dtype {values.dtype}, shape {values.shape}")
-    return values.astype(np.int64)
+    return values.astype("int64")
 
 
 def _same_lengths(arrays: Dict[str, np.ndarray]) -> None:
@@ -466,6 +485,7 @@ def load_cached_streams(key: StreamKey) -> Optional[PredictorStreams]:
     """
     if not cache_enabled():
         return None
+    from repro.sim.fast import PredictorStreams
 
     def decode(arrays: Dict[str, np.ndarray], fields: Dict[str, Any]) -> PredictorStreams:
         _same_lengths(arrays)
@@ -522,6 +542,7 @@ def load_cached_chunk(
     """
     if not cache_enabled():
         return None
+    from repro.sim.chunked import GshareState, StreamChunk
 
     def decode(
         arrays: Dict[str, np.ndarray], fields: Dict[str, Any]
@@ -565,6 +586,8 @@ def store_cached_sweep(
     """
     if not cache_enabled():
         return None
+    import numpy as np
+
     empty = np.zeros(0, dtype=np.float64)
     counts = np.concatenate([s.counts for s in statistics]) if statistics else empty
     mispredicts = (
@@ -587,10 +610,11 @@ def load_cached_sweep(key: SweepKey) -> "Optional[List[BucketStatistics]]":
     bucket positions outside the bucket-count vector — are dropped
     best-effort and reported as misses.
     """
-    from repro.analysis.buckets import BucketStatistics
-
     if not cache_enabled():
         return None
+    import numpy as np
+
+    from repro.analysis.buckets import BucketStatistics
 
     def decode(
         arrays: Dict[str, np.ndarray], fields: Dict[str, Any]

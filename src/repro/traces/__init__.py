@@ -7,25 +7,20 @@ proprietary; this package holds the trace *container* and tooling, while
 :mod:`repro.workloads` synthesizes the traces themselves.
 """
 
-from repro.traces.builder import TraceBuilder
-from repro.traces.io import load_trace, save_trace
-from repro.traces.statistics import (
-    StaticBranchProfile,
-    TraceStatistics,
-    compute_statistics,
-    static_branch_profile,
-)
-from repro.traces.trace import NOT_TAKEN, TAKEN, Trace
+from repro._exports import lazy_exports
 
-__all__ = [
-    "Trace",
-    "TAKEN",
-    "NOT_TAKEN",
-    "TraceBuilder",
-    "save_trace",
-    "load_trace",
-    "TraceStatistics",
-    "StaticBranchProfile",
-    "compute_statistics",
-    "static_branch_profile",
-]
+#: Where each public name lives (:mod:`repro._exports`).
+_EXPORTS = {
+    "TraceBuilder": "repro.traces.builder",
+    **dict.fromkeys(("load_trace", "save_trace"), "repro.traces.io"),
+    **dict.fromkeys(
+        ("StaticBranchProfile", "TraceStatistics", "compute_statistics",
+         "static_branch_profile"),
+        "repro.traces.statistics",
+    ),
+    **dict.fromkeys(("NOT_TAKEN", "TAKEN", "Trace"), "repro.traces.trace"),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -5,14 +5,18 @@ the branch's program counter and its resolved direction.  This is exactly
 the information the paper's trace-driven simulation consumes: both the
 branch predictor and the confidence mechanisms operate on the
 ``(pc, outcome)`` stream plus the predictor's own correct/incorrect stream.
+
+numpy is imported where a trace is built or inspected, not with the
+module, so the outcome constants and the type cost no numpy.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, Tuple
+from typing import TYPE_CHECKING, Iterator, Tuple
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 #: Branch outcome encodings.  Outcomes are stored as uint8 for compactness.
 TAKEN: int = 1
@@ -41,6 +45,8 @@ class Trace:
     name: str = field(default="")
 
     def __post_init__(self) -> None:
+        import numpy as np
+
         pcs = np.ascontiguousarray(self.pcs, dtype=np.uint64)
         outcomes = np.ascontiguousarray(self.outcomes, dtype=np.uint8)
         if pcs.ndim != 1 or outcomes.ndim != 1:
@@ -71,6 +77,8 @@ class Trace:
     @property
     def num_static_branches(self) -> int:
         """Number of distinct branch sites (unique PCs) in the trace."""
+        import numpy as np
+
         return int(np.unique(self.pcs).size)
 
     @property
@@ -88,6 +96,8 @@ class Trace:
 
     def concat(self, other: "Trace") -> "Trace":
         """Concatenate two traces (e.g. to model back-to-back runs)."""
+        import numpy as np
+
         return Trace(
             np.concatenate([self.pcs, other.pcs]),
             np.concatenate([self.outcomes, other.outcomes]),
@@ -100,5 +110,7 @@ class Trace:
         Preserves dynamic order; used to isolate individual branch sites
         when auditing workload behaviour models.
         """
+        import numpy as np
+
         mask = np.isin(self.pcs, np.asarray(pcs, dtype=np.uint64))
         return Trace(self.pcs[mask], self.outcomes[mask], self.name)

@@ -14,43 +14,24 @@ validation
     Argument-checking helpers that raise uniform, descriptive errors.
 """
 
-from repro.utils.bits import (
-    bit_mask,
-    extract_bits,
-    is_power_of_two,
-    log2_exact,
-    lowest_set_bit,
-    popcount,
-    reverse_bits,
-    xor_fold,
-)
-from repro.utils.rng import derive_seed, make_rng, split_rng
-from repro.utils.runlength import run_lengths, runs
-from repro.utils.validation import (
-    check_in_range,
-    check_non_negative,
-    check_positive,
-    check_power_of_two,
-    check_probability,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "bit_mask",
-    "extract_bits",
-    "is_power_of_two",
-    "log2_exact",
-    "lowest_set_bit",
-    "popcount",
-    "reverse_bits",
-    "xor_fold",
-    "derive_seed",
-    "make_rng",
-    "split_rng",
-    "run_lengths",
-    "runs",
-    "check_in_range",
-    "check_non_negative",
-    "check_positive",
-    "check_power_of_two",
-    "check_probability",
-]
+#: Where each public name lives (:mod:`repro._exports`).
+_EXPORTS = {
+    **dict.fromkeys(
+        ("bit_mask", "extract_bits", "is_power_of_two", "log2_exact", "lowest_set_bit",
+         "popcount", "reverse_bits", "xor_fold"),
+        "repro.utils.bits",
+    ),
+    **dict.fromkeys(("derive_seed", "make_rng", "split_rng"), "repro.utils.rng"),
+    **dict.fromkeys(("run_lengths", "runs"), "repro.utils.runlength"),
+    **dict.fromkeys(
+        ("check_in_range", "check_non_negative", "check_positive", "check_power_of_two",
+         "check_probability"),
+        "repro.utils.validation",
+    ),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -21,9 +21,10 @@ from __future__ import annotations
 import hashlib
 import itertools
 import operator
-from typing import Any, Callable, Dict, Iterator, List, Optional, Union
+from typing import TYPE_CHECKING, Any, Callable, Dict, Iterator, List, Optional, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 Seedable = Union[int, str]
 
@@ -58,6 +59,8 @@ def derive_seed(*components: Seedable) -> int:
 
 def make_rng(*components: Seedable) -> np.random.Generator:
     """Create a ``numpy`` Generator seeded from the given components."""
+    import numpy as np
+
     return np.random.default_rng(derive_seed(*components))
 
 
@@ -107,6 +110,8 @@ class PrefetchedDraws:
     BLOCK_WORDS = 4096
 
     def __init__(self, generator: np.random.Generator) -> None:
+        import numpy as np
+
         bit_generator = generator.bit_generator
         if not isinstance(bit_generator, np.random.PCG64):
             raise TypeError(

@@ -20,52 +20,26 @@ rates and confidence-curve shapes land near the paper's (see
 EXPERIMENTS.md for paper-vs-measured numbers).
 """
 
-from repro.workloads.behaviors import (
-    BiasedBehavior,
-    BranchBehavior,
-    ContextDependentBehavior,
-    CorrelatedBehavior,
-    ExecutionContext,
-    MarkovBehavior,
-    PatternBehavior,
-    PhasedBehavior,
-)
-from repro.workloads.behaviors import TripSource
-from repro.workloads.ibs import (
-    IBS_BENCHMARKS,
-    benchmark_names,
-    load_benchmark,
-    load_suite,
-)
-from repro.workloads.program import (
-    Block,
-    Emit,
-    If,
-    Loop,
-    Node,
-    Site,
-    SyntheticProgram,
-)
+from repro._exports import lazy_exports
 
-__all__ = [
-    "BranchBehavior",
-    "ExecutionContext",
-    "BiasedBehavior",
-    "PatternBehavior",
-    "CorrelatedBehavior",
-    "ContextDependentBehavior",
-    "PhasedBehavior",
-    "MarkovBehavior",
-    "Site",
-    "Node",
-    "Block",
-    "Emit",
-    "If",
-    "Loop",
-    "TripSource",
-    "SyntheticProgram",
-    "IBS_BENCHMARKS",
-    "benchmark_names",
-    "load_benchmark",
-    "load_suite",
-]
+#: Where each public name lives (:mod:`repro._exports`).
+_EXPORTS = {
+    **dict.fromkeys(
+        ("BiasedBehavior", "BranchBehavior", "ContextDependentBehavior",
+         "CorrelatedBehavior", "ExecutionContext", "MarkovBehavior", "PatternBehavior",
+         "PhasedBehavior", "TripSource"),
+        "repro.workloads.behaviors",
+    ),
+    **dict.fromkeys(
+        ("IBS_BENCHMARKS", "benchmark_names", "load_benchmark", "load_suite"),
+        "repro.workloads.ibs",
+    ),
+    **dict.fromkeys(
+        ("Block", "Emit", "If", "Loop", "Node", "Site", "SyntheticProgram"),
+        "repro.workloads.program",
+    ),
+}
+
+__getattr__ = lazy_exports(__name__, _EXPORTS)
+
+__all__ = list(_EXPORTS)

@@ -15,12 +15,13 @@ identical seeds.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Dict, Optional, Sequence
 
 from repro.traces.trace import NOT_TAKEN, TAKEN
 from repro.utils.validation import check_positive, check_probability
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class ExecutionContext:

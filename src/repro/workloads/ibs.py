@@ -29,9 +29,8 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, List, Sequence, Tuple
 
-from repro.traces.trace import Trace
 from repro.utils.rng import make_rng
 from repro.workloads.behaviors import (
     BiasedBehavior,
@@ -44,6 +43,9 @@ from repro.workloads.behaviors import (
     TripSource,
 )
 from repro.workloads.program import Block, Emit, If, Loop, Site, SyntheticProgram
+
+if TYPE_CHECKING:
+    from repro.traces.trace import Trace
 
 #: Default dynamic branches per benchmark in the experiment suite.  The
 #: paper runs full IBS traces (tens of millions); 160k per benchmark keeps

@@ -39,8 +39,6 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence
 
-import numpy as np
-
 from repro import observability
 from repro.traces.trace import NOT_TAKEN, TAKEN, Trace
 from repro.utils.rng import PrefetchedDraws, make_rng
@@ -223,6 +221,8 @@ class _Machine:
 
     def build(self, name: str) -> Trace:
         """The first ``target_length`` branches as a :class:`Trace`."""
+        import numpy as np
+
         length = self.target_length
         return Trace(
             np.frombuffer(self.pcs, dtype=np.uint64)[:length].copy(),

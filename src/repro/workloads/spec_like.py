@@ -17,14 +17,16 @@ machinery.
 from __future__ import annotations
 
 import functools
-from typing import Dict, List, Sequence
+from typing import TYPE_CHECKING, Dict, List, Sequence
 
-from repro.traces.trace import Trace
 from repro.workloads.ibs import (
     BenchmarkConfig,
     CategoryWeights,
     build_program,
 )
+
+if TYPE_CHECKING:
+    from repro.traces.trace import Trace
 
 SPEC_BENCHMARKS: Dict[str, BenchmarkConfig] = {
     # compress: tight coding loops over mostly-uniform data.

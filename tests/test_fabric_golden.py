@@ -260,6 +260,31 @@ def test_serial_run_replays_a_fabric_run(fresh_cache, capsys):
     assert observability.counter_value("report_cache.stores") == 0
 
 
+def test_warm_single_shard_loads_each_report_twice(fresh_cache, capsys, tmp_path):
+    fresh_cache("serial")
+    assert main(["run-all", *CONFIG_FLAGS]) == 0
+    golden = capsys.readouterr().out
+
+    fresh_cache("sharded")
+    assert main(SHARD) == 0
+    capsys.readouterr()
+    observability.reset_metrics()
+    clear_stream_cache()
+    profile = tmp_path / "warm.json"
+    assert main([*SHARD, "--profile", str(profile)]) == 0
+    assert capsys.readouterr().out == f"{golden}\nwrote {profile}\n"
+    counters = json.loads(profile.read_text())["counters"]
+    # One load in the worker's done-check and one in the merge.
+    assert counters["report_cache.disk_hits"] == 2 * len(IDS)
+
+
+def test_merge_has_no_fabric_dir_option(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["fabric", "merge", *CONFIG_FLAGS, "--fabric-dir", "elsewhere"])
+    assert exit_info.value.code == 2
+    assert "--fabric-dir" in capsys.readouterr().err
+
+
 def _report_entry(experiment_id: str) -> Path:
     (entry,) = sweep_cache_dir().glob(f"report-{experiment_id}-*{ENTRY_SUFFIX}")
     return entry
@@ -285,7 +310,7 @@ def test_corrupt_report_is_recomputed_by_cli_and_refused_by_merge(fresh_cache, c
     report = _report_entry("fig5")
     report.write_bytes(b"not a report")
     with pytest.raises(SystemExit) as exit_info:
-        main(["fabric", "merge", *CONFIG_FLAGS, *fabric_flags])
+        main(["fabric", "merge", *CONFIG_FLAGS])
     message = str(exit_info.value.code)
     assert "'fig5'" in message and "\n" not in message
     assert capsys.readouterr().out == ""

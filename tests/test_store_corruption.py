@@ -4,9 +4,10 @@ Whole-trace streams, stream chunks, sweep results, pipeline results
 and reports are all entries of one store (:mod:`repro.sim.diskcache`);
 serial runs and fabric runs read and write the same report entries, so
 the report family is damaged under both.  Each family is
-damaged three ways: the file is truncated; one array value is edited and
-the entry rewritten through the store under its old checksum (only the
-checksum can tell); and another entry of the family is renamed over it
+damaged three ways: the file is truncated; the largest payload (an
+array value, or the text field of a report, which holds no arrays) is
+edited and the entry rewritten through the store under its old checksum
+(only the checksum can tell); and another entry of the family is renamed over it
 (only the key check can tell).  Every damage must count exactly one
 corrupt drop, recompute, and leave the reports byte-identical.  Cached
 reports and grid results would answer before a damaged stream or grid
@@ -18,7 +19,7 @@ only decoding can tell: a sweep entry with a bucket position out of
 range, one whose positions and counts differ in length, a stream entry
 whose array has a non-integer dtype, a pipeline result with one
 IPC row more than it has benchmarks, and a cached report whose stored
-id or text dtype differs from what its key names.
+id differs from what its key names or whose text is not one string.
 
 The frame itself gets damage only its parser can tell: a header that
 declares an 8-byte array as an object array, a body one byte longer
@@ -74,15 +75,15 @@ def _truncate(victim, donor):
     victim.write_bytes(victim.read_bytes()[: victim.stat().st_size // 2])
 
 
-def _edit_array(victim, donor):
+def _edit_payload(victim, donor):
     meta, arrays = read_entry(victim)
-    # The largest array: editing it breaks no shape a decoder could check.
-    name = max((arrays[name].size, name) for name in arrays)[1]
-    value = arrays[name]
-    if value.dtype.kind == "U":
-        arrays[name] = np.array(str(value) + " ")
+    if arrays:
+        # The largest array: editing it breaks no shape a decoder could check.
+        name = max((arrays[name].size, name) for name in arrays)[1]
+        arrays[name].flat[0] += 1
     else:
-        value.flat[0] += 1
+        # A report entry: its text is a header field.
+        meta["fields"]["text"] += " "
     # Rewritten through the store, but signed with the old checksum.
     with mock.patch.object(diskcache, "_checksum", return_value=meta["checksum"]):
         put(STREAMS, victim, meta["key"], arrays, meta["fields"])
@@ -92,7 +93,7 @@ def _rename_over(victim, donor):
     donor.replace(victim)
 
 
-DAMAGES = {"truncated": _truncate, "edited-array": _edit_array, "renamed": _rename_over}
+DAMAGES = {"truncated": _truncate, "edited-array": _edit_payload, "renamed": _rename_over}
 
 
 def _report_text(config):
@@ -240,7 +241,8 @@ def _other_report_id(arrays, fields):
 
 
 def _encoded_report_text(arrays, fields):
-    arrays["text"] = np.frombuffer(str(arrays["text"]).encode("utf-8"), dtype=np.uint8)
+    # Valid JSON under a fresh checksum; only decode sees it is no string.
+    fields["text"] = list(fields["text"].encode("utf-8"))
 
 
 #: damage -> (family, edit of the re-signed entry)
