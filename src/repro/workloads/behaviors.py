@@ -15,13 +15,22 @@ identical seeds.
 from __future__ import annotations
 
 import abc
-from typing import TYPE_CHECKING, Dict, Optional, Sequence
+import operator
+from typing import TYPE_CHECKING, Any, Dict, Optional, Sequence
 
 from repro.traces.trace import NOT_TAKEN, TAKEN
 from repro.utils.validation import check_positive, check_probability
 
 if TYPE_CHECKING:
     import numpy as np
+
+
+def is_outcome(value: Any) -> bool:
+    """True when ``value`` is an integer equal to NOT_TAKEN or TAKEN."""
+    try:
+        return operator.index(value) in (NOT_TAKEN, TAKEN)
+    except TypeError:
+        return False
 
 
 class ExecutionContext:
@@ -89,9 +98,9 @@ class PatternBehavior(BranchBehavior):
     def __init__(self, pattern: Sequence[int]) -> None:
         if not pattern:
             raise ValueError("pattern must be non-empty")
-        if any(outcome not in (0, 1) for outcome in pattern):
+        if not all(is_outcome(outcome) for outcome in pattern):
             raise ValueError("pattern entries must be 0 or 1")
-        self._pattern = tuple(pattern)
+        self._pattern = tuple(operator.index(outcome) for outcome in pattern)
         self._position = 0
 
     def next_outcome(self, context, rng) -> int:

@@ -1,11 +1,14 @@
 """Pinned SHA-256 digests of every registered workload's trace.
 
-The digests were computed with the interpreter that drew each outcome
-straight from ``numpy.random.Generator`` and stopped at exactly the
-requested length.  The interpreter that replaced it draws from
+The digests were computed with a node-by-node interpreter that drew each
+outcome straight from ``numpy.random.Generator`` and stopped at exactly
+the requested length.  The generator that replaced it is each program
+compiled into one Python function: it draws from
 :class:`repro.utils.rng.PrefetchedDraws` and cuts an overshooting run to
-length, and must give the same bytes: every report digest downstream
-depends on them.
+length, and must give the same bytes, since every report digest
+downstream depends on them.  The 160,000-branch entries are the traces
+``ablation-trace-length`` synthesizes on every cold run; they were
+pinned with the interpreter too.
 """
 
 import hashlib
@@ -29,6 +32,10 @@ DIGESTS = {
     ("gcc", 0, 16384): (
         "7cac22e1ce11fe621a12d9e95bcdbd24d9f079cf038fee2164d482fb5efe98c3",
         "4ac0ee632dcadde3bbcf00a678b3f93eb0fd1c9ea0c3e1a896b22595b9e3ea52",
+    ),
+    ("gcc", 0, 160000): (
+        "3fef9989522a09d8f4e0ad04bb76d61efc266e9602e1c7d79b1889f8698368ae",
+        "8bb51ebbe567c94e64489f1f4db2c1b2cfe9bde0220f8443b454c56aca69fb7d",
     ),
     ("gcc", 1306, 1): (
         "8540d5c72a43c50aaaaf2a40dc9ecdc175b3502e5c133f09fc1b99075b9ac4d2",
@@ -78,6 +85,10 @@ DIGESTS = {
         "88ce6ea81c411871bd32651c533662290a948bc83a891e24c15bd8637bc3cab5",
         "76e8f48212716726c24cd1d104483d8b507250d92f52c3ef48b258033ba28192",
     ),
+    ("jpeg_play", 0, 160000): (
+        "98d48af12848dde8fdb25debd5cd54653c5c2ba7b98634cf6ad02f1770f1ac16",
+        "ee44cb1374453a43a5e8314f375763661629062be9e852a68ed3009e25516115",
+    ),
     ("jpeg_play", 1306, 1): (
         "9c69dd560d27a47fa41611d4a6b13e2bf2472b957d34353462271f6b5d05b768",
         "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
@@ -102,6 +113,10 @@ DIGESTS = {
         "4592f600af144cdb45552bd997d1190cc6b794fe12abfca014312901f9fd4a89",
         "0863858ce7bd67be5f9c5f1e5d8871f4c55cf34b0bfba6ab28420a117b1cf45f",
     ),
+    ("mpeg_play", 0, 160000): (
+        "e522fb1328f06bf27708071fa04652c3048a3bbee6b8e4320130c621b3d8e02f",
+        "a5722dd314bee27dbf1759c967f6deb896b90c9d7128efc23f2b9af41b82e7f3",
+    ),
     ("mpeg_play", 1306, 1): (
         "f789748a397282d77a82893ac39c0672a2bcff0b7b2ab70ee9e46e7ae81e0348",
         "4bf5122f344554c53bde2ebb8cd2b7e3d1600ad631c385a5d7cce23c7785459a",
@@ -125,6 +140,10 @@ DIGESTS = {
     ("nroff", 0, 16384): (
         "8f8c059d19946bf43278ca92a24557689798d1014a754290b3df39427b7f55aa",
         "389e8b875a7aca374dca4c2d653bf4a8b3d732b0788f589122b478b845bb1897",
+    ),
+    ("nroff", 0, 160000): (
+        "5373bd687a8299006cb10fea64b4fffb362574b821ad2fbd2524cbe22dcf6249",
+        "50c49728478f4c480322145cb6451efec38a308613825596852a95b8b6429a95",
     ),
     ("nroff", 1306, 1): (
         "a031f5f1e00775de2614dbb2a1e5c2ae6e24b943f03c05700d0e10a605a4c5b0",

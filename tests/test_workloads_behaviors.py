@@ -65,6 +65,8 @@ class TestPatternBehavior:
             PatternBehavior([])
         with pytest.raises(ValueError):
             PatternBehavior([2])
+        with pytest.raises(ValueError):
+            PatternBehavior([1.0])
 
 
 class TestCorrelatedBehavior:

@@ -1,4 +1,7 @@
-"""Unit tests for the synthetic program structure and interpreter."""
+"""Unit tests for the synthetic program structure and its compiled generator."""
+
+import ast
+import dataclasses
 
 import pytest
 
@@ -7,16 +10,22 @@ from repro.workloads.behaviors import (
     BranchBehavior,
     CorrelatedBehavior,
     PatternBehavior,
+    PhasedBehavior,
     TripSource,
 )
+from repro.workloads.ibs import benchmark_names, benchmark_program
 from repro.workloads.program import (
     Block,
     Emit,
     If,
     Loop,
+    Node,
     Site,
     SyntheticProgram,
+    _Compiler,
 )
+from repro.workloads.spec_like import spec_benchmark_names
+from repro.workloads.spec_like import _program as spec_program
 
 
 def site(name, pc, behavior=None, backward=False):
@@ -241,3 +250,163 @@ class TestInterpreterEdges:
         ]))
         with pytest.raises(ValueError, match=f"got {value!r}"):
             program.generate(2)
+
+
+class _PassThrough(BranchBehavior):
+    """Delegates to ``inner``.  The compiler does not know this type, so it
+    calls it through ``next_outcome`` with an ExecutionContext."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def next_outcome(self, context, rng):
+        return self.inner.next_outcome(context, rng)
+
+    def reset(self):
+        self.inner.reset()
+
+
+def _through_next_outcome(node, wrappers):
+    """``node`` with every behaviour wrapped once in a :class:`_PassThrough`."""
+
+    def wrap(site):
+        if site.behavior is None:
+            return site
+        key = id(site.behavior)
+        if key not in wrappers:
+            wrappers[key] = _PassThrough(site.behavior)
+        return dataclasses.replace(site, behavior=wrappers[key])
+
+    if type(node) is Emit:
+        return Emit(wrap(node.site))
+    if type(node) is Block:
+        return Block([_through_next_outcome(child, wrappers) for child in node.children])
+    if type(node) is If:
+        return If(
+            wrap(node.site),
+            _through_next_outcome(node.then_body, wrappers),
+            _through_next_outcome(node.else_body, wrappers),
+        )
+    return Loop(wrap(node.site), _through_next_outcome(node.body, wrappers), node.trips)
+
+
+def _source(program):
+    """The generated Python source of ``program``'s generator."""
+    return _Compiler(program.sites).source(program._root)
+
+
+def _benchmark(name):
+    if name in spec_benchmark_names():
+        return spec_program(name)
+    return benchmark_program(name)
+
+
+ALL_BENCHMARKS = benchmark_names() + spec_benchmark_names()
+
+
+class TestInlinedBehaviours:
+    """The inlined behaviours equal each behaviour's own ``next_outcome``."""
+
+    @pytest.mark.parametrize("name", ALL_BENCHMARKS)
+    def test_benchmark_equals_next_outcome_path(self, name):
+        program = _benchmark(name)
+        generic = SyntheticProgram(name, _through_next_outcome(program._root, {}))
+        assert "next_outcome" in _source(generic)
+        for seed in (0, 1306):
+            for length in (1, 999, 16384):
+                inlined = program.generate(length, seed)
+                called = generic.generate(length, seed)
+                assert inlined.pcs.tobytes() == called.pcs.tobytes()
+                assert inlined.outcomes.tobytes() == called.outcomes.tobytes()
+
+    def test_nested_program_equals_next_outcome_path(self):
+        program = _nested_program()
+        generic = SyntheticProgram("nested", _through_next_outcome(program._root, {}))
+        for seed in (0, 5):
+            assert list(program.generate(2000, seed)) == list(generic.generate(2000, seed))
+
+
+class _Reads(BranchBehavior):
+    """Always taken; records what it reads through the context."""
+
+    def __init__(self, names):
+        self.names = names
+        self.seen = []
+
+    def next_outcome(self, context, rng):
+        self.seen.append(tuple(context.last_outcome(name) for name in self.names))
+        return 1
+
+
+class TestCompilerEdges:
+    def test_generic_behaviour_reads_back_edge_and_unrun_site(self):
+        reader = _Reads(["loop", "later", "missing"])
+        loop = Loop(
+            site("loop", 0x100, None, backward=True),
+            body=Block([
+                Emit(site("r", 0x104, reader)),
+                Emit(site("c", 0x108, CorrelatedBehavior(["loop", "later"]))),
+            ]),
+            trips=TripSource.fixed(2),
+        )
+        program = SyntheticProgram(
+            "p", Block([loop, Emit(site("later", 0x10C, PatternBehavior([1])))])
+        )
+        trace = program.generate(9)
+        # Pass 1: loop, r, c, loop, r, c, loop exit, later; pass 2 stops
+        # after its first iteration's body, then cuts to 9.
+        assert reader.seen == [(1, 0, 0), (1, 0, 0), (1, 1, 0)]
+        assert trace.outcomes.tolist() == [1, 1, 1, 1, 1, 1, 0, 1, 1]
+
+    @pytest.mark.parametrize(
+        "shared, expected",
+        [
+            (PatternBehavior([1, 0, 0]), [1, 0, 0, 1, 0, 0]),
+            (PhasedBehavior(2, 1.0, 0.0), [1, 1, 0, 0, 1, 1]),
+        ],
+    )
+    def test_behaviour_shared_by_two_sites_shares_state(self, shared, expected):
+        program = SyntheticProgram("p", Block([
+            Emit(site("a", 0x100, shared)),
+            Emit(site("b", 0x104, shared)),
+        ]))
+        assert program.generate(6).outcomes.tolist() == expected
+        wrappers = {}
+        generic = SyntheticProgram("p", _through_next_outcome(program._root, wrappers))
+        assert len(wrappers) == 1
+        assert generic.generate(6).outcomes.tolist() == expected
+
+    @pytest.mark.parametrize("base", [Node, Emit])
+    def test_unknown_node_type_rejected_in_one_line(self, base):
+        leaf = site("a", 0x100, BiasedBehavior(0.5))
+
+        class Custom(base):
+            def __init__(self):
+                self.site = leaf
+
+            def sites(self):
+                return [leaf]
+
+        program = SyntheticProgram("p", Block([Custom()]))
+        with pytest.raises(TypeError, match="^cannot compile a Custom node") as info:
+            program.generate(1)
+        assert "\n" not in str(info.value)
+
+    def test_loops_nested_past_the_block_limit_rejected(self):
+        node = Emit(site("leaf", 0x100, BiasedBehavior(0.5)))
+        for depth in range(25):
+            node = Loop(
+                site(f"l{depth}", 0x104 + 4 * depth, None, backward=True),
+                body=node,
+                trips=TripSource.fixed(1),
+            )
+        with pytest.raises(ValueError, match="'deep' does not compile"):
+            SyntheticProgram("deep", node).generate(1)
+
+    @pytest.mark.parametrize("name", ALL_BENCHMARKS + ["nested"])
+    def test_generated_source_is_python_3_9(self, name):
+        program = _nested_program() if name == "nested" else _benchmark(name)
+        for candidate in (program, SyntheticProgram(
+            name, _through_next_outcome(program._root, {})
+        )):
+            ast.parse(_source(candidate), feature_version=(3, 9))
