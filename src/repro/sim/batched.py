@@ -14,8 +14,8 @@ observer the experiments use: a single mechanism is a grid of one.
   in one int64 (:func:`repro.sim.chunked._flatten_and_group`), so one
   sort serves every grid point sharing an index stream.  The
   shift-register history is reconstructed once at the widest requested
-  register; a ``w``-bit configuration reads it through
-  ``bit_mask(w)``.  This is exact:
+  register, in ``ceil(log2 W)`` doubling passes; a ``w``-bit
+  configuration reads it through ``bit_mask(w)``.  This is exact:
   history bit ``j`` is populated only when the in-group rank exceeds
   ``j``, which is width-independent.  Resetting counters and two-level
   level-2 indices derive from the patterns through the same helpers the
@@ -23,12 +23,16 @@ observer the experiments use: a single mechanism is a grid of one.
 * **Counter walks stacked as a 2-D clamp-affine scan.**  Saturating
   counters from every configuration are concatenated along the config
   axis and evaluated by a single segmented Hillis-Steele scan with
-  per-position clamp bounds — one ``O(N log N)`` scan over (config,
-  time) instead of one scan per configuration.
+  per-position clamp bounds — one ``O(N log N)`` int32 scan over
+  (config, time) instead of one scan per configuration.  A saturating
+  maximum must stay below ``2**30``, the scan's range.
 * **Per-config bucket folds peeled off at the end.**  Bucket statistics
-  are accumulated directly in the sorted domain (``np.bincount`` is
-  order-invariant and the 0/1 float64 sums are exact integers), so no
-  scatter back to time order is needed except for the two-level cascade.
+  are accumulated directly in the sorted domain by ``np.add.at``
+  scatters, in work proportional to the chunk, not the bucket count
+  (the fold is order-invariant and the float64 sums are exact
+  integers), so no scatter back to time order is needed except for the
+  two-level cascade.  ``add.at`` is fast from numpy 1.25; older numpy
+  gives the same sums, more slowly.
   Each spec's counts and mispredictions are running float64 arrays
   updated in place; :meth:`GridObserver.statistics` copies them into
   fresh :class:`~repro.analysis.buckets.BucketStatistics`, so a snapshot
@@ -53,6 +57,7 @@ import numpy as np
 from repro.analysis.buckets import BucketStatistics
 from repro.core.indexing import IndexFunction
 from repro.sim.chunked import (
+    SCAN_LIMIT,
     InitPatterns,
     StreamChunk,
     _FlatGroups,
@@ -63,7 +68,7 @@ from repro.sim.chunked import (
     resetting_counts,
 )
 from repro.utils.bits import bit_mask
-from repro.utils.validation import check_in_range, check_positive
+from repro.utils.validation import check_in_range
 
 #: Spec kinds, mirroring the experiment runner's statistics helpers.
 PATTERN = "pattern"
@@ -73,7 +78,7 @@ TWO_LEVEL = "two_level"
 
 SPEC_KINDS = (PATTERN, RESETTING, SATURATING, TWO_LEVEL)
 
-#: Kinds whose table is a shift register (they share the lagged-shift
+#: Kinds whose table is a shift register (they share the shift-register
 #: history reconstruction; saturating counters do not need one).
 _REGISTER_KINDS = (PATTERN, RESETTING, TWO_LEVEL)
 
@@ -102,7 +107,8 @@ class SweepSpec:
                 f"unknown spec kind {self.kind!r}; known kinds: {SPEC_KINDS}"
             )
         if self.kind == SATURATING:
-            check_positive(self.width, "width")
+            # The counter maximum is a clamp bound of the int32 scan.
+            check_in_range(self.width, 1, SCAN_LIMIT - 1, "width")
         else:
             check_in_range(self.width, 1, 30, "width")
         if isinstance(self.init, np.ndarray):
@@ -288,18 +294,16 @@ class GridObserver:
     ) -> None:
         """Fold one chunk's sorted-domain bucket stream into spec ``position``.
 
-        ``np.bincount`` over 0/1 float64 weights sums exact integers, so
-        accumulating in sorted order is bit-identical to a time-order
-        fold.  The running sums are updated in place.
+        Two unbuffered ``np.add.at`` scatters of ``1.0`` into the running
+        float64 sums: the work is proportional to the chunk's accesses,
+        not to the spec's bucket count, and every sum is an exact integer,
+        so folding in sorted order is bit-identical to a time-order fold.
+        (``add.at`` has a fast path from numpy 1.25; older numpy is just
+        as exact, only slower.)
         """
         state = self._states[position]
-        buckets = self.specs[position].num_buckets
-        np.add(state.counts, np.bincount(values, minlength=buckets), out=state.counts)
-        np.add(
-            state.mispredicts,
-            np.bincount(values, weights=incorrect, minlength=buckets),
-            out=state.mispredicts,
-        )
+        np.add.at(state.counts, values, 1.0)
+        np.add.at(state.mispredicts, values[incorrect != 0], 1.0)
 
     def observe(self, chunk: StreamChunk) -> None:
         """Advance every grid point through one chunk of predictor streams."""

@@ -21,11 +21,12 @@ Two kernels do all the work, and every other entry point in
   One packed-key sort (:func:`_sort_groups`: each key carries its
   position in its low bits, so a plain ``np.sort`` gives the stable
   order) groups the accesses of one or several index streams by entry,
-  and ``n`` rank-guarded lagged shifts rebuild every access's history
-  at once.  :class:`repro.sim.batched.GridObserver`
-  runs a whole grid through it; :func:`table_patterns` is its
-  one-stream entry, behind :mod:`repro.sim.fast` and the chunk
-  observers below.  Resetting counters (:func:`resetting_counts`) and
+  and one shift register over the sorted stream (:func:`shift_register`,
+  ``ceil(log2 n)`` doubling passes), masked per access to its first
+  ``min(rank, n)`` bits, rebuilds every access's history at once.
+  :class:`repro.sim.batched.GridObserver` runs a whole grid through
+  it; :func:`table_patterns` is its one-stream entry, behind
+  :mod:`repro.sim.fast` and the chunk observers below.  Resetting counters (:func:`resetting_counts`) and
   two-level tables (:func:`level2_indices`) derive from its output.
 * **The segmented clamped walk** (:func:`_stacked_clamped_walk`).  The
   gshare 2-bit counters and saturating confidence counters both follow
@@ -39,11 +40,13 @@ Two kernels do all the work, and every other entry point in
 
   so the per-entry prefix compositions reduce to a segmented
   Hillis-Steele scan — ``O(n log n)`` vectorized work instead of a
-  sequential Python loop, each doubling pass composing slices in
-  place.  The BHR stream the gshare sweep needs is a
-  lagged-shift reconstruction of the outcome bits (the register shifts
-  in the *resolved outcome*, so it never depends on the predictions),
-  which makes the per-branch table index fully vectorizable.
+  sequential Python loop, each doubling pass composing int32 slices in
+  place (exact within ``±2**30``, :data:`SCAN_LIMIT`).  The BHR and
+  global-CIR streams the gshare sweep needs are shift registers of the
+  outcome and incorrect bits (:func:`lagged_register_stream`, the same
+  doubling as the history); the BHR shifts in the *resolved outcome*, so
+  it never depends on the predictions, which makes the per-branch table
+  index fully vectorizable.
 """
 
 from __future__ import annotations
@@ -68,11 +71,19 @@ DEFAULT_CHUNK_SIZE = 65_536
 #: 2-bit counter initial value matching the paper ("weakly taken").
 _WEAKLY_TAKEN = 2
 
-#: Sentinel clamp bounds representing "no clamp yet" (identity function).
-_NO_CLAMP = 1 << 40
+#: Exclusive magnitude limit of the int32 clamp-affine scan: bounds and
+#: initial values lie within ``(-SCAN_LIMIT, SCAN_LIMIT)``, and
+#: ``±SCAN_LIMIT`` itself is the "no clamp yet" sentinel of the identity.
+SCAN_LIMIT = 1 << 30
 
-#: Widest shift register the int64 lagged-shift kernels support.
+#: Widest shift register the int64 shift-register kernels support.
 MAX_REGISTER_BITS = 62
+
+#: ``_LOW_MASKS[w] == bit_mask(w)`` for every register width ``w``.
+_LOW_MASKS = (np.int64(1) << np.arange(MAX_REGISTER_BITS + 1, dtype=np.int64)) - 1
+
+#: Bit positions ``0..MAX_REGISTER_BITS - 1``.
+_POSITIONS = np.arange(MAX_REGISTER_BITS, dtype=np.int64)
 
 
 def resolve_chunk_size(chunk_size: Optional[int], total: int) -> int:
@@ -143,7 +154,10 @@ def _sort_groups(
     Keys are table indices: non-negative and below ``streams * 2**30``
     (index and register widths are at most 30 bits), so a packed value
     fits in 63 bits unless ``keys`` holds about ``2**31`` accesses
-    (16 GiB of int64) — far beyond any chunk.
+    (16 GiB of int64) — far beyond any chunk.  The int32 clamped walk
+    that consumes these groups has the tighter limit: it raises
+    ``ValueError`` once a group's ``±1`` steps could sum to ``2**30``
+    (:data:`SCAN_LIMIT`, see :func:`_stacked_clamped_walk`).
 
     Returns ``(order, sorted_keys, ranks, is_last)``: each sorted
     position's rank within its (contiguous) group, and a mask of each
@@ -181,47 +195,74 @@ def _stacked_clamped_walk(
     position, so several configurations with different counter maxima
     can be stacked into one scan.  The clamp-affine composition is
     element-wise, so windows never leak across groups: rank-0 positions
-    seed the identity and the ``ranks >= offset`` guard masks every
-    cross-group gather.
+    seed the identity, and each pass composes a position whose rank is
+    below the offset with the identity instead of the window before it.
 
-    Returns ``(pre, post)`` in the same sorted order: the value each
-    access read, and the value it wrote.
+    The scan arrays are int32, half the memory traffic of int64, with
+    ``±2**30`` as the identity's "no clamp" bounds.  It is exact while
+    every bound and initial value lies within ``(-2**30, 2**30)`` and no
+    group's steps sum to ``2**30`` (a walk of ``±1`` steps shorter than
+    ``2**30`` accesses): every composed bound is then a bound plus a
+    partial step sum, within ``±(2**31 - 1)``.  Outside that range it
+    raises ``ValueError``.
+
+    Returns ``(pre, post)`` in the same sorted order (int64): the value
+    each access read, and the value it wrote.
     """
     total = ranks.shape[0]
     if total == 0:
         empty = np.zeros(0, dtype=np.int64)
         return empty, empty
+    max_rank = int(ranks.max())
+    bounds = np.asarray(upper_bounds)
+    extremes = (lo, bounds.min(), bounds.max(), init_sorted.min(), init_sorted.max())
+    step = max(int(deltas.max()), -int(deltas.min()), 1)
+    if max(abs(int(value)) for value in extremes) >= SCAN_LIMIT or (
+        max_rank * step >= SCAN_LIMIT
+    ):
+        raise ValueError(
+            f"clamped walk outside the int32 scan: bounds and initial values "
+            f"must lie within (-{SCAN_LIMIT}, {SCAN_LIMIT}) and a group's steps "
+            f"sum below {SCAN_LIMIT}"
+        )
     # Exclusive prefix composition per group: position of rank r carries
     # the composition of the steps of ranks 0..r-1.  Seed each position
     # with its *predecessor's* step (rank 0 gets the identity), then run
-    # an inclusive segmented scan.
-    shift = np.where(
-        ranks > 0,
-        np.concatenate((np.zeros(1, dtype=np.int64), deltas[:-1])),
-        0,
-    )
-    lower = np.where(ranks > 0, np.int64(lo), -_NO_CLAMP)
-    upper = np.where(ranks > 0, upper_bounds, _NO_CLAMP)
+    # an inclusive segmented scan.  Selections are 0/1 arithmetic, not
+    # masked copies: ``has_step`` is 1 past a group's first access.
+    sentinel = np.int32(SCAN_LIMIT)
+    ranks = ranks.astype(np.int32)
+    has_step = np.minimum(ranks, np.int32(1))
+    shift = np.zeros(total, dtype=np.int32)
+    shift[1:] = deltas[:-1]
+    shift *= has_step
+    lower = has_step * np.int32(lo + SCAN_LIMIT) - sentinel
+    upper = has_step * (bounds.astype(np.int32) - sentinel) + sentinel
 
-    max_rank = int(ranks.max())
-    offset = 1
+    offset, level = 1, 0
     while offset <= max_rank:
-        # Compose (this ∘ earlier): the earlier window applies first.  The
-        # slices alias, so all three compositions are built before any
-        # position is overwritten.
+        # Compose (this ∘ earlier): the earlier window applies first.  An
+        # earlier window from another group (rank < offset) is replaced by
+        # the identity, which leaves this window's function unchanged on
+        # every value a walk can hold.  The slices alias, so every
+        # composition is built before any position is overwritten.
+        in_group = np.minimum(ranks[offset:] >> np.int32(level), np.int32(1))
+        no_clamp = (np.int32(1) - in_group) * sentinel
         shift_now, lower_now, upper_now = shift[offset:], lower[offset:], upper[offset:]
-        composed_shift = shift[:-offset] + shift_now
-        composed_lower = np.maximum(lower_now, lower[:-offset] + shift_now)
+        earlier_lower = lower[:-offset] * in_group - no_clamp
+        earlier_upper = upper[:-offset] * in_group + no_clamp
+        composed_lower = np.maximum(lower_now, earlier_lower + shift_now)
         composed_upper = np.minimum(
-            upper_now, np.maximum(lower_now, upper[:-offset] + shift_now)
+            upper_now, np.maximum(lower_now, earlier_upper + shift_now)
         )
-        in_group = ranks[offset:] >= offset
-        np.copyto(shift_now, composed_shift, where=in_group)
-        np.copyto(lower_now, composed_lower, where=in_group)
-        np.copyto(upper_now, composed_upper, where=in_group)
+        shift_now += shift[:-offset] * in_group
+        lower_now[...] = composed_lower
+        upper_now[...] = composed_upper
         offset <<= 1
+        level += 1
 
-    pre = np.minimum(upper, np.maximum(lower, init_sorted + shift))
+    reached = np.maximum(lower, init_sorted.astype(np.int32) + shift)
+    pre = np.minimum(upper, reached).astype(np.int64)
     post = np.minimum(upper_bounds, np.maximum(np.int64(lo), pre + deltas))
     return pre, post
 
@@ -242,7 +283,8 @@ def segmented_clamped_walk(
     deltas:
         Per-position step (any integers, typically ±1).
     lo, hi:
-        Clamp bounds of every entry.
+        Clamp bounds of every entry, within ``(-2**30, 2**30)`` (the
+        int32 scan's range, :data:`SCAN_LIMIT`).
     init_values:
         Per-entry starting values (one per table entry).
 
@@ -252,6 +294,8 @@ def segmented_clamped_walk(
     its own update), and a fresh copy of the table after all updates —
     the carry for the next chunk.
     """
+    check_in_range(lo, 1 - SCAN_LIMIT, SCAN_LIMIT - 1, "lo")
+    check_in_range(hi, 1 - SCAN_LIMIT, SCAN_LIMIT - 1, "hi")
     indices = np.asarray(indices, dtype=np.int64)
     deltas = np.asarray(deltas, dtype=np.int64)
     if indices.shape != deltas.shape:
@@ -315,16 +359,14 @@ class _FlatGroups:
         check_in_range(width, 1, self.history_width, "width")
         sl = self.segment(stream)
         entries = self.sorted_flat[sl] - self.offsets[stream]
-        ranks = self.ranks[sl]
-        incorrect = self.incorrect_sorted[sl]
         mask = np.int64(bit_mask(width))
-        init_sorted = table[entries]
-        patterns = ((init_sorted << np.minimum(ranks, width)) & mask) | (
-            self.history[sl] & mask
-        )
-        post = ((patterns << np.int64(1)) | incorrect) & mask
+        patterns = table[entries] << np.minimum(self.ranks[sl], width)
+        patterns |= self.history[sl]
+        patterns &= mask
+        # Only each entry's last access publishes its post-update pattern.
         last = self.is_last[sl]
-        table[entries[last]] = post[last]
+        incorrect = self.incorrect_sorted[sl][last]
+        table[entries[last]] = ((patterns[last] << np.int64(1)) | incorrect) & mask
         return patterns
 
     def time_positions(self, stream: int) -> np.ndarray:
@@ -353,14 +395,12 @@ def _flatten_and_group(
     order, sorted_flat, ranks, is_last = _sort_groups(flat)
     incorrect_sorted = np.tile(np.asarray(incorrect, dtype=np.int64), streams)[order]
     # History bit j of an access is the incorrect bit of the access j+1
-    # places earlier in sorted order, present only when that access
-    # belongs to the same entry (``ranks > j``).
-    total = sorted_flat.shape[0]
-    history = np.zeros(total, dtype=np.int64)
-    for j in range(min(history_width, total - 1)):
-        history[j + 1 :] |= (
-            incorrect_sorted[: total - j - 1] & (ranks[j + 1 :] > j)
-        ) << j
+    # places earlier in sorted order, kept only when that access belongs
+    # to the same entry (``ranks > j``): one register over the whole
+    # sorted stream, masked per position to its first ``min(rank, W)`` bits.
+    history = shift_register(incorrect_sorted, history_width)
+    if history_width:
+        history &= _LOW_MASKS[np.minimum(ranks, history_width)]
     return _FlatGroups(
         n=n,
         offsets=offsets,
@@ -439,43 +479,61 @@ def level2_indices(
 # --------------------------------------------------------------------------
 
 
-def lagged_register_stream(bits: np.ndarray, carry: int, width: int) -> np.ndarray:
-    """Pre-position values of a ``width``-bit shift register fed by ``bits``.
+def shift_register(bits: np.ndarray, width: int) -> np.ndarray:
+    """``values[t] = sum_j bits[t-1-j] << j`` over ``j < width`` (zero before 0).
 
-    Position ``t`` sees the register *before* ``bits[t]`` shifts in:
-    bit ``j`` is ``bits[t - 1 - j]``, falling back to ``carry`` (the
-    register value entering this chunk) for positions near the start.
+    The pre-position values of a ``width``-bit shift register fed by the
+    0/1 stream ``bits`` from an all-zero start, built by doubling: with
+    ``R_k`` the register of the last ``k`` bits, ``R_2k[t] = R_k[t] |
+    R_k[t-k] << k``, so ``ceil(log2 width)`` shift-OR passes replace one
+    pass per bit.  The last pass masks its source to the ``width - span``
+    bits still missing, so no intermediate sets bit 63 at widths up to
+    :data:`MAX_REGISTER_BITS`.
     """
     check_in_range(width, 0, MAX_REGISTER_BITS, "width")
     bits = np.asarray(bits, dtype=np.int64)
     m = bits.shape[0]
     values = np.zeros(m, dtype=np.int64)
-    if width == 0 or m == 0:
+    if width == 0 or m < 2:
         return values
-    mask = bit_mask(width)
-    for j in range(width):
-        if m > j + 1:
-            values[j + 1:] |= bits[: m - j - 1] << j
-    carry = int(carry) & mask
-    for t in range(min(m, width)):
-        values[t] = int(values[t]) | ((carry << t) & mask)
+    values[1:] = bits[:-1]
+    span = 1
+    while span < width and span < m:
+        source = values[:-span]
+        if 2 * span > width:
+            source = source & np.int64(bit_mask(width - span))
+        values[span:] |= source << np.int64(span)
+        span <<= 1
+    return values
+
+
+def lagged_register_stream(bits: np.ndarray, carry: int, width: int) -> np.ndarray:
+    """Pre-position values of a ``width``-bit shift register fed by ``bits``.
+
+    Position ``t`` sees the register *before* ``bits[t]`` shifts in:
+    bit ``j`` is ``bits[t - 1 - j]``, falling back to ``carry`` (the
+    register value entering this chunk) for positions near the start:
+    position ``t < width`` also holds the low ``width - t`` carry bits
+    shifted up by ``t``.
+    """
+    values = shift_register(bits, width)
+    k = min(values.shape[0], width)
+    if k:
+        # Position t keeps the carry's low ``width - t`` bits, shifted up by t.
+        low_bits = _LOW_MASKS[width : width - k : -1]
+        values[:k] |= (np.int64(int(carry) & bit_mask(width)) & low_bits) << _POSITIONS[:k]
     return values
 
 
 def register_carry_out(bits: np.ndarray, carry: int, width: int) -> int:
     """The register value after all of ``bits`` shifted in (next chunk's carry)."""
     check_in_range(width, 0, MAX_REGISTER_BITS, "width")
-    if width == 0:
-        return 0
     bits = np.asarray(bits, dtype=np.int64)
     m = bits.shape[0]
-    mask = bit_mask(width)
-    packed = 0
-    for j in range(min(m, width)):
-        packed |= int(bits[m - 1 - j]) << j
-    if m >= width:
-        return packed & mask
-    return ((int(carry) << m) | packed) & mask
+    k = min(m, width)
+    tail = bits[m - k :] << _POSITIONS[k - 1 :: -1] if k else bits[:0]
+    packed = int(np.bitwise_or.reduce(tail))
+    return ((int(carry) << k) | packed) & bit_mask(width)
 
 
 # --------------------------------------------------------------------------
@@ -675,7 +733,7 @@ class SaturatingCounterObserver:
     """Chunked saturating counters (segmented clamped-walk kernel)."""
 
     def __init__(self, maximum: int, table_entries: int, initial: int = 0) -> None:
-        check_positive(maximum, "maximum")
+        check_in_range(maximum, 1, SCAN_LIMIT - 1, "maximum")
         check_in_range(initial, 0, maximum, "initial")
         check_positive(table_entries, "table_entries")
         self.maximum = maximum
