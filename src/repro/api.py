@@ -131,8 +131,8 @@ def predictor_streams(
         gshare global-history width.
     chunk_size:
         Branches per streaming chunk; routes the sweep through the
-        chunked pipeline and its per-chunk disk cache.  Output is
-        identical for any value.
+        chunked pipeline and its cell disk cache.  Output is identical
+        for any value.
     """
     from repro.sim.cache import cached_predictor_streams
 

@@ -53,12 +53,14 @@ class ExperimentConfig:
     #: regardless of the value; workers share the persistent stream cache.
     #: An execution knob, so it stays out of every cache key.
     jobs: int = 1
-    #: Branches per streaming chunk (None = monolithic).  All table state
-    #: carries across chunk boundaries, so every statistic is identical
-    #: for any chunk size; the value only bounds peak working-set memory.
-    #: Composes with ``jobs``: parallel workers sweep through the
-    #: per-chunk cache tier too.  Keys the chunk *tier* (ChunkStreamKey),
-    #: not the sweep: outputs are identical for any value.
+    #: Branches per streaming chunk (None = monolithic).  Any value
+    #: routes streams through the cell tier, whose entries sit on one
+    #: fixed grid (``sim.cache.CELL_BRANCHES``) and hold no chunk size,
+    #: so peak stream memory is O(cell); the value only sets the
+    #: in-memory slice each observer sees.  All table state carries
+    #: across slice boundaries, so every statistic is identical for any
+    #: value.  Composes with ``jobs``: parallel workers fill the cell
+    #: tier too.  It keys the report entries, not the stream cells.
     chunk_size: Optional[int] = None
     #: Retries granted to a failing/timed-out parallel worker task before
     #: the runner aborts (deterministic errors) or degrades to the serial

@@ -35,7 +35,6 @@ from repro.sim.cache import (
     sweep_result_key,
     warm_stream_entries,
 )
-from repro.sim.chunked import StreamChunk
 from repro.sim.diskcache import StreamKey, SweepKey, cache_enabled
 from repro.sim.fast import PredictorStreams
 from repro.utils.bits import bit_mask
@@ -102,7 +101,7 @@ def suite_streams(config: ExperimentConfig) -> Dict[str, PredictorStreams]:
     on the pool first (:func:`warm_streams`); every stream is then served
     by the serial cache path, in benchmark order, so the returned mapping
     is identical to a serial run.  ``chunk_size`` composes with ``jobs``:
-    workers and the parent route disk traffic through the per-chunk tier.
+    workers and the parent route disk traffic through the cell tier.
     """
     requests = [_stream_request(config, name) for name in config.benchmarks]
     with observability.timed("suite_streams.seconds"):
@@ -119,7 +118,7 @@ def suite_stream_chunks(config: ExperimentConfig, benchmark: str):
 
     A generator over :class:`~repro.sim.chunked.StreamChunk`.  A chunk
     size of ``None`` yields one whole-trace chunk from the whole-trace
-    cache tier; any other size is backed by the per-chunk disk tier, so
+    cache tier; any other size slices the cells of the cell tier, so
     warm iterations replay from disk without sweeping and without ever
     materializing the full streams.
     """
@@ -343,23 +342,9 @@ def _observe_prefixes(
             begin, end = 0, chunk.num_branches
             while pending and pending[0] <= offset + end:
                 cut = pending.pop(0) - offset
-                observer.observe(_chunk_part(chunk, begin, cut))
+                observer.observe(chunk.slice(begin, cut))
                 snapshots[offset + cut] = observer.statistics()
                 begin = cut
-            observer.observe(_chunk_part(chunk, begin, end))
+            observer.observe(chunk.slice(begin, end))
             offset += end
     return snapshots
-
-
-def _chunk_part(chunk: StreamChunk, begin: int, end: int) -> StreamChunk:
-    """Branches ``[begin, end)`` of ``chunk`` (the chunk itself if whole)."""
-    if begin == 0 and end == chunk.num_branches:
-        return chunk
-    return StreamChunk(
-        trace_name=chunk.trace_name,
-        start=chunk.start + begin,
-        correct=chunk.correct[begin:end],
-        bhrs=chunk.bhrs[begin:end],
-        pcs=chunk.pcs[begin:end],
-        gcirs=chunk.gcirs[begin:end],
-    )

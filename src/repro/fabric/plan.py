@@ -9,9 +9,12 @@ A ``repro run-all`` decomposes into two layers of cacheable work:
   parallelism is *across* benchmarks and geometries, exactly like the
   in-process pool.  A unit is computed by
   :func:`repro.sim.cache.warm_stream_entries`, the function pool workers
-  run too, and is done when every chunk entry (or the monolithic entry)
+  run too, and is done when every cell entry (or the monolithic entry)
   exists in the shared disk cache — the same ``has_disk_entry`` peek
-  that keeps warm in-process runs pool-free.
+  that keeps warm in-process runs pool-free.  Cells are shared across
+  lengths, so in chunked mode a request whose cells a longer request of
+  the same geometry holds is no unit of its own: it is folded into the
+  longer one.
 * **Report units** — one per registered experiment.  Computing a report
   replays the (now warm) stream tiers and folds statistics; its artifact
   is the report entry serial ``run-all`` writes too
@@ -41,6 +44,7 @@ from repro.experiments.ablation_trace_length import DEFAULT_LENGTHS
 from repro.experiments.config import ExperimentConfig, result_identity
 from repro.experiments.extension_pipeline import PIPELINE_TRACE_LENGTH
 from repro.experiments.runner import _stream_request
+from repro.sim.cache import cells_cover
 
 #: Experiments that read the Section 5.3 small-predictor geometry in
 #: addition to / instead of the default one.  Kept as data here (rather
@@ -193,7 +197,50 @@ def _geometry_requests(
             deps[experiment_id] = list(default_names) + list(small_names)
         else:
             deps[experiment_id] = list(default_names)
+    if config.chunk_size is not None:
+        return _fold_covered_requests(requests, deps)
     return requests, deps
+
+
+def _length(request: Dict[str, object]) -> int:
+    length = request["length"]
+    assert isinstance(length, int)
+    return length
+
+
+def _fold_covered_requests(
+    requests: List[Dict[str, object]], deps: Dict[str, List[str]]
+) -> "Tuple[List[Dict[str, object]], Dict[str, List[str]]]":
+    """Drop each chunked request whose cells a longer one of its geometry holds.
+
+    Chunked streams are stored as cells shared across lengths
+    (:func:`repro.sim.cache.cells_cover`), so such a request is done the
+    moment the longer unit is; as a unit of its own it would only ever
+    be warm-skipped.  Its dependents wait on the longer unit instead.
+    """
+
+    def geometry(request: Dict[str, object]) -> Dict[str, object]:
+        return {key: value for key, value in request.items() if key != "length"}
+
+    kept: List[Dict[str, object]] = []
+    covering: Dict[str, str] = {}
+    for request in sorted(requests, key=lambda request: -_length(request)):
+        cover = next(
+            (
+                held for held in kept
+                if geometry(held) == geometry(request)
+                and cells_cover(_length(request), _length(held))
+            ),
+            request,
+        )
+        if cover is request:
+            kept.append(request)
+        covering[_stream_unit(request).name] = _stream_unit(cover).name
+    folded = {
+        experiment_id: list(dict.fromkeys(covering.get(name, name) for name in names))
+        for experiment_id, names in deps.items()
+    }
+    return [request for request in requests if any(request is held for held in kept)], folded
 
 
 def build_plan(

@@ -21,13 +21,22 @@ keeps the longest trace synthesized per (benchmark, seed) and slices it
 (``workloads.prefix_hits``); on an exact miss the memory tier slices any
 longer entry of the same geometry (``stream_cache.prefix_hits``).  In
 whole-trace mode the slice is persisted exactly as a fresh sweep would
-be.  The per-chunk tier cannot take a slice: each chunk entry carries
-the predictor state after it, which a slice of the streams does not
-hold, so chunked lookups persist only what they sweep.
+be.
+
+With a chunk size set, streams go through the cell tier instead.  Every
+request is cut on one fixed grid of :data:`CELL_BRANCHES`-branch cells,
+keyed without the trace length or the chunk size, so requests of every
+length share the cells they cover on disk: a partial last cell is read
+under its own key or cut from its full cell, and a missing cell resumes
+from the predictor state stored with the cell before it.  The chunk
+size only slices each cell for the observer.  A small memo of decoded
+cells (:data:`CELL_MEMO_MAXSIZE`, streams only) answers repeat reads in
+one process (``stream_cache.cell_memory_hits``).
 
 Grid results (:func:`load_sweep_results` / :func:`store_sweep_results`)
-live on disk only: they are read once per figure run, so a process memo
-would only hold memory.
+live on disk only.  Experiments that evaluate the same grid read one
+another's entries back: a cold serial ``run-all`` at perfbench's input
+stores 100 of them and reads 36 back, each a verified disk read.
 """
 
 from __future__ import annotations
@@ -37,13 +46,7 @@ from collections import OrderedDict
 from typing import TYPE_CHECKING, Any, Dict, Iterator, List, Optional, Sequence, Tuple
 
 from repro import observability
-from repro.sim.chunked import (
-    GshareState,
-    StreamChunk,
-    num_chunks,
-    resolve_chunk_size,
-    sweep_chunk,
-)
+from repro.sim.chunked import GshareState, StreamChunk, sweep_chunk
 from repro.sim.diskcache import (
     ChunkStreamKey,
     StreamKey,
@@ -60,6 +63,7 @@ from repro.sim.diskcache import (
 )
 from repro.sim.fast import PredictorStreams, predictor_streams, streams_from_chunks
 from repro.traces.trace import Trace
+from repro.utils.validation import check_positive
 from repro.workloads.ibs import DEFAULT_TRACE_LENGTH, load_benchmark
 from repro.workloads.spec_like import load_spec_benchmark, spec_benchmark_names
 
@@ -69,7 +73,19 @@ if TYPE_CHECKING:  # analysis imports sim; keep the runtime edge one-way
 #: Upper bound on distinct sweeps kept in process memory.
 MEMORY_TIER_MAXSIZE = 128
 
+#: Upper bound on decoded stream cells kept in process memory.  They
+#: hold streams only: a carried table is read back from disk when a
+#: sweep needs it.
+CELL_MEMO_MAXSIZE = 8
+
+#: Branches per stream cell.  The cell tier stores branches
+#: ``[k * CELL_BRANCHES, (k + 1) * CELL_BRANCHES)`` of a sweep as cell
+#: ``k``, cut short only at a request's length, whatever the chunk size.
+CELL_BRANCHES = 16_384
+
 _memory: "OrderedDict[StreamKey, PredictorStreams]" = OrderedDict()
+
+_cells: "OrderedDict[ChunkStreamKey, StreamChunk]" = OrderedDict()
 
 #: The longest trace synthesized so far per (benchmark, seed).
 _traces: "OrderedDict[Tuple[str, int], Trace]" = OrderedDict()
@@ -98,11 +114,13 @@ def _load_any_benchmark(name: str, length: int, seed: int) -> Trace:
     return trace
 
 
-def _bounded_put(memo: "OrderedDict", key, value) -> None:
-    """Insert into an LRU memo, evicting past :data:`MEMORY_TIER_MAXSIZE`."""
+def _bounded_put(
+    memo: "OrderedDict", key, value, maxsize: int = MEMORY_TIER_MAXSIZE
+) -> None:
+    """Insert into an LRU memo, evicting past ``maxsize`` entries."""
     memo[key] = value
     memo.move_to_end(key)
-    while len(memo) > MEMORY_TIER_MAXSIZE:
+    while len(memo) > maxsize:
         memo.popitem(last=False)
 
 
@@ -176,47 +194,143 @@ def has_disk_entry(chunk_size: Optional[int] = None, **request) -> bool:
     Lets the parallel runner skip process-pool startup when every
     request is already on disk (warm runs then load serially), and is the
     fabric's done-check for a stream unit.  With ``chunk_size`` set, the
-    peek checks the per-chunk tier (every chunk must be present).  A True answer may still turn into a recompute if
-    the entry fails verification on the actual load — that path stays
-    correct, just no longer pool-accelerated.
+    peek checks the cell tier: every cell of the request must be present
+    (a partial last cell, or the full cell it is cut from).  A True
+    answer may still turn into a recompute if the entry fails
+    verification on the actual load — that path stays correct, just no
+    longer pool-accelerated.
     """
     if not cache_enabled():
         return False
     if chunk_size is None:
         return entry_path(stream_key(**request)).exists()
-    length = request.get("length", DEFAULT_TRACE_LENGTH)
-    step = resolve_chunk_size(chunk_size, length)
     return all(
-        chunk_entry_path(
-            chunk_stream_key(chunk_size=step, chunk_index=index, **request)
-        ).exists()
-        for index in range(num_chunks(length, step))
+        any(chunk_entry_path(key).exists() for key in candidates)
+        for candidates in _cell_keys(**request)
     )
 
 
 def chunk_stream_key(
     benchmark: str,
-    chunk_size: int,
-    chunk_index: int,
-    length: int = DEFAULT_TRACE_LENGTH,
+    start: int,
+    stop: int,
     seed: int = 0,
     entries: int = 1 << 16,
     history_bits: int = 16,
     bhr_record_bits: int = 16,
     gcir_bits: int = 16,
 ) -> ChunkStreamKey:
-    """The per-chunk disk key of chunk ``chunk_index`` of a chunked sweep."""
+    """The disk key of the stream cell holding branches ``[start, stop)``."""
     return ChunkStreamKey(
         benchmark=benchmark,
-        length=length,
         seed=seed,
         entries=entries,
         history_bits=history_bits,
         bhr_record_bits=bhr_record_bits,
         gcir_bits=gcir_bits,
-        chunk_size=chunk_size,
-        chunk_index=chunk_index,
+        start=start,
+        stop=stop,
     )
+
+
+def _cell_keys(
+    benchmark: str, length: int = DEFAULT_TRACE_LENGTH, **geometry
+) -> List[Tuple[ChunkStreamKey, ...]]:
+    """The cells of a ``length``-branch request, in stream order.
+
+    Cell ``k`` holds branches ``[k * CELL_BRANCHES, (k + 1) *
+    CELL_BRANCHES)``, cut short at ``length``.  Each item is the cell's
+    exact key, followed, for a partial last cell, by the key of the full
+    cell it may be cut from.
+    """
+    cells: List[Tuple[ChunkStreamKey, ...]] = []
+    for start in range(0, length, CELL_BRANCHES):
+        full = chunk_stream_key(benchmark, start, start + CELL_BRANCHES, **geometry)
+        if full.stop <= length:
+            cells.append((full,))
+        else:
+            cells.append((dataclasses.replace(full, stop=length), full))
+    return cells
+
+
+def cells_cover(length: int, longer: int) -> bool:
+    """Whether a ``longer``-branch request's cells hold all of a ``length``-branch one's.
+
+    The full cells are shared; a partial last cell is covered when the
+    full cell it is cut from lies within ``longer``.
+    """
+    full_end = -(-length // CELL_BRANCHES) * CELL_BRANCHES
+    return length <= longer and (full_end == length or full_end <= longer)
+
+
+def _lookup_cell(candidates: Tuple[ChunkStreamKey, ...]) -> Optional[StreamChunk]:
+    """A cell's streams from the memo, else from disk; None on a miss.
+
+    A partial cell missing under its exact key is cut from its full
+    cell.  Disk reads leave the carried table undecoded.
+    """
+    for key in candidates:
+        cell = _cells.get(key)
+        if cell is not None:
+            _cells.move_to_end(key)
+            observability.increment("stream_cache.cell_memory_hits")
+            break
+    else:
+        for key in candidates:
+            loaded = load_cached_chunk(key, with_state=False)
+            if loaded is not None:
+                cell = loaded[0]
+                _bounded_put(_cells, key, cell, CELL_MEMO_MAXSIZE)
+                break
+        else:
+            return None
+    exact = candidates[0]
+    return cell.slice(0, exact.stop - exact.start)
+
+
+def _sweep_cell(trace: Trace, key: ChunkStreamKey, state: GshareState) -> StreamChunk:
+    """Sweep and store cell ``key`` from ``state``, advancing ``state``."""
+    observability.increment("stream_cache.chunk_sweeps")
+    with observability.timed("stream_cache.chunk_sweep_seconds"):
+        cell = sweep_chunk(
+            trace.pcs[key.start : key.stop],
+            trace.outcomes[key.start : key.stop],
+            state,
+            history_bits=key.history_bits,
+            bhr_record_bits=key.bhr_record_bits,
+            gcir_bits=key.gcir_bits,
+            trace_name=trace.name,
+        )
+    store_cached_chunk(key, cell, state)
+    return cell
+
+
+def _sweep_missing(
+    trace: Trace,
+    cells: Sequence[Tuple[ChunkStreamKey, ...]],
+    index: int,
+    state: Optional[GshareState],
+) -> Tuple[StreamChunk, GshareState]:
+    """Sweep and store missing cell ``index``; returns it and the state after it.
+
+    ``state`` is used when it stands at the cell's start: the cell
+    before was swept here.  Otherwise the memo holds no state, so the
+    state of the nearest earlier cell entry that loads is read back, and
+    the cells after that one are swept (and stored) again; with none,
+    the sweep starts from a fresh state at branch 0.
+    """
+    key = cells[index][0]
+    if state is None or state.position != key.start:
+        for loadable in range(index - 1, -1, -1):
+            loaded = load_cached_chunk(cells[loadable][0])
+            if loaded is not None:
+                state = loaded[1]
+                break
+        else:
+            loadable, state = -1, GshareState.fresh(key.entries)
+        for (earlier,) in cells[loadable + 1 : index]:
+            _sweep_cell(trace, earlier, state)
+    return _sweep_cell(trace, key, state), state
 
 
 def iter_cached_stream_chunks(
@@ -233,11 +347,13 @@ def iter_cached_stream_chunks(
 
     A ``None`` chunk size yields the whole trace as one chunk, served by
     :func:`cached_predictor_streams` (memory -> whole-trace disk entry ->
-    sweep).  Any other size goes through the per-chunk disk tier: each
-    chunk is looked up under its own content key, and a hit also restores
-    the post-chunk :class:`~repro.sim.chunked.GshareState`, so sweeping
-    resumes exactly where the cached prefix left off — the trace is only
-    loaded (lazily, once) when some chunk actually misses.
+    sweep).  Any other size reads the request's cells
+    (:func:`_cell_keys`) through the cell memo and the cell disk tier
+    and yields each cell as views of at most ``chunk_size`` branches:
+    the chunk size sets only the slice an observer sees, never what is
+    stored.  A missing cell is swept from the state after the cell
+    before it (:func:`_sweep_missing`).  The trace is only loaded
+    (lazily, once) when some cell actually misses.
     """
     if chunk_size is None:
         streams = cached_predictor_streams(
@@ -258,49 +374,23 @@ def iter_cached_stream_chunks(
             gcirs=streams.gcirs,
         )
         return
-    step = resolve_chunk_size(chunk_size, length)
+    step = check_positive(chunk_size, "chunk_size")
+    cells = _cell_keys(
+        benchmark, length, seed=seed, entries=entries, history_bits=history_bits,
+        bhr_record_bits=bhr_record_bits, gcir_bits=gcir_bits,
+    )
     state: Optional[GshareState] = None
     trace: Optional[Trace] = None
-    for index in range(num_chunks(length, step)):
-        key = chunk_stream_key(
-            benchmark,
-            chunk_size=step,
-            chunk_index=index,
-            length=length,
-            seed=seed,
-            entries=entries,
-            history_bits=history_bits,
-            bhr_record_bits=bhr_record_bits,
-            gcir_bits=gcir_bits,
-        )
-        loaded = load_cached_chunk(key)
-        if loaded is not None:
-            chunk, state = loaded
-            observability.record_peak_rss()
-            yield chunk
-            continue
-        if trace is None:
-            trace = _load_any_benchmark(benchmark, length, seed)
-        if state is None:
-            # Only possible at index 0: the sweep is sequential, so any
-            # later miss inherits the state of the chunk before it.
-            state = GshareState.fresh(entries)
-        start = index * step
-        stop = min(start + step, length)
-        observability.increment("stream_cache.chunk_sweeps")
-        with observability.timed("stream_cache.chunk_sweep_seconds"):
-            chunk = sweep_chunk(
-                trace.pcs[start:stop],
-                trace.outcomes[start:stop],
-                state,
-                history_bits=history_bits,
-                bhr_record_bits=bhr_record_bits,
-                gcir_bits=gcir_bits,
-                trace_name=trace.name,
-            )
-        store_cached_chunk(key, chunk, state.copy())
+    for index, candidates in enumerate(cells):
+        cell = _lookup_cell(candidates)
+        if cell is None:
+            if trace is None:
+                trace = _load_any_benchmark(benchmark, length, seed)
+            cell, state = _sweep_missing(trace, cells, index, state)
+            _bounded_put(_cells, candidates[0], cell, CELL_MEMO_MAXSIZE)
         observability.record_peak_rss()
-        yield chunk
+        for begin in range(0, cell.num_branches, step):
+            yield cell.slice(begin, begin + step)
 
 
 def warm_stream_entries(chunk_size: Optional[int], request: Dict[str, Any]) -> None:
@@ -308,13 +398,24 @@ def warm_stream_entries(chunk_size: Optional[int], request: Dict[str, Any]) -> N
 
     The one path that fills the store outside the process that reads it:
     pool workers (:func:`repro.experiments.runner.warm_streams`) and
-    fabric stream units both call it.  Draining the request's chunks
-    sweeps and stores only what the store lacks: a chunked request
-    resumes after any warm prefix and holds one chunk at a time, and a
-    ``None`` chunk size is one whole-trace entry.
+    fabric stream units both call it.  A ``None`` chunk size is one
+    whole-trace entry.  Otherwise the request's cells on disk are
+    neither read nor memoized (the reader is another process or a later
+    unit), and only the missing cells are swept and stored.
     """
-    for _ in iter_cached_stream_chunks(chunk_size=chunk_size, **request):
-        pass
+    if chunk_size is None:
+        cached_predictor_streams(**request)
+        return
+    cells = _cell_keys(**request)
+    state: Optional[GshareState] = None
+    trace: Optional[Trace] = None
+    for index, candidates in enumerate(cells):
+        if any(chunk_entry_path(key).exists() for key in candidates):
+            continue
+        if trace is None:
+            last = cells[-1][0]
+            trace = _load_any_benchmark(last.benchmark, last.stop, last.seed)
+        _, state = _sweep_missing(trace, cells, index, state)
 
 
 def cached_predictor_streams(
@@ -335,9 +436,9 @@ def cached_predictor_streams(
     whole-trace mode a prefix, is persisted so later processes (and
     parallel workers sharing the cache directory) skip it.  The result
     is chunk-size invariant, so the memory tier is shared across chunk
-    sizes; with ``chunk_size`` set, disk traffic goes through the
-    per-chunk tier (:func:`iter_cached_stream_chunks`) instead of the
-    monolithic one.
+    sizes; with ``chunk_size`` set, disk traffic goes through the cell
+    tier (:func:`iter_cached_stream_chunks`) instead of the monolithic
+    one.
     """
     key = stream_key(
         benchmark,
@@ -430,3 +531,4 @@ def clear_stream_cache() -> None:
     """
     _memory.clear()
     _traces.clear()
+    _cells.clear()

@@ -51,7 +51,6 @@ Two kernels do all the work, and every other entry point in
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Optional, Sequence, Tuple, Union
 
@@ -272,7 +271,7 @@ def segmented_clamped_walk(
     deltas: np.ndarray,
     lo: int,
     hi: int,
-    init_values: np.ndarray,
+    table: np.ndarray,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Vectorized table of clamped walks ``x -> min(hi, max(lo, x + d))``.
 
@@ -285,14 +284,15 @@ def segmented_clamped_walk(
     lo, hi:
         Clamp bounds of every entry, within ``(-2**30, 2**30)`` (the
         int32 scan's range, :data:`SCAN_LIMIT`).
-    init_values:
-        Per-entry starting values (one per table entry).
+    table:
+        Per-entry values before the stream (a one-dimensional int64
+        array), advanced in place to the values after it: the carry for
+        the next chunk, with no per-call copy of the table.
 
     Returns
     -------
-    ``(pre_values, final_values)``: the value each access *read* (before
-    its own update), and a fresh copy of the table after all updates —
-    the carry for the next chunk.
+    ``(pre_values, table)``: the value each access *read* (before its
+    own update), and ``table`` itself.
     """
     check_in_range(lo, 1 - SCAN_LIMIT, SCAN_LIMIT - 1, "lo")
     check_in_range(hi, 1 - SCAN_LIMIT, SCAN_LIMIT - 1, "hi")
@@ -300,19 +300,20 @@ def segmented_clamped_walk(
     deltas = np.asarray(deltas, dtype=np.int64)
     if indices.shape != deltas.shape:
         raise ValueError("indices and deltas must have equal length")
+    if not isinstance(table, np.ndarray) or table.dtype != np.int64 or table.ndim != 1:
+        raise ValueError("table must be a one-dimensional int64 array")
     n = indices.shape[0]
-    finals = np.asarray(init_values, dtype=np.int64).copy()
     if n == 0:
-        return np.zeros(0, dtype=np.int64), finals
+        return np.zeros(0, dtype=np.int64), table
 
     order, sorted_indices, ranks, is_last = _sort_groups(indices)
     pre_sorted, post_sorted = _stacked_clamped_walk(
-        ranks, deltas[order], lo, hi, finals[sorted_indices]
+        ranks, deltas[order], lo, hi, table[sorted_indices]
     )
     pre_values = np.empty(n, dtype=np.int64)
     pre_values[order] = pre_sorted
-    finals[sorted_indices[is_last]] = post_sorted[is_last]
-    return pre_values, finals
+    table[sorted_indices[is_last]] = post_sorted[is_last]
+    return pre_values, table
 
 
 # --------------------------------------------------------------------------
@@ -562,14 +563,6 @@ class GshareState:
             raise ValueError(f"entries must be a power of two, got {entries}")
         return cls(table=np.full(entries, _WEAKLY_TAKEN, dtype=np.int64))
 
-    def copy(self) -> "GshareState":
-        return GshareState(
-            table=self.table.copy(),
-            bhr=self.bhr,
-            gcir=self.gcir,
-            position=self.position,
-        )
-
 
 @dataclass(frozen=True)
 class StreamChunk:
@@ -590,6 +583,20 @@ class StreamChunk:
     @property
     def num_branches(self) -> int:
         return int(self.correct.shape[0])
+
+    def slice(self, begin: int, end: int) -> "StreamChunk":
+        """Branches ``[begin, end)`` of this chunk as views (itself if whole)."""
+        end = min(end, self.num_branches)
+        if begin == 0 and end == self.num_branches:
+            return self
+        return StreamChunk(
+            trace_name=self.trace_name,
+            start=self.start + begin,
+            correct=self.correct[begin:end],
+            bhrs=self.bhrs[begin:end],
+            pcs=self.pcs[begin:end],
+            gcirs=self.gcirs[begin:end],
+        )
 
 
 def sweep_chunk(
@@ -624,9 +631,7 @@ def sweep_chunk(
         (pcs_arr >> PC_ALIGNMENT_BITS) ^ (bhr_values & history_mask)
     ) & index_mask
     deltas = np.where(outcomes_arr == 1, 1, -1)
-    counters, state.table = segmented_clamped_walk(
-        indices, deltas, 0, 3, state.table
-    )
+    counters, _ = segmented_clamped_walk(indices, deltas, 0, 3, state.table)
     correct = ((counters >> 1) == outcomes_arr).astype(np.uint8)
 
     incorrect = (correct == 0).astype(np.int64)
@@ -679,12 +684,6 @@ def sweep_stream_chunks(
         observability.increment("chunked.chunks")
         observability.record_peak_rss()
         yield chunk
-
-
-def num_chunks(total: int, chunk_size: Optional[int]) -> int:
-    """How many chunks a ``total``-branch stream splits into."""
-    step = resolve_chunk_size(chunk_size, total)
-    return max(1, math.ceil(total / step)) if total else 1
 
 
 # --------------------------------------------------------------------------
@@ -742,9 +741,7 @@ class SaturatingCounterObserver:
     def observe(self, indices: np.ndarray, correct: np.ndarray) -> np.ndarray:
         indices = check_table_indices(indices, self.table.shape[0])
         deltas = np.where(np.asarray(correct) != 0, 1, -1)
-        values, self.table = segmented_clamped_walk(
-            indices, deltas, 0, self.maximum, self.table
-        )
+        values, _ = segmented_clamped_walk(indices, deltas, 0, self.maximum, self.table)
         return values
 
 

@@ -2,7 +2,7 @@
 
 The predictor sweep is the only sequential-in-Python stage of the fast
 path; :mod:`repro.sim.cache` memoizes it per process, and this module
-persists whole-trace streams, stream chunks and grid results across
+persists whole-trace streams, stream cells and grid results across
 processes as content-keyed entries.  ``extension-pipeline`` results
 and the experiment reports (both in ``sweep_results/``) use the same
 store; serial ``run-all`` and the fabric share the report entries.
@@ -25,13 +25,15 @@ store; serial ``run-all`` and the fabric share the report entries.
   run that only replays reports never loads numpy.
 * **One staleness rule.**  Every key holds :func:`program_digest`, a
   digest of numpy's ``version.py`` and every source file of ``repro``.
-  :class:`StreamKey` (and the chunk, sweep and pipeline keys built on
-  its ``describe()``) captures everything the sweep depends on plus
-  that digest, and its digest names the file, so neither a config
-  change nor an edit to the code or a workload definition can alias.
+  :class:`StreamKey` (and the sweep and pipeline keys built on its
+  ``describe()``) and :class:`ChunkStreamKey` (one cell of a sweep:
+  the same fields with ``start``/``stop`` in place of the length)
+  capture everything the sweep depends on plus that digest, and the
+  key's digest names the file, so neither a config change nor an edit
+  to the code or a workload definition can alias.
   After any source edit every entry misses; the old ones stay on disk
   until ``repro cache clear``.
-* **Compact arrays.**  Streams, chunks and carried predictor tables
+* **Compact arrays.**  Streams, cells and carried predictor tables
   store their int64 arrays at the smallest unsigned dtype that holds
   them and widen them back on decode; sweep results store only their
   nonzero buckets (positions, counts, mispredicts).  Decoding rejects
@@ -145,17 +147,8 @@ SWEEPS = EntryFamily("store_sweep", "sweep_cache.disk_hits", "sweep_cache.disk_m
                      "sweep_cache.disk_corrupt", "sweep_cache.stores", "sweep_cache.store_errors")
 
 
-@dataclass(frozen=True)
-class StreamKey:
-    """Value-based identity of one predictor sweep."""
-
-    benchmark: str
-    length: int
-    seed: int
-    entries: int
-    history_bits: int
-    bhr_record_bits: int
-    gcir_bits: int
+class _ContentKey:
+    """The shared digest methods of the frozen dataclass keys below."""
 
     def describe(self) -> dict:
         """The key as a plain dict, including the program digest.
@@ -173,16 +166,36 @@ class StreamKey:
 
 
 @dataclass(frozen=True)
-class ChunkStreamKey(StreamKey):
-    """Value-based identity of one chunk of a chunked predictor sweep.
+class StreamKey(_ContentKey):
+    """Value-based identity of one predictor sweep."""
 
-    Extends :class:`StreamKey` with the chunking geometry, so the same
-    sweep at two chunk sizes never aliases, and chunk ``k`` of one run is
-    directly reusable by any later run with the same geometry.
+    benchmark: str
+    length: int
+    seed: int
+    entries: int
+    history_bits: int
+    bhr_record_bits: int
+    gcir_bits: int
+
+
+@dataclass(frozen=True)
+class ChunkStreamKey(_ContentKey):
+    """Value-based identity of one cell of a predictor sweep: branches ``[start, stop)``.
+
+    It holds no trace length and no chunk size.  The sweep is causal
+    and a shorter trace is a prefix of a longer one, so the cell is the
+    same for every request that covers it: ``sim.cache`` cuts every
+    request on one fixed cell grid, whatever its chunk size.
     """
 
-    chunk_size: int = 0
-    chunk_index: int = 0
+    benchmark: str
+    seed: int
+    entries: int
+    history_bits: int
+    bhr_record_bits: int
+    gcir_bits: int
+    start: int
+    stop: int
 
 
 @dataclass(frozen=True)
@@ -498,15 +511,15 @@ def load_cached_streams(key: StreamKey) -> Optional[PredictorStreams]:
 
 
 def chunk_cache_dir() -> Path:
-    """Directory holding the per-chunk stream entries."""
+    """Directory holding the stream-cell entries."""
     return cache_root() / _CHUNKS_SUBDIR
 
 
 def chunk_entry_path(key: ChunkStreamKey) -> Path:
-    """Cache file path for chunk ``key``."""
+    """Cache file path for cell ``key``."""
     name = (
-        f"{key.benchmark}-L{key.length}-s{key.seed}"
-        f"-c{key.chunk_size}-k{key.chunk_index}-{key.digest()[:16]}{ENTRY_SUFFIX}"
+        f"{key.benchmark}-s{key.seed}-b{key.start}-{key.stop}"
+        f"-{key.digest()[:16]}{ENTRY_SUFFIX}"
     )
     return chunk_cache_dir() / name
 
@@ -514,12 +527,14 @@ def chunk_entry_path(key: ChunkStreamKey) -> Path:
 def store_cached_chunk(
     key: ChunkStreamKey, chunk: StreamChunk, state_after: GshareState
 ) -> Optional[Path]:
-    """Persist one stream chunk plus the post-chunk predictor state.
+    """Persist one stream cell plus the predictor state after it.
 
     Storing the carried-out :class:`~repro.sim.chunked.GshareState` next
-    to the streams is what makes the chunk tier resumable: a later run
-    that hits chunks ``0..k`` can continue sweeping at ``k+1`` without
-    replaying the prefix.
+    to the streams is what makes the cell tier resumable: a later run
+    that hits cells ``0..k`` can continue sweeping at ``k+1`` without
+    replaying the prefix.  The write is synchronous and narrows the
+    table into a new array, so the caller may go on advancing
+    ``state_after`` once it returns.
     """
     if not cache_enabled():
         return None
@@ -533,12 +548,14 @@ def store_cached_chunk(
 
 
 def load_cached_chunk(
-    key: ChunkStreamKey,
-) -> "Optional[tuple[StreamChunk, GshareState]]":
-    """Load chunk ``key`` and its post-chunk state, or None on miss.
+    key: ChunkStreamKey, with_state: bool = True
+) -> "Optional[tuple[StreamChunk, Optional[GshareState]]]":
+    """Load cell ``key`` and the state after it, or None on miss.
 
-    Mirrors :func:`load_cached_streams`: corrupt entries are dropped
-    best-effort and reported as misses.
+    Mirrors :func:`load_cached_streams`: corrupt entries, and entries
+    whose streams do not span ``[key.start, key.stop)``, are dropped
+    best-effort and reported as misses.  With ``with_state`` False the
+    carried table is verified but not widened, and the state is None.
     """
     if not cache_enabled():
         return None
@@ -546,15 +563,19 @@ def load_cached_chunk(
 
     def decode(
         arrays: Dict[str, np.ndarray], fields: Dict[str, Any]
-    ) -> "tuple[StreamChunk, GshareState]":
+    ) -> "tuple[StreamChunk, Optional[GshareState]]":
         state = {name: fields.pop(name) for name in ("bhr", "gcir", "position")}
-        table = _widen(arrays.pop("table"))
+        table = arrays.pop("table")
         if table.shape != (key.entries,):
             raise ValueError("chunk cache entry table size mismatch")
         _same_lengths(arrays)
         streams = {name: _widen(arrays[name]) for name in ("bhrs", "pcs", "gcirs")}
         chunk = StreamChunk(**fields, correct=arrays["correct"], **streams)
-        return chunk, GshareState(table=table, **state)
+        if (chunk.start, chunk.start + chunk.num_branches) != (key.start, key.stop):
+            raise ValueError("chunk cache entry does not span its cell")
+        if not with_state:
+            return chunk, None
+        return chunk, GshareState(table=_widen(table), **state)
 
     return get(CHUNKS, chunk_entry_path(key), key.describe(), decode)
 

@@ -25,6 +25,7 @@ from repro.fabric.runtime import (
     merge_reports_text,
     run_worker,
 )
+from repro.sim import cache as stream_cache
 from repro.sim.cache import clear_stream_cache
 from repro.testing import faults
 
@@ -89,6 +90,11 @@ def test_killed_worker_and_corrupt_entries_leave_a_golden_merge(tmp_path, monkey
     _kill_at_first_lease(fabric_dir)
 
     monkeypatch.setenv(faults.FAULT_SPEC_ENV, "seed=3,corrupt_entry=0.5")
+    # Every stream read goes to disk, over 500-branch cells: 24 cell
+    # reads, where the cell memo would leave 4 and a one-in-sixteen
+    # chance (set by the entries' digests) that none is damaged.
+    monkeypatch.setattr(stream_cache, "CELL_MEMO_MAXSIZE", 0)
+    monkeypatch.setattr(stream_cache, "CELL_BRANCHES", 500)
     faults.reset_fault_state()
     observability.reset_metrics()
     try:

@@ -17,6 +17,9 @@ CONFIG = ExperimentConfig(
 )
 IDS = ["table1", "fig5", "fig10"]
 
+#: Whole-trace streams: one entry per length, so every length is a unit.
+MONOLITHIC = CONFIG.scaled(chunk_size=None)
+
 
 def test_streams_precede_reports_in_plan_order():
     plan = build_plan(CONFIG, IDS)
@@ -45,7 +48,7 @@ def test_small_geometry_experiments_depend_on_small_streams():
 
 def test_trace_length_ablation_plans_its_fixed_sweeps():
     ids = ["table1", "ablation-trace-length"]
-    plan = build_plan(CONFIG, ids)
+    plan = build_plan(MONOLITHIC, ids)
     ablation = next(
         u for u in plan.report_units
         if u.experiment_id == "ablation-trace-length"
@@ -60,7 +63,7 @@ def test_trace_length_ablation_plans_its_fixed_sweeps():
     assert len(sweep_units) == len(CONFIG.benchmarks)
     assert set(ablation.deps) == {u.name for u in sweep_units}
     assert {u.request["length"] for u in plan.stream_units} == {
-        CONFIG.trace_length, TRACE_LENGTH_SWEEP_LENGTH
+        MONOLITHIC.trace_length, TRACE_LENGTH_SWEEP_LENGTH
     }
 
 
@@ -68,8 +71,8 @@ def test_pipeline_waits_on_the_fixed_length_streams_it_reads():
     from repro.experiments.runner import _stream_request
 
     ids = ["ablation-trace-length", "extension-pipeline"]
-    plan = build_plan(CONFIG, ids)
-    pipeline = CONFIG.scaled(trace_length=PIPELINE_TRACE_LENGTH)
+    plan = build_plan(MONOLITHIC, ids)
+    pipeline = MONOLITHIC.scaled(trace_length=PIPELINE_TRACE_LENGTH)
     expected = {
         u.name for u in plan.stream_units
         if u.request in [_stream_request(pipeline, b) for b in CONFIG.benchmarks]
@@ -79,8 +82,35 @@ def test_pipeline_waits_on_the_fixed_length_streams_it_reads():
     assert set(by_id["extension-pipeline"].deps) == expected
     # The pipeline plans its own streams; the warmup ablation no longer
     # reads that length.
-    alone = build_plan(CONFIG, ["extension-pipeline"])
+    alone = build_plan(MONOLITHIC, ["extension-pipeline"])
     assert set(alone.report_units[0].deps) == expected
+
+
+def test_chunked_plan_folds_the_requests_longer_cells_hold():
+    from repro.experiments.runner import _stream_request
+
+    ids = ["table1", "fig10", "ablation-trace-length", "extension-pipeline"]
+    plan = build_plan(CONFIG, ids)
+    longest = CONFIG.scaled(trace_length=TRACE_LENGTH_SWEEP_LENGTH)
+    sweeps = {
+        u.name for u in plan.stream_units
+        if u.request in [_stream_request(longest, b) for b in CONFIG.benchmarks]
+    }
+    small = {
+        u.name for u in plan.stream_units
+        if u.request["entries"] == CONFIG.small_predictor.predictor_entries
+    }
+    # The 2,000- and 40,000-branch default-geometry requests read cells
+    # the 160,000-branch ones store, so they are no units of their own:
+    # every default-geometry reader waits on the longest sweep.
+    assert {u.name for u in plan.stream_units} == sweeps | small
+    assert len(sweeps) == len(small) == len(CONFIG.benchmarks)
+    by_id = {u.experiment_id: u for u in plan.report_units}
+    for experiment_id in ("table1", "ablation-trace-length", "extension-pipeline"):
+        assert set(by_id[experiment_id].deps) == sweeps, experiment_id
+    assert set(by_id["fig10"].deps) == small
+    # Whole-trace entries are not shared across lengths: nothing folds.
+    assert len(build_plan(MONOLITHIC, ids).stream_units) == 4 * len(CONFIG.benchmarks)
 
 
 def test_plan_digest_ignores_execution_knobs_only(monkeypatch):

@@ -9,8 +9,10 @@ counters differ.
 
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -21,11 +23,14 @@ from repro.cli import main
 from repro.experiments.config import ExperimentConfig
 from repro.experiments.registry import run_all_reports
 from repro.experiments.runner import suite_streams
+from repro.sim import cache as stream_cache
+from repro.sim import diskcache
 from repro.sim.cache import cached_predictor_streams, clear_stream_cache
 from repro.sim.diskcache import (
     ENTRY_SUFFIX,
     chunk_cache_dir,
     disk_cache_stats,
+    read_entry,
     stream_cache_dir,
 )
 from repro.testing import faults
@@ -33,6 +38,9 @@ from repro.testing import faults
 CONFIG = ExperimentConfig(benchmarks=("jpeg_play", "gcc"), trace_length=3000)
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
+
+#: A cell size that cuts a 3,000-branch request into three cells.
+SMALL_CELL = 1_000
 
 
 def _suite_arrays(config):
@@ -253,8 +261,9 @@ class TestCrashConsistency:
         env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
         chunk = f", chunk_size={chunk_size}" if chunk_size else ""
         script = (
-            "from repro.sim.cache import cached_predictor_streams; "
-            f"cached_predictor_streams(benchmark='jpeg_play', length=3000, seed=0{chunk})"
+            "from repro.sim import cache; "
+            f"cache.CELL_BRANCHES = {SMALL_CELL}; "
+            f"cache.cached_predictor_streams(benchmark='jpeg_play', length=3000, seed=0{chunk})"
         )
         return subprocess.run(
             [sys.executable, "-c", script],
@@ -290,6 +299,8 @@ class TestCrashConsistency:
         assert len(list(stream_cache_dir().glob(f"*{ENTRY_SUFFIX}"))) == 1
 
     def test_chunk_store_crash_recovers(self, cache_dir, monkeypatch):
+        # 1,000-branch cells, so the 3,000-branch request is three of them.
+        monkeypatch.setattr(stream_cache, "CELL_BRANCHES", SMALL_CELL)
         baseline = self._fault_free_baseline(monkeypatch)
         proc = self._crash_child(cache_dir, chunk_size=1000)
         assert proc.returncode == faults.STORE_CRASH_EXIT_CODE, proc.stderr
@@ -303,6 +314,63 @@ class TestCrashConsistency:
         assert np.array_equal(streams.correct, baseline)
         assert observability.counter_value("stream_cache.chunk_sweeps") == 3
         assert len(list(chunk_cache_dir().glob(f"*{ENTRY_SUFFIX}"))) == 3
+
+
+class TestKilledRunAll:
+    """A chunked ``--jobs 2`` run SIGKILLed mid-run resumes to the serial bytes."""
+
+    FLAGS = ("--benchmarks", "jpeg_play", "gcc", "--length", "16384")
+
+    @staticmethod
+    def _command(*flags):
+        return [sys.executable, "-m", "repro", "run-all", *TestKilledRunAll.FLAGS, *flags]
+
+    @staticmethod
+    def _env(cache):
+        env = dict(os.environ, REPRO_CACHE_DIR=str(cache))
+        env.pop("REPRO_CACHE_DISABLE", None)
+        env.pop(faults.FAULT_SPEC_ENV, None)
+        env["PYTHONPATH"] = SRC_DIR + os.pathsep + env.get("PYTHONPATH", "")
+        return env
+
+    def test_sigkill_at_the_first_cell_then_rerun_matches_serial(self, tmp_path):
+        cache = tmp_path / "cache"
+        chunked = ("--jobs", "2", "--chunk-size", "4096")
+        # A session of its own, so one killpg reaches the pool's workers too.
+        victim = subprocess.Popen(
+            self._command(*chunked), env=self._env(cache), start_new_session=True,
+            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        )
+        try:
+            deadline = time.monotonic() + 120
+            while not list((cache / "stream_chunks").glob(f"*{ENTRY_SUFFIX}")):
+                assert victim.poll() is None, "the run ended before it stored a cell"
+                assert time.monotonic() < deadline, "the run stored no cell"
+                time.sleep(0.002)
+            os.killpg(victim.pid, signal.SIGKILL)
+        finally:
+            victim.wait(timeout=60)
+        assert victim.returncode == -signal.SIGKILL
+        # Every published entry is whole: a killed writer leaves at most
+        # a stray ``.tmp`` file.
+        for path in cache.rglob(f"*{ENTRY_SUFFIX}"):
+            meta, arrays = read_entry(path)
+            assert meta["checksum"] == diskcache._checksum(arrays, meta["fields"]), path
+
+        profile = tmp_path / "resumed.json"
+        resumed = subprocess.run(
+            self._command(*chunked, "--profile", str(profile)), env=self._env(cache),
+            capture_output=True, text=True, timeout=300,
+        )
+        serial = subprocess.run(
+            self._command(), env=self._env(tmp_path / "serial"),
+            capture_output=True, text=True, timeout=300,
+        )
+        assert resumed.returncode == 0, resumed.stderr
+        assert serial.returncode == 0, serial.stderr
+        assert resumed.stdout == f"{serial.stdout}\nwrote {profile}\n"
+        counters = json.loads(profile.read_text())["counters"]
+        assert counters.get("stream_cache.chunk_hits", 0) > 0  # the killed run's cells
 
 
 class TestFaultedRunAll:

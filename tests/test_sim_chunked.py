@@ -25,7 +25,6 @@ from repro.sim.chunked import (
     _stacked_clamped_walk,
     iter_trace_chunks,
     lagged_register_stream,
-    num_chunks,
     register_carry_out,
     resolve_chunk_size,
     segmented_clamped_walk,
@@ -62,7 +61,7 @@ class TestSegmentedClampedWalk:
             indices = rng.integers(0, entries, n)
             deltas = rng.choice([-1, 1], n)
             init = rng.integers(0, hi + 1, entries)
-            pre, finals = segmented_clamped_walk(indices, deltas, 0, hi, init)
+            pre, finals = segmented_clamped_walk(indices, deltas, 0, hi, init.copy())
             ref_pre, ref_finals = _reference_walk(indices, deltas, 0, hi, init)
             assert np.array_equal(pre, ref_pre)
             assert np.array_equal(finals, ref_finals)
@@ -76,15 +75,28 @@ class TestSegmentedClampedWalk:
         assert np.array_equal(pre, ref_pre)
         assert np.array_equal(finals, ref_finals)
 
-    def test_empty_stream_returns_init_copy(self):
-        init = np.array([1, 2, 3])
+    def test_empty_stream_leaves_the_table_unchanged(self):
+        table = np.array([1, 2, 3], dtype=np.int64)
         pre, finals = segmented_clamped_walk(
-            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0, 3, init
+            np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 0, 3, table
         )
         assert pre.shape == (0,)
-        assert np.array_equal(finals, init)
-        finals[0] = 9
-        assert init[0] == 1  # finals is a copy, not a view
+        assert finals is table
+        assert table.tolist() == [1, 2, 3]
+
+    def test_table_is_advanced_in_place(self):
+        table = np.array([0, 3], dtype=np.int64)
+        pre, finals = segmented_clamped_walk(
+            np.array([0, 1, 0]), np.array([1, 1, 1]), 0, 3, table
+        )
+        assert finals is table  # no copy of the carried table
+        assert pre.tolist() == [0, 3, 1]
+        assert table.tolist() == [2, 3]
+
+    def test_table_must_be_int64(self):
+        for table in (np.zeros(2), np.zeros((2, 1), dtype=np.int64), [0, 0]):
+            with pytest.raises(ValueError, match="int64"):
+                segmented_clamped_walk(np.zeros(1), np.ones(1), 0, 3, table)
 
     def test_length_mismatch_raises(self):
         with pytest.raises(ValueError, match="equal length"):
@@ -108,7 +120,7 @@ class TestSegmentedClampedWalk:
         indices = np.array([d[0] for d in data], dtype=np.int64)
         deltas = np.array([d[1] for d in data], dtype=np.int64)
         init = np.zeros(4, dtype=np.int64)
-        pre, finals = segmented_clamped_walk(indices, deltas, 0, hi, init)
+        pre, finals = segmented_clamped_walk(indices, deltas, 0, hi, init.copy())
         ref_pre, ref_finals = _reference_walk(indices, deltas, 0, hi, init)
         assert np.array_equal(pre, ref_pre)
         assert np.array_equal(finals, ref_finals)
@@ -354,11 +366,6 @@ class TestChunkHelpers:
         with pytest.raises(ValueError):
             resolve_chunk_size(0, 100)
 
-    def test_num_chunks(self):
-        assert num_chunks(100, None) == 1
-        assert num_chunks(100, 30) == 4
-        assert num_chunks(0, 30) == 1
-
     def test_iter_trace_chunks_partitions_without_copy(self, random_trace):
         chunks = list(iter_trace_chunks(random_trace, 1000))
         assert sum(len(chunk) for chunk in chunks) == len(random_trace)
@@ -371,14 +378,6 @@ class TestGshareState:
     def test_fresh_requires_power_of_two(self):
         with pytest.raises(ValueError, match="power of two"):
             GshareState.fresh(1000)
-
-    def test_copy_is_independent(self):
-        state = GshareState.fresh(8)
-        clone = state.copy()
-        clone.table[0] = 0
-        clone.bhr = 5
-        assert state.table[0] == 2
-        assert state.bhr == 0
 
 
 class TestSweepChunk:
